@@ -5,9 +5,10 @@ Usage:
                [--paths N] [--dt X] [--out PATH]
 
 Commands: hypotheses, analyze, mean-square, mixing, profile, verify,
-example35.  Output formats are documented in docs/formats.md.  Any module
-error exits nonzero after printing its single-line error code to stderr;
-output files are written in one shot only after the computation succeeded.
+example35.  Output formats are documented in docs/formats.md.  Any failure
+exits nonzero after printing a single-line error code to stderr; a report
+value that is not finite is a failure.  Output files are written in one
+shot only after the computation succeeded.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .noncommutative_cutoff import (
     mode_decomposition,
     synthetic_mode_decomposition,
 )
-from .simulate import estimate_mean_square
+from .simulate import SEED_END, estimate_mean_square
 from .spectral_asymptotics import extract_asymptotics
 from .system import GBMSystem
 
@@ -77,16 +78,12 @@ class RunConfig:
     out_format: Optional[str] = None
 
 
-def _config_error(code: str, msg: str) -> ToolkitError:
-    return ToolkitError(code, msg)
-
-
 def _load_matrix(raw, name: str) -> np.ndarray:
     try:
         return matrix_from_rows(raw, name)
     except ToolkitError as exc:
         mapping = {"not_square": "config_matrix_not_square", "not_finite": "config_entries_not_finite"}
-        raise _config_error(mapping.get(exc.code, "config_matrix_not_square"), str(exc)) from exc
+        raise ToolkitError(mapping.get(exc.code, "config_matrix_not_square"), str(exc)) from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -94,15 +91,15 @@ def load_config(path: str) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise _config_error("config_unreadable", str(exc)) from exc
+        raise ToolkitError("config_unreadable", str(exc)) from exc
     except json.JSONDecodeError as exc:
-        raise _config_error("config_invalid_json", str(exc)) from exc
+        raise ToolkitError("config_invalid_json", str(exc)) from exc
     if not isinstance(raw, dict):
-        raise _config_error("config_invalid_json", "top level must be an object")
+        raise ToolkitError("config_invalid_json", "top level must be an object")
 
     mode = raw.get("mode")
     if mode not in MODES:
-        raise _config_error("config_bad_mode", f"mode must be one of {MODES}, got {mode!r}")
+        raise ToolkitError("config_bad_mode", f"mode must be one of {MODES}, got {mode!r}")
 
     cfg = RunConfig(mode=mode)
 
@@ -112,7 +109,7 @@ def load_config(path: str) -> RunConfig:
         needed = ("A", "B", "x")
     for key in needed:
         if key not in raw:
-            raise _config_error("config_missing_field", f"mode {mode} requires {key!r}")
+            raise ToolkitError("config_missing_field", f"mode {mode} requires {key!r}")
 
     cfg.A = _load_matrix(raw["A"], "A")
     if mode == "synthetic":
@@ -125,30 +122,30 @@ def load_config(path: str) -> RunConfig:
         mats = {"B": cfg.B}
     for name, M in mats.items():
         if M.shape != cfg.A.shape:
-            raise _config_error("config_dim_mismatch", f"{name} shape {M.shape} != A shape {cfg.A.shape}")
+            raise ToolkitError("config_dim_mismatch", f"{name} shape {M.shape} != A shape {cfg.A.shape}")
 
     try:
         cfg.x = as_vector(raw["x"], "x")
     except ToolkitError as exc:
-        raise _config_error("config_entries_not_finite", str(exc)) from exc
+        raise ToolkitError("config_entries_not_finite", str(exc)) from exc
     if cfg.x.size != cfg.A.shape[0]:
-        raise _config_error("config_dim_mismatch", f"x length {cfg.x.size} != A dim {cfg.A.shape[0]}")
+        raise ToolkitError("config_dim_mismatch", f"x length {cfg.x.size} != A dim {cfg.A.shape[0]}")
     if not np.any(cfg.x != 0.0):
-        raise _config_error("config_x_zero", "x must be nonzero")
+        raise ToolkitError("config_x_zero", "x must be nonzero")
 
     if "eps_list" in raw:
         eps_list = raw["eps_list"]
         if not isinstance(eps_list, list) or not eps_list:
-            raise _config_error("config_eps_range", "eps_list must be a nonempty list")
+            raise ToolkitError("config_eps_range", "eps_list must be a nonempty list")
         for e in eps_list:
             if not isinstance(e, (int, float)) or not 0.0 < float(e) < _EPS_MAX:
-                raise _config_error("config_eps_range", f"eps {e!r} outside (0, e^-1)")
+                raise ToolkitError("config_eps_range", f"eps {e!r} outside (0, e^-1)")
         cfg.eps_list = [float(e) for e in eps_list]
 
     if "delta" in raw:
         d = raw["delta"]
         if not isinstance(d, (int, float)) or not 0.0 < float(d) < 1.0:
-            raise _config_error("config_delta_range", f"delta {d!r} outside (0, 1)")
+            raise ToolkitError("config_delta_range", f"delta {d!r} outside (0, 1)")
         cfg.delta = float(d)
 
     if "rho_grid" in raw:
@@ -156,13 +153,13 @@ def load_config(path: str) -> RunConfig:
         if not isinstance(grid, list) or not grid or not all(
             isinstance(r, (int, float)) and math.isfinite(r) for r in grid
         ):
-            raise _config_error("config_bad_rho_grid", "rho_grid must be a list of finite reals")
+            raise ToolkitError("config_bad_rho_grid", "rho_grid must be a list of finite reals")
         cfg.rho_grid = [float(r) for r in grid]
 
     if "w" in raw:
         w = raw["w"]
         if not isinstance(w, (int, float)) or not float(w) > 0.0:
-            raise _config_error("config_w_range", f"w {w!r} must be positive")
+            raise ToolkitError("config_w_range", f"w {w!r} must be positive")
         cfg.w = float(w)
 
     if "t_grid" in raw:
@@ -170,45 +167,45 @@ def load_config(path: str) -> RunConfig:
         if not isinstance(grid, list) or not grid or not all(
             isinstance(r, (int, float)) and math.isfinite(r) and r >= 0.0 for r in grid
         ):
-            raise _config_error("config_bad_t_grid", "t_grid must be nonnegative finite reals")
+            raise ToolkitError("config_bad_t_grid", "t_grid must be nonnegative finite reals")
         cfg.t_grid = [float(r) for r in grid]
         cfg.t_grid_set = True
 
     mc = raw.get("mc", {})
     if not isinstance(mc, dict):
-        raise _config_error("config_mc_invalid", "mc must be an object")
+        raise ToolkitError("config_mc_invalid", "mc must be an object")
     if "n_paths" in mc:
         n = mc["n_paths"]
         if not isinstance(n, int) or n < 100:
-            raise _config_error("config_mc_paths", "mc.n_paths must be an integer >= 100")
+            raise ToolkitError("config_mc_paths", "mc.n_paths must be an integer >= 100")
         cfg.n_paths = n
     if "dt" in mc:
         dt = mc["dt"]
         if not isinstance(dt, (int, float)) or not 0.0 < float(dt):
-            raise _config_error("config_mc_dt", "mc.dt must be positive")
+            raise ToolkitError("config_mc_dt", "mc.dt must be positive")
         cfg.dt = float(dt)
     if "seed" in mc:
         s = mc["seed"]
-        if not isinstance(s, int) or s < 0:
-            raise _config_error("config_mc_seed", "mc.seed must be a nonnegative integer")
+        if not isinstance(s, int) or not 0 <= s < SEED_END:
+            raise ToolkitError("config_mc_seed", "mc.seed must be an integer in [0, 2^64)")
         cfg.seed = s
 
     if "tol" in raw:
         tol = raw["tol"]
         if not isinstance(tol, (int, float)) or not 0.0 < float(tol) < 1.0:
-            raise _config_error("config_tol_range", "tol must lie in (0, 1)")
+            raise ToolkitError("config_tol_range", "tol must lie in (0, 1)")
         cfg.tol = float(tol)
 
     out = raw.get("output", {})
     if not isinstance(out, dict):
-        raise _config_error("config_bad_format", "output must be an object")
+        raise ToolkitError("config_bad_format", "output must be an object")
     if "format" in out:
         if out["format"] not in FORMATS:
-            raise _config_error("config_bad_format", f"format must be one of {FORMATS}")
+            raise ToolkitError("config_bad_format", f"format must be one of {FORMATS}")
         cfg.out_format = out["format"]
     if "path" in out:
         if not isinstance(out["path"], str) or not out["path"]:
-            raise _config_error("config_bad_format", "output.path must be a nonempty string")
+            raise ToolkitError("config_bad_format", "output.path must be a nonempty string")
         cfg.out_path = out["path"]
 
     return cfg
@@ -243,15 +240,24 @@ def _schedule_for(cfg: RunConfig, eps: float):
 def _csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
+        if not all(isinstance(cell, str) or math.isfinite(cell) for cell in row):
+            raise ToolkitError("report_not_finite", f"row {row} holds a non-finite value")
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
     return "\n".join(lines) + "\n"
+
+
+def _json(report: dict) -> str:
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ToolkitError("report_not_finite", str(exc)) from exc
 
 
 def cmd_hypotheses(cfg: RunConfig) -> tuple[str, str]:
     if cfg.mode == "synthetic":
         raise ToolkitError("config_bad_mode", "hypotheses requires matrices A and B")
     rep = check_pair(cfg.A, cfg.B, cfg.tol)
-    return json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", "json"
+    return _json(rep.to_dict()), "json"
 
 
 def cmd_analyze(cfg: RunConfig) -> tuple[str, str]:
@@ -269,7 +275,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple[str, str]:
         if cfg.mode == "first_order":
             out["hypotheses"] = check_pair(cfg.A, cfg.B, cfg.tol).to_dict()
     out["schedules"] = [_schedule_for(cfg, eps).to_dict() for eps in cfg.eps_list]
-    return json.dumps(out, indent=2, sort_keys=True) + "\n", "json"
+    return _json(out), "json"
 
 
 def cmd_mean_square(cfg: RunConfig) -> tuple[str, str]:
@@ -383,21 +389,21 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         try:
             eps_list = [float(tok) for tok in args.eps.split(",") if tok]
         except ValueError as exc:
-            raise _config_error("config_eps_range", str(exc)) from exc
+            raise ToolkitError("config_eps_range", str(exc)) from exc
         if not eps_list or any(not 0.0 < e < _EPS_MAX for e in eps_list):
-            raise _config_error("config_eps_range", "eps overrides outside (0, e^-1)")
+            raise ToolkitError("config_eps_range", "eps overrides outside (0, e^-1)")
         cfg.eps_list = eps_list
     if args.seed is not None:
-        if args.seed < 0:
-            raise _config_error("config_mc_seed", "seed must be nonnegative")
+        if not 0 <= args.seed < SEED_END:
+            raise ToolkitError("config_mc_seed", "seed must lie in [0, 2^64)")
         cfg.seed = args.seed
     if args.paths is not None:
         if args.paths < 100:
-            raise _config_error("config_mc_paths", "paths must be >= 100")
+            raise ToolkitError("config_mc_paths", "paths must be >= 100")
         cfg.n_paths = args.paths
     if args.dt is not None:
         if not args.dt > 0.0:
-            raise _config_error("config_mc_dt", "dt must be positive")
+            raise ToolkitError("config_mc_dt", "dt must be positive")
         cfg.dt = args.dt
     if args.out is not None:
         cfg.out_path = args.out
@@ -407,17 +413,27 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        text, ext = _HANDLERS[args.command](cfg)
+        # overflow surfaces as a non-finite report value, which _csv and
+        # _json reject; numpy's warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            cfg = _apply_overrides(load_config(args.config), args)
+            text, ext = _HANDLERS[args.command](cfg)
     except ToolkitError as exc:
         print(exc.code, file=sys.stderr)
+        return 1
+    except Exception:  # numpy, scipy or memory failures: still one line, one code
+        print("internal_error", file=sys.stderr)
         return 1
     dest = cfg.out_path or f"gbm_cutoff_{args.command.replace('-', '_')}.{ext}"
     if dest == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError:
+        print("output_unwritable", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -32,7 +32,10 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and return a 1-d float64 array with finite entries."""
-    v = np.asarray(x, dtype=float)
+    try:
+        v = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ToolkitError("not_vector", f"{name}: {exc}") from exc
     if v.ndim != 1 or v.size < 1:
         raise ToolkitError("not_vector", f"{name} must be 1-d, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -69,16 +72,6 @@ def is_hurwitz(U, margin: float = 0.0) -> bool:
     except np.linalg.LinAlgError as exc:
         raise ToolkitError("eig_failure", str(exc)) from exc
     return bool(np.max(lam.real) <= -margin)
-
-
-def spectral_abscissa(U) -> float:
-    """max Re(lambda) over the spectrum of U."""
-    U = as_matrix(U, "U")
-    try:
-        lam = np.linalg.eigvals(U)
-    except np.linalg.LinAlgError as exc:
-        raise ToolkitError("eig_failure", str(exc)) from exc
-    return float(np.max(lam.real))
 
 
 def cluster_values(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[list[int]]:

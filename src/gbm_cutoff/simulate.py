@@ -3,15 +3,15 @@ truncated stochastic Magnus exponent, and mean-square estimation.
 
 Every path draws from its own counter-based substream, keyed by
 (seed, path index), so estimates are reproducible bit for bit no matter
-how paths are batched or distributed over threads.  The reduction uses
-exact compensated summation over the per-path values in index order.
+how paths are batched.  Each scheme is one batch kernel over a range of
+path indices; the public single-path functions are its n = 1 views.  The
+reduction uses exact compensated summation over the per-path values in
+index order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,21 +25,24 @@ from .system import GBMSystem
 
 SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_truncated")
 
+# A seed keys Philox substreams as one 64-bit word: valid seeds are [0, SEED_END).
+SEED_END = 1 << 64
 _BATCH = 8192
-_U64 = (1 << 64) - 1
+# Bound on rows x steps of one batch's increment matrix (2^24 doubles, 128 MiB).
+_MAX_BATCH_DOUBLES = 1 << 24
 
 
 def _rng(seed: int, index: int) -> Generator:
     """Independent substream for one path: Philox keyed by (seed, index)."""
-    return Generator(Philox(key=[seed & _U64, index & _U64]))
+    return Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _threads() -> int:
-    raw = os.environ.get("GBM_CUTOFF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
+    """(hi - lo, k) standard normals; row i is the first k draws of path lo + i."""
+    z = np.empty((hi - lo, k))
+    for i in range(hi - lo):
+        z[i] = _rng(seed, lo + i).standard_normal(k)
+    return z
 
 
 def _nsteps(t: float, dt: float) -> int:
@@ -51,6 +54,27 @@ def _nsteps(t: float, dt: float) -> int:
     return n
 
 
+def _increments(t: float, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Brownian increments on the grid k dt, one row per path lo..hi-1."""
+    inc = _normals(seed, lo, hi, _nsteps(t, dt))
+    inc *= math.sqrt(dt)
+    return inc
+
+
+def _pairs(t: float, seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact draws of (W_t, int_0^t W_s ds) for paths lo..hi-1.
+
+    The pair is bivariate normal with covariance [[t, t^2/2], [t^2/2, t^3/3]];
+    sampling goes through the explicit Cholesky factor of that 2x2 matrix.
+    """
+    if not t > 0:
+        raise ToolkitError("bad_time", "t must be positive")
+    z = _normals(seed, lo, hi, 2)
+    w = math.sqrt(t) * z[:, 0]
+    integral = 0.5 * t**1.5 * z[:, 0] + math.sqrt(t**3 / 12.0) * z[:, 1]
+    return w, integral
+
+
 class PathFunctionals(NamedTuple):
     """Left-endpoint Riemann functionals of one Brownian path on [0, t]."""
 
@@ -58,6 +82,19 @@ class PathFunctionals(NamedTuple):
     int_w: float
     int_w2: float
     int_sw: float
+
+
+def _functionals(inc: np.ndarray, dt: float) -> PathFunctionals:
+    """PathFunctionals of each row of increments, as arrays over the rows."""
+    cum = np.cumsum(inc, axis=1)
+    w_left = np.hstack([np.zeros((len(inc), 1)), cum[:, :-1]])
+    s_left = np.arange(inc.shape[1]) * dt
+    return PathFunctionals(
+        w_t=cum[:, -1],
+        int_w=w_left.sum(axis=1) * dt,
+        int_w2=(w_left**2).sum(axis=1) * dt,
+        int_sw=(w_left * s_left).sum(axis=1) * dt,
+    )
 
 
 @dataclass
@@ -69,9 +106,7 @@ class BrownianPath:
 
     @classmethod
     def sample(cls, t: float, dt: float, seed: int, index: int) -> "BrownianPath":
-        n = _nsteps(t, dt)
-        inc = _rng(seed, index).standard_normal(n) * math.sqrt(dt)
-        return cls(dt=dt, increments=inc)
+        return cls(dt=dt, increments=_increments(t, dt, seed, index, index + 1)[0])
 
     def functionals(self, t: float) -> PathFunctionals:
         if t == 0.0:
@@ -79,77 +114,99 @@ class BrownianPath:
         n = _nsteps(t, self.dt)
         if n > self.increments.size:
             raise ToolkitError("path_too_short", f"path covers {self.increments.size} steps, need {n}")
-        inc = self.increments[:n]
-        cum = np.cumsum(inc)
-        w_left = np.concatenate([[0.0], cum[:-1]])
-        s_left = np.arange(n) * self.dt
-        return PathFunctionals(
-            w_t=float(cum[-1]),
-            int_w=float(np.sum(w_left) * self.dt),
-            int_w2=float(np.sum(w_left**2) * self.dt),
-            int_sw=float(np.sum(s_left * w_left) * self.dt),
-        )
+        return PathFunctionals(*(float(v[0]) for v in _functionals(self.increments[None, :n], self.dt)))
 
 
 def sample_gaussian_pair(t: float, seed: int, index: int) -> tuple[float, float]:
-    """One exact draw of (W_t, int_0^t W_s ds).
-
-    The pair is bivariate normal with covariance [[t, t^2/2], [t^2/2, t^3/3]];
-    sampling goes through the explicit Cholesky factor of that 2x2 matrix.
-    """
-    if not t > 0:
-        raise ToolkitError("bad_time", "t must be positive")
-    z = _rng(seed, index).standard_normal(2)
-    w = math.sqrt(t) * z[0]
-    integral = 0.5 * t**1.5 * z[0] + math.sqrt(t**3 / 12.0) * z[1]
-    return float(w), float(integral)
+    """One exact draw of (W_t, int_0^t W_s ds) for path `index`."""
+    w, integral = _pairs(t, seed, index, index + 1)
+    return float(w[0]), float(integral[0])
 
 
 def sample_gaussian_pairs(t: float, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact pairs for path indices 0..n-1 (same draws as sample_gaussian_pair)."""
-    if not t > 0:
-        raise ToolkitError("bad_time", "t must be positive")
-    z = np.empty((n, 2))
-    for i in range(n):
-        z[i] = _rng(seed, i).standard_normal(2)
-    w = math.sqrt(t) * z[:, 0]
-    integral = 0.5 * t**1.5 * z[:, 0] + math.sqrt(t**3 / 12.0) * z[:, 1]
-    return w, integral
+    return _pairs(t, seed, 0, n)
 
 
-def _first_order_matrices(sys: GBMSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(C, threshold) with validity check [A, C] = [B, C] = 0 for C = [B, A]."""
+def _first_order_matrix(sys: GBMSystem) -> np.ndarray:
+    """C = [B, A], checked to satisfy [A, C] = [B, C] = 0."""
     A, B = sys.A, sys.B
     C = B @ A - A @ B
     thr = sys.tol * sys.bracket_scale()
     if fro(A @ C - C @ A) > thr or fro(B @ C - C @ B) > thr:
         raise ToolkitError("representation_invalid", "[A,C] or [B,C] does not vanish")
-    return C, thr
+    return C
+
+
+def _exact_exponents(sys: GBMSystem, t: float, scheme: str, seed: int, lo: int, hi: int) -> np.ndarray:
+    """tA + W_t B, plus (t W_t / 2 - int W ds) C for the first-order scheme."""
+    w, integral = _pairs(t, seed, lo, hi)
+    M = t * sys.A[None] + w[:, None, None] * sys.B[None]
+    if scheme == "exact_first_order":
+        C = _first_order_matrix(sys)
+        M = M + (0.5 * t * w - integral)[:, None, None] * C[None]
+    return M
+
+
+def _magnus_exponents(sys: GBMSystem, t: float, f: PathFunctionals) -> np.ndarray:
+    """Truncated stochastic Magnus exponents, one per entry of the functionals."""
+    A, B = sys.A, sys.B
+    D = A + 0.5 * (B @ B)
+    DB = D @ B - B @ D  # [D, B]
+    C1, C2, C3 = -DB, DB @ B - B @ DB, DB @ D - D @ DB
+    u1 = 0.5 * t * f.w_t - f.int_w
+    u2 = 0.5 * f.int_w2 - 0.5 * f.w_t * f.int_w + 0.5 * t * f.w_t**2
+    u3 = f.int_sw - 0.5 * t * f.int_w - t**2 * f.w_t / 12.0
+    return (
+        (D * t - 0.5 * (B @ B) * t)[None]
+        + f.w_t[:, None, None] * B[None]
+        + u1[:, None, None] * C1[None]
+        + u2[:, None, None] * C2[None]
+        + u3[:, None, None] * C3[None]
+    )
+
+
+def _euler_states(sys: GBMSystem, t: float, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Euler-Maruyama end states of the Ito form dX = (A + B^2/2) X dt + B X dW."""
+    inc = _increments(t, dt, seed, lo, hi)
+    drift = sys.A + 0.5 * (sys.B @ sys.B)
+    if sys.dim == 1:
+        # scalar update collapses to a product of per-step factors
+        factors = 1.0 + drift[0, 0] * dt + sys.B[0, 0] * inc
+        return (sys.x[0] * np.prod(factors, axis=1))[:, None]
+    # numpy multiplies a one-row matrix through gemv, which rounds differently
+    # from gemm; stepping a lone path as two rows keeps its bits batch-independent
+    rows = max(hi - lo, 2)
+    inc = np.broadcast_to(inc, (rows, inc.shape[1]))
+    driftT = drift.T
+    BT = sys.B.T
+    X = np.broadcast_to(sys.x, (rows, sys.dim)).copy()
+    for k in range(inc.shape[1]):
+        X = X + dt * (X @ driftT) + inc[:, k, None] * (X @ BT)
+    return X[: hi - lo]
+
+
+def _end_states(sys: GBMSystem, t: float, scheme: str, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
+    """X_t(x) under `scheme`, one row per path lo..hi-1 (t > 0)."""
+    if scheme == "euler_maruyama":
+        return _euler_states(sys, t, dt, seed, lo, hi)
+    if scheme == "magnus_truncated":
+        Y = _magnus_exponents(sys, t, _functionals(_increments(t, dt, seed, lo, hi), dt))
+    else:
+        Y = _exact_exponents(sys, t, scheme, seed, lo, hi)
+    return scipy.linalg.expm(Y) @ sys.x
 
 
 def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) -> np.ndarray:
     """X_t(x) = exp(tA + W_t B + (t W_t / 2 - int W ds) C) x with one exact pair."""
-    C, _ = _first_order_matrices(sys)
-    w, integral = sample_gaussian_pair(t, seed, index)
-    M = t * sys.A + w * sys.B + (0.5 * t * w - integral) * C
-    return scipy.linalg.expm(M) @ sys.x
+    return _end_states(sys, t, "exact_first_order", 0.0, seed, index, index + 1)[0]
 
 
 def euler_maruyama(sys: GBMSystem, t: float, dt: float, seed: int, index: int) -> np.ndarray:
     """One Euler-Maruyama path of the Ito form dX = (A + B^2/2) X dt + B X dW."""
     if t == 0.0:
         return sys.x.copy()
-    n = _nsteps(t, dt)
-    inc = _rng(seed, index).standard_normal(n) * math.sqrt(dt)
-    drift = sys.A + 0.5 * (sys.B @ sys.B)
-    if sys.dim == 1:
-        # scalar update collapses to a product of per-step factors
-        factors = 1.0 + drift[0, 0] * dt + sys.B[0, 0] * inc
-        return sys.x * np.prod(factors)
-    X = sys.x.copy()
-    for k in range(n):
-        X = X + dt * (drift @ X) + inc[k] * (sys.B @ X)
-    return X
+    return _end_states(sys, t, "euler_maruyama", dt, seed, index, index + 1)[0]
 
 
 def magnus_exponent(sys: GBMSystem, path: BrownianPath, t: float) -> np.ndarray:
@@ -163,21 +220,8 @@ def magnus_exponent(sys: GBMSystem, path: BrownianPath, t: float) -> np.ndarray:
     with all path functionals taken as left-endpoint sums.  Higher-order
     nested commutators are outside this truncation.
     """
-    A, B = sys.A, sys.B
-    f = path.functionals(t)
-    D = A + 0.5 * (B @ B)
-    DB = D @ B - B @ D  # [D, B]
-    C1 = -DB            # [B, D]
-    C2 = DB @ B - B @ DB
-    C3 = DB @ D - D @ DB
-    return (
-        D * t
-        + B * f.w_t
-        + C1 * (0.5 * t * f.w_t - f.int_w)
-        - 0.5 * (B @ B) * t
-        + C2 * (0.5 * f.int_w2 - 0.5 * f.w_t * f.int_w + 0.5 * t * f.w_t**2)
-        + C3 * (f.int_sw - 0.5 * t * f.int_w - t**2 * f.w_t / 12.0)
-    )
+    f = PathFunctionals(*(np.array([v]) for v in path.functionals(t)))
+    return _magnus_exponents(sys, t, f)[0]
 
 
 @dataclass
@@ -198,85 +242,6 @@ class MCEstimate:
         }
 
 
-def _batch_exact(sys, t, scheme, seed, lo, hi) -> np.ndarray:
-    nb = hi - lo
-    z = np.empty((nb, 2 if scheme == "exact_first_order" else 1))
-    for i in range(nb):
-        z[i] = _rng(seed, lo + i).standard_normal(z.shape[1])
-    if scheme == "exact_first_order":
-        C, _ = _first_order_matrices(sys)
-        w = math.sqrt(t) * z[:, 0]
-        integral = 0.5 * t**1.5 * z[:, 0] + math.sqrt(t**3 / 12.0) * z[:, 1]
-        xi = 0.5 * t * w - integral
-        M = t * sys.A[None] + w[:, None, None] * sys.B[None] + xi[:, None, None] * C[None]
-    else:
-        w = math.sqrt(t) * z[:, 0]
-        M = t * sys.A[None] + w[:, None, None] * sys.B[None]
-    X = scipy.linalg.expm(M) @ sys.x
-    return np.einsum("ni,ni->n", X, X)
-
-
-def _batch_euler(sys, t, dt, seed, lo, hi) -> np.ndarray:
-    n = _nsteps(t, dt)
-    nb = hi - lo
-    inc = np.empty((nb, n))
-    for i in range(nb):
-        inc[i] = _rng(seed, lo + i).standard_normal(n)
-    inc *= math.sqrt(dt)
-    drift = sys.A + 0.5 * (sys.B @ sys.B)
-    if sys.dim == 1:
-        factors = 1.0 + drift[0, 0] * dt + sys.B[0, 0] * inc
-        X = sys.x[0] * np.prod(factors, axis=1)
-        return X * X
-    driftT = drift.T
-    BT = sys.B.T
-    X = np.broadcast_to(sys.x, (nb, sys.dim)).copy()
-    for k in range(n):
-        X = X + dt * (X @ driftT) + inc[:, k, None] * (X @ BT)
-    return np.einsum("ni,ni->n", X, X)
-
-
-def _batch_magnus(sys, t, dt, seed, lo, hi) -> np.ndarray:
-    n = _nsteps(t, dt)
-    nb = hi - lo
-    inc = np.empty((nb, n))
-    for i in range(nb):
-        inc[i] = _rng(seed, lo + i).standard_normal(n)
-    inc *= math.sqrt(dt)
-    cum = np.cumsum(inc, axis=1)
-    w_t = cum[:, -1]
-    w_left = np.hstack([np.zeros((nb, 1)), cum[:, :-1]])
-    s_left = np.arange(n) * dt
-    int_w = w_left.sum(axis=1) * dt
-    int_w2 = (w_left**2).sum(axis=1) * dt
-    int_sw = (w_left * s_left).sum(axis=1) * dt
-
-    A, B = sys.A, sys.B
-    D = A + 0.5 * (B @ B)
-    DB = D @ B - B @ D
-    C1, C2, C3 = -DB, DB @ B - B @ DB, DB @ D - D @ DB
-    u1 = 0.5 * t * w_t - int_w
-    u2 = 0.5 * int_w2 - 0.5 * w_t * int_w + 0.5 * t * w_t**2
-    u3 = int_sw - 0.5 * t * int_w - t**2 * w_t / 12.0
-    Y = (
-        (D * t - 0.5 * (B @ B) * t)[None]
-        + w_t[:, None, None] * B[None]
-        + u1[:, None, None] * C1[None]
-        + u2[:, None, None] * C2[None]
-        + u3[:, None, None] * C3[None]
-    )
-    X = scipy.linalg.expm(Y) @ sys.x
-    return np.einsum("ni,ni->n", X, X)
-
-
-def _batch_values(sys, t, scheme, dt, seed, lo, hi) -> np.ndarray:
-    if scheme in ("exact_commutative", "exact_first_order"):
-        return _batch_exact(sys, t, scheme, seed, lo, hi)
-    if scheme == "euler_maruyama":
-        return _batch_euler(sys, t, dt, seed, lo, hi)
-    return _batch_magnus(sys, t, dt, seed, lo, hi)
-
-
 def estimate_mean_square(
     sys: GBMSystem,
     t: float,
@@ -288,8 +253,9 @@ def estimate_mean_square(
     """Monte Carlo estimate of E|X_t(x)|^2 with its standard error.
 
     Paths are indexed 0..n_paths-1 on deterministic substreams; identical
-    (seed, scheme, n_paths, dt) reproduce the estimate bit for bit under
-    any GBM_CUTOFF_THREADS setting.
+    (seed, scheme, n_paths, dt) reproduce the estimate bit for bit.  A batch
+    holds at most 8192 paths and 2^24 Brownian increments; a path of more
+    than 2^24 steps is rejected.
     """
     if scheme not in SCHEMES:
         raise ToolkitError("bad_scheme", f"scheme must be one of {SCHEMES}")
@@ -297,13 +263,15 @@ def estimate_mean_square(
         raise ToolkitError("bad_path_count", "need at least 100 paths")
     if t < 0:
         raise ToolkitError("bad_time", "t must be nonnegative")
+    if not 0 <= seed < SEED_END:
+        raise ToolkitError("bad_seed", f"seed must lie in [0, 2^64), got {seed}")
 
     if scheme == "exact_commutative":
         thr = sys.tol * sys.bracket_scale()
         if fro(sys.A @ sys.B - sys.B @ sys.A) > thr:
             raise ToolkitError("representation_invalid", "[A,B] does not vanish")
     if scheme == "exact_first_order":
-        _first_order_matrices(sys)
+        _first_order_matrix(sys)
 
     if t == 0.0:
         return MCEstimate(
@@ -311,20 +279,15 @@ def estimate_mean_square(
             n_paths=n_paths, seed=seed, scheme=scheme,
         )
 
+    steps = _nsteps(t, dt) if scheme in ("euler_maruyama", "magnus_truncated") else 1
+    if steps > _MAX_BATCH_DOUBLES:
+        raise ToolkitError("too_many_steps", f"t/dt = {steps} exceeds {_MAX_BATCH_DOUBLES} steps per path")
+    rows = min(_BATCH, _MAX_BATCH_DOUBLES // steps)
     values = np.empty(n_paths)
-    spans = [(lo, min(lo + _BATCH, n_paths)) for lo in range(0, n_paths, _BATCH)]
-
-    def fill(span):
-        lo, hi = span
-        values[lo:hi] = _batch_values(sys, t, scheme, dt, seed, lo, hi)
-
-    workers = _threads()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
+    for lo in range(0, n_paths, rows):
+        hi = min(lo + rows, n_paths)
+        X = _end_states(sys, t, scheme, dt, seed, lo, hi)
+        values[lo:hi] = np.einsum("ni,ni->n", X, X)
 
     mean = math.fsum(values) / n_paths
     var = math.fsum((v - mean) ** 2 for v in values) / (n_paths - 1)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gbm_cutoff import cli
 from gbm_cutoff.cli import load_config, main
 from gbm_cutoff.errors import ToolkitError
 
@@ -62,6 +63,8 @@ class TestConfigValidation:
             ({"mc": {"seed": -1}}, "config_mc_seed"),
             ({"tol": 0.0}, "config_tol_range"),
             ({"output": {"format": "xml"}}, "config_bad_format"),
+            ({"x": "abc"}, "config_entries_not_finite"),
+            ({"mc": {"seed": 1 << 64}}, "config_mc_seed"),
         ],
     )
     def test_each_violation_has_distinct_code(self, tmp_path, overrides, code):
@@ -265,3 +268,44 @@ class TestErrorsAndDeterminism:
         data = json.loads(out.read_text())
         assert len(data["schedules"]) == 1
         assert data["schedules"][0]["t_eps"] == pytest.approx(8.0 / 0.75)
+
+    def test_non_numeric_vector_is_one_line_code(self, tmp_path, capsys):
+        rc = main(["analyze", "--config", write_config(tmp_path, x="abc"), "--out", "-"])
+        assert rc == 1
+        assert capsys.readouterr().err == "config_entries_not_finite\n"
+
+    def test_seed_override_beyond_64_bits_rejected(self, tmp_path, capsys):
+        # masked to 64 bits, 2^64 + 1 would print the same rows as seed 1
+        rc = main(["mean-square", "--config", write_config(tmp_path, t_grid=[0.5]), "--out", "-",
+                   "--paths", "200", "--seed", str((1 << 64) + 1)])
+        assert rc == 1
+        assert capsys.readouterr().err == "config_mc_seed\n"
+
+    def test_non_finite_report_rejected(self, tmp_path, capsys):
+        out = tmp_path / "ms.csv"
+        path = write_config(tmp_path, A=[[400.0]], B=[[0.0]], t_grid=[0.0, 1.0, 2.0])
+        rc = main(["mean-square", "--config", path, "--out", str(out), "--paths", "100"])
+        assert rc == 1
+        assert capsys.readouterr().err == "report_not_finite\n"
+        assert not out.exists()
+
+    def test_non_finite_json_report_rejected(self, tmp_path, capsys):
+        # brackets of 1e300-sized entries overflow into NaN residuals
+        path = write_config(tmp_path, A=[[1e300, 0.0], [0.0, 1.0]], B=[[1e300, 0.0], [0.0, 2.0]], x=[1.0, 1.0])
+        rc = main(["hypotheses", "--config", path, "--out", "-"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "report_not_finite\n")
+
+    def test_unexpected_exception_is_one_line_code(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setitem(cli._HANDLERS, "analyze", broken)
+        rc = main(["analyze", "--config", write_config(tmp_path), "--out", "-"])
+        assert rc == 1
+        assert capsys.readouterr().err == "internal_error\n"
+
+    def test_unwritable_output_is_one_line_code(self, tmp_path, capsys):
+        rc = main(["hypotheses", "--config", write_config(tmp_path), "--out", str(tmp_path / "no" / "h.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "output_unwritable\n"

@@ -1,10 +1,11 @@
 import math
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from gbm_cutoff import simulate
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.simulate import (
     BrownianPath,
@@ -31,6 +32,27 @@ def scalar_system():
 
 def heisenberg_system():
     return GBMSystem(A=elementary(2, 3), B=elementary(1, 2), x=np.array([0.0, 0.0, 1.0]))
+
+
+def dense_system():
+    # full 3x3 pair: every product in the EM step rounds
+    rng = np.random.default_rng(3)
+    A, B = 0.3 * rng.standard_normal((3, 3)), 0.3 * rng.standard_normal((3, 3))
+    return GBMSystem(A=A, B=B, x=np.array([1.0, 0.5, -0.2]))
+
+
+def square_norm(X):
+    """|X|^2 reduced as the estimator reduces each path."""
+    return float(np.einsum("ni,ni->n", X[None], X[None])[0])
+
+
+def single_end_state(sys, t, scheme, dt, seed, i):
+    """X_t of path i through the public single-path functions."""
+    if scheme == "euler_maruyama":
+        return euler_maruyama(sys, t, dt, seed, i)
+    if scheme == "magnus_truncated":
+        return scipy.linalg.expm(magnus_exponent(sys, BrownianPath.sample(t, dt, seed, i), t)) @ sys.x
+    return sample_exact_first_order(sys, t, seed, i)
 
 
 class TestGaussianPair:
@@ -183,33 +205,28 @@ class TestEstimator:
         b = estimate_mean_square(scalar_system(), 0.7, "exact_commutative", 5000, seed=70)
         assert a.value == b.value and a.std_error == b.std_error
 
-    def test_thread_count_does_not_change_bits(self):
-        sys = heisenberg_system()
-        old = os.environ.get("GBM_CUTOFF_THREADS")
-        try:
-            os.environ["GBM_CUTOFF_THREADS"] = "1"
-            a = estimate_mean_square(sys, 0.5, "euler_maruyama", 20_000, dt=1e-2, seed=71)
-            os.environ["GBM_CUTOFF_THREADS"] = "4"
-            b = estimate_mean_square(sys, 0.5, "euler_maruyama", 20_000, dt=1e-2, seed=71)
-        finally:
-            if old is None:
-                os.environ.pop("GBM_CUTOFF_THREADS", None)
-            else:
-                os.environ["GBM_CUTOFF_THREADS"] = old
-        assert a.value == b.value and a.std_error == b.std_error
+    @pytest.mark.parametrize(
+        "system,scheme",
+        [(scalar_system, "euler_maruyama"), (dense_system, "euler_maruyama"), (dense_system, "magnus_truncated")],
+    )
+    def test_estimate_is_sum_of_single_paths(self, system, scheme):
+        sys = system()
+        t, dt, seed, n = 0.5, 1e-2, 72, 300
+        est = estimate_mean_square(sys, t, scheme, n, dt=dt, seed=seed)
+        singles = [single_end_state(sys, t, scheme, dt, seed, i) for i in range(n)]
+        assert est.value == math.fsum(square_norm(X) for X in singles) / n
 
     def test_batched_estimator_matches_single_paths(self):
         sys = heisenberg_system()
         t, dt, seed, n = 0.5, 1e-2, 72, 300
         est = estimate_mean_square(sys, t, "euler_maruyama", n, dt=dt, seed=seed)
         singles = [euler_maruyama(sys, t, dt, seed, i) for i in range(n)]
-        mean = math.fsum(float(X @ X) for X in singles) / n
-        assert est.value == pytest.approx(mean, rel=1e-13)
+        assert est.value == math.fsum(square_norm(X) for X in singles) / n
 
-        est2 = estimate_mean_square(sys, t, "exact_first_order", n, seed=seed)
-        singles2 = [sample_exact_first_order(sys, t, seed, i) for i in range(n)]
-        mean2 = math.fsum(float(X @ X) for X in singles2) / n
-        assert est2.value == pytest.approx(mean2, rel=1e-13)
+        n2 = 8200  # above one batch of 8192 paths
+        est2 = estimate_mean_square(sys, t, "exact_first_order", n2, seed=seed)
+        singles2 = [sample_exact_first_order(sys, t, seed, i) for i in range(n2)]
+        assert est2.value == math.fsum(square_norm(X) for X in singles2) / n2
 
     def test_magnus_batch_matches_single_paths(self):
         sys = heisenberg_system()
@@ -218,9 +235,8 @@ class TestEstimator:
         vals = []
         for i in range(n):
             path = BrownianPath.sample(t, dt, seed, i)
-            X = scipy.linalg.expm(magnus_exponent(sys, path, t)) @ sys.x
-            vals.append(float(X @ X))
-        assert est.value == pytest.approx(math.fsum(vals) / n, rel=1e-13)
+            vals.append(square_norm(scipy.linalg.expm(magnus_exponent(sys, path, t)) @ sys.x))
+        assert est.value == math.fsum(vals) / n
 
     def test_system_arrays_are_frozen(self):
         sys = scalar_system()
@@ -273,6 +289,68 @@ class TestEstimator:
         with pytest.raises(ToolkitError) as err:
             estimate_mean_square(heisenberg_system(), 1.0, "exact_commutative", 500)
         assert err.value.code == "representation_invalid"
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masked to 64 bits, 2^64 + 1 would alias seed 1
+        with pytest.raises(ToolkitError) as err:
+            estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200, dt=1e-2, seed=seed)
+        assert err.value.code == "bad_seed"
+
+    def test_high_seeds_are_distinct_substreams(self):
+        # a key list of Python ints >= 2^63 goes through float64, which merges these two
+        a = estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200, dt=1e-2, seed=(1 << 63) + 1)
+        b = estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200, dt=1e-2, seed=(1 << 63) + 2)
+        assert a.value != b.value
+
+
+class TestBatchRows:
+    @pytest.mark.parametrize(
+        "system,scheme",
+        [
+            (scalar_system, "euler_maruyama"),
+            (dense_system, "euler_maruyama"),
+            (dense_system, "magnus_truncated"),
+            (heisenberg_system, "exact_first_order"),
+        ],
+    )
+    def test_batch_row_is_its_single_path(self, system, scheme):
+        sys = system()
+        t, dt, seed, n = 0.3, 1e-2, 81, 40
+        X = simulate._end_states(sys, t, scheme, dt, seed, 0, n)
+        for i in range(n):
+            assert np.array_equal(X[i], single_end_state(sys, t, scheme, dt, seed, i))
+
+
+class TestBatchMemory:
+    def test_capped_batches_give_identical_bits(self, monkeypatch):
+        sys = dense_system()
+        t, dt, n = 0.5, 1e-2, 1001
+        ref = {s: estimate_mean_square(sys, t, s, n, dt=dt, seed=79) for s in ("euler_maruyama", "magnus_truncated")}
+        # 8 paths x 50 steps per batch; 1001 paths leave a one-path batch
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 400)
+        for scheme, uncapped in ref.items():
+            capped = estimate_mean_square(sys, t, scheme, n, dt=dt, seed=79)
+            assert capped.to_dict() == uncapped.to_dict()
+
+    def test_peak_memory_follows_the_cap(self, monkeypatch):
+        sys = scalar_system()
+        cap = 1 << 14
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", cap)
+        tracemalloc.start()
+        try:
+            # uncapped, this would be one 4000 x 2000 increment matrix (64 MB)
+            estimate_mean_square(sys, 2.0, "magnus_truncated", 4000, dt=1e-3, seed=80)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cap * 8  # a few (rows x steps) arrays of doubles at once
+
+    def test_path_longer_than_the_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 100)
+        with pytest.raises(ToolkitError) as err:
+            estimate_mean_square(scalar_system(), 2.0, "euler_maruyama", 200, dt=1e-2, seed=1)
+        assert err.value.code == "too_many_steps"
 
 
 class TestSubstreams:
