@@ -22,17 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .commutative_cutoff import (
-    cutoff_time_commutative,
-    effective_drift,
-    mean_square_commutative,
-)
+from .commutative_cutoff import cutoff_time_from_rate, drift_mean_square, effective_drift
 from .errors import ToolkitError
 from .hypothesis_checks import check_pair
 from .linalg_core import as_vector, matrix_from_rows, matrix_to_rows
 from .mixing import mixing_time
 from .noncommutative_cutoff import (
-    ModeDecomposition,
     cutoff_schedule_first_order,
     example35_check,
     mean_square_first_order,
@@ -86,6 +81,41 @@ def _load_matrix(raw, name: str) -> np.ndarray:
         raise ToolkitError(mapping.get(exc.code, "config_matrix_not_square"), str(exc)) from exc
 
 
+# One validator per range-checked field, shared by load_config and the
+# command line overrides: field -> (error code, requirement, test).  A list
+# field is a nonempty list whose every entry passes the test; an integer
+# field takes JSON integers, the others any JSON number, tested as float.
+_LIST_FIELDS = ("eps_list", "rho_grid", "t_grid")
+_INT_FIELDS = ("n_paths", "seed")
+_FIELDS = {
+    "eps_list": ("config_eps_range", "a nonempty list of reals in (0, e^-1)", lambda v: 0.0 < v < _EPS_MAX),
+    "delta": ("config_delta_range", "a real in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "rho_grid": ("config_bad_rho_grid", "a nonempty list of finite reals", math.isfinite),
+    "w": ("config_w_range", "a positive real", lambda v: v > 0.0),
+    "t_grid": ("config_bad_t_grid", "a nonempty list of nonnegative finite reals",
+               lambda v: math.isfinite(v) and v >= 0.0),
+    "n_paths": ("config_mc_paths", "an integer >= 100", lambda v: v >= 100),
+    "dt": ("config_mc_dt", "a positive real", lambda v: v > 0.0),
+    "seed": ("config_mc_seed", "an integer in [0, 2^64)", lambda v: 0 <= v < SEED_END),
+    "tol": ("config_tol_range", "a real in (0, 1)", lambda v: 0.0 < v < 1.0),
+}
+
+
+def _validated(key: str, value):
+    """The value of field `key` as the run uses it, or the field's error code."""
+    code, rule, ok = _FIELDS[key]
+    kind = int if key in _INT_FIELDS else (int, float)
+    entries = value if key in _LIST_FIELDS else [value]
+    typed = isinstance(entries, list) and all(isinstance(v, kind) for v in entries)
+    try:
+        out = [v if kind is int else float(v) for v in entries] if typed else []
+    except OverflowError:  # a JSON integer beyond the double range
+        out = []
+    if not out or not all(map(ok, out)):
+        raise ToolkitError(code, f"{key} must be {rule}, got {value!r}")
+    return out if key in _LIST_FIELDS else out[0]
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -133,68 +163,18 @@ def load_config(path: str) -> RunConfig:
     if not np.any(cfg.x != 0.0):
         raise ToolkitError("config_x_zero", "x must be nonzero")
 
-    if "eps_list" in raw:
-        eps_list = raw["eps_list"]
-        if not isinstance(eps_list, list) or not eps_list:
-            raise ToolkitError("config_eps_range", "eps_list must be a nonempty list")
-        for e in eps_list:
-            if not isinstance(e, (int, float)) or not 0.0 < float(e) < _EPS_MAX:
-                raise ToolkitError("config_eps_range", f"eps {e!r} outside (0, e^-1)")
-        cfg.eps_list = [float(e) for e in eps_list]
-
-    if "delta" in raw:
-        d = raw["delta"]
-        if not isinstance(d, (int, float)) or not 0.0 < float(d) < 1.0:
-            raise ToolkitError("config_delta_range", f"delta {d!r} outside (0, 1)")
-        cfg.delta = float(d)
-
-    if "rho_grid" in raw:
-        grid = raw["rho_grid"]
-        if not isinstance(grid, list) or not grid or not all(
-            isinstance(r, (int, float)) and math.isfinite(r) for r in grid
-        ):
-            raise ToolkitError("config_bad_rho_grid", "rho_grid must be a list of finite reals")
-        cfg.rho_grid = [float(r) for r in grid]
-
-    if "w" in raw:
-        w = raw["w"]
-        if not isinstance(w, (int, float)) or not float(w) > 0.0:
-            raise ToolkitError("config_w_range", f"w {w!r} must be positive")
-        cfg.w = float(w)
-
-    if "t_grid" in raw:
-        grid = raw["t_grid"]
-        if not isinstance(grid, list) or not grid or not all(
-            isinstance(r, (int, float)) and math.isfinite(r) and r >= 0.0 for r in grid
-        ):
-            raise ToolkitError("config_bad_t_grid", "t_grid must be nonnegative finite reals")
-        cfg.t_grid = [float(r) for r in grid]
-        cfg.t_grid_set = True
-
+    for key in ("eps_list", "delta", "rho_grid", "w", "t_grid"):
+        if key in raw:
+            setattr(cfg, key, _validated(key, raw[key]))
+    cfg.t_grid_set = "t_grid" in raw
     mc = raw.get("mc", {})
     if not isinstance(mc, dict):
         raise ToolkitError("config_mc_invalid", "mc must be an object")
-    if "n_paths" in mc:
-        n = mc["n_paths"]
-        if not isinstance(n, int) or n < 100:
-            raise ToolkitError("config_mc_paths", "mc.n_paths must be an integer >= 100")
-        cfg.n_paths = n
-    if "dt" in mc:
-        dt = mc["dt"]
-        if not isinstance(dt, (int, float)) or not 0.0 < float(dt):
-            raise ToolkitError("config_mc_dt", "mc.dt must be positive")
-        cfg.dt = float(dt)
-    if "seed" in mc:
-        s = mc["seed"]
-        if not isinstance(s, int) or not 0 <= s < SEED_END:
-            raise ToolkitError("config_mc_seed", "mc.seed must be an integer in [0, 2^64)")
-        cfg.seed = s
-
+    for key in ("n_paths", "dt", "seed"):
+        if key in mc:
+            setattr(cfg, key, _validated(key, mc[key]))
     if "tol" in raw:
-        tol = raw["tol"]
-        if not isinstance(tol, (int, float)) or not 0.0 < float(tol) < 1.0:
-            raise ToolkitError("config_tol_range", "tol must lie in (0, 1)")
-        cfg.tol = float(tol)
+        cfg.tol = _validated("tol", raw["tol"])
 
     out = raw.get("output", {})
     if not isinstance(out, dict):
@@ -211,30 +191,34 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
-def _system(cfg: RunConfig) -> GBMSystem:
+def _system(cfg: RunConfig) -> Optional[GBMSystem]:
+    """The simulable triple; a synthetic config has no diffusion matrix."""
+    if cfg.mode == "synthetic":
+        return None
     return GBMSystem(A=cfg.A, B=cfg.B, x=cfg.x, tol=cfg.tol)
 
 
-def _decomposition(cfg: RunConfig) -> ModeDecomposition:
+def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]):
+    """The report's closed form, built once: the checked effective drift Q
+    (commutative) or the mode decomposition, and t -> E|X_t|^2 from it."""
+    if cfg.mode == "commutative":
+        Q = effective_drift(sys_)
+        return Q, lambda t: drift_mean_square(Q, cfg.x, t)
     if cfg.mode == "synthetic":
-        return synthetic_mode_decomposition(cfg.alpha, cfg.beta, cfg.Gamma, cfg.A, cfg.x, cfg.tol)
-    return mode_decomposition(_system(cfg))
+        dec = synthetic_mode_decomposition(cfg.alpha, cfg.beta, cfg.Gamma, cfg.A, cfg.x, cfg.tol)
+    else:
+        dec = mode_decomposition(sys_)
+    return dec, lambda t: mean_square_first_order(dec, cfg.x, t)
 
 
-def _closed_form_msq(cfg: RunConfig):
-    """Closed-form mean-square evaluator for the configured mode."""
+def _scheduler(cfg: RunConfig, form):
+    """eps -> cutoff schedule of a built closed form.  The commutative
+    asymptotics of exp(tQ)x do not depend on eps; they are extracted here,
+    once, and returned for the report (None in the first-order regimes)."""
     if cfg.mode == "commutative":
-        sys_ = _system(cfg)
-        return lambda t: mean_square_commutative(sys_, t)
-    dec = _decomposition(cfg)
-    x = cfg.x
-    return lambda t: mean_square_first_order(dec, x, t)
-
-
-def _schedule_for(cfg: RunConfig, eps: float):
-    if cfg.mode == "commutative":
-        return cutoff_time_commutative(_system(cfg), eps, cfg.w)
-    return cutoff_schedule_first_order(_decomposition(cfg), cfg.x, eps)
+        asym = extract_asymptotics(form, cfg.x)
+        return asym, lambda eps: cutoff_time_from_rate(asym.q, asym.ell, eps, cfg.w)
+    return None, lambda eps: cutoff_schedule_first_order(form, cfg.x, eps)
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -262,57 +246,56 @@ def cmd_hypotheses(cfg: RunConfig) -> tuple[str, str]:
 
 def cmd_analyze(cfg: RunConfig) -> tuple[str, str]:
     out: dict = {"mode": cfg.mode}
+    form, _ = _closed_form(cfg, _system(cfg))
+    asym, schedule = _scheduler(cfg, form)
     if cfg.mode == "commutative":
-        sys_ = _system(cfg)
-        Q = effective_drift(sys_)
-        asym = extract_asymptotics(Q, sys_.x)
-        out["Q"] = matrix_to_rows(Q)
+        out["Q"] = matrix_to_rows(form)
         out["q"] = asym.q
         out["ell"] = asym.ell
     else:
-        dec = _decomposition(cfg)
-        out["decomposition"] = dec.to_dict()
+        out["decomposition"] = form.to_dict()
         if cfg.mode == "first_order":
             out["hypotheses"] = check_pair(cfg.A, cfg.B, cfg.tol).to_dict()
-    out["schedules"] = [_schedule_for(cfg, eps).to_dict() for eps in cfg.eps_list]
+    out["schedules"] = [schedule(eps).to_dict() for eps in cfg.eps_list]
     return _json(out), "json"
 
 
 def cmd_mean_square(cfg: RunConfig) -> tuple[str, str]:
-    msq = _closed_form_msq(cfg)
+    sys_ = _system(cfg)
+    _, msq = _closed_form(cfg, sys_)
     rows = []
     for t in cfg.t_grid:
         closed = msq(t)
-        if cfg.mode == "synthetic":
+        if sys_ is None:
             rows.append([t, closed, "", ""])
         else:
-            est = estimate_mean_square(
-                _system(cfg), t, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed
-            )
+            est = estimate_mean_square(sys_, t, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
             rows.append([t, closed, est.value, est.std_error])
     return _csv(["t", "closed_form", "mc_value", "mc_se"], rows), "csv"
 
 
+def _decaying(schedule, eps):
+    sched = schedule(eps)
+    if sched.t_eps is None:
+        raise ToolkitError("no_decay", "schedule has no decaying time scale")
+    return sched
+
+
 def cmd_mixing(cfg: RunConfig) -> tuple[str, str]:
-    msq = _closed_form_msq(cfg)
+    form, msq = _closed_form(cfg, _system(cfg))
+    _, schedule = _scheduler(cfg, form)
     rows = []
     for eps in cfg.eps_list:
-        sched = _schedule_for(cfg, eps)
-        if sched.t_eps is None:
-            raise ToolkitError("no_decay", "schedule has no decaying time scale")
+        sched = _decaying(schedule, eps)
         res = mixing_time(msq, eps, cfg.delta, t_ref=sched.t_eps)
         rows.append([eps, cfg.delta, res.tau, res.tau_over_t_ref, res.tau_ratio])
     return _csv(["eps", "delta", "tau", "tau_over_t_eps", "tau_ratio"], rows), "csv"
 
 
 def cmd_profile(cfg: RunConfig) -> tuple[str, str]:
-    msq = _closed_form_msq(cfg)
-    schedules = []
-    for eps in cfg.eps_list:
-        sched = _schedule_for(cfg, eps)
-        if sched.t_eps is None:
-            raise ToolkitError("no_decay", "schedule has no decaying time scale")
-        schedules.append((eps, sched))
+    form, msq = _closed_form(cfg, _system(cfg))
+    _, schedule = _scheduler(cfg, form)
+    schedules = [(eps, _decaying(schedule, eps)) for eps in cfg.eps_list]
     header = ["rho"] + [f"eps={_fmt(eps)}" for eps, _ in schedules]
     rows = []
     for rho in cfg.rho_grid:
@@ -330,7 +313,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, str]:
     sys_ = _system(cfg)
     rows = []
     if cfg.mode == "commutative":
-        msq = _closed_form_msq(cfg)
+        _, msq = _closed_form(cfg, sys_)
         for t in cfg.t_grid:
             est = estimate_mean_square(sys_, t, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
             ref, ref_se = msq(t), 0.0
@@ -372,8 +355,14 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is one stderr line with a code, like every failure
+        raise ToolkitError("usage_error", message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gbm-cutoff", description=__doc__)
+    p = _Parser(prog="gbm-cutoff", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--eps", help="comma-separated eps overrides")
@@ -390,29 +379,18 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             eps_list = [float(tok) for tok in args.eps.split(",") if tok]
         except ValueError as exc:
             raise ToolkitError("config_eps_range", str(exc)) from exc
-        if not eps_list or any(not 0.0 < e < _EPS_MAX for e in eps_list):
-            raise ToolkitError("config_eps_range", "eps overrides outside (0, e^-1)")
-        cfg.eps_list = eps_list
-    if args.seed is not None:
-        if not 0 <= args.seed < SEED_END:
-            raise ToolkitError("config_mc_seed", "seed must lie in [0, 2^64)")
-        cfg.seed = args.seed
-    if args.paths is not None:
-        if args.paths < 100:
-            raise ToolkitError("config_mc_paths", "paths must be >= 100")
-        cfg.n_paths = args.paths
-    if args.dt is not None:
-        if not args.dt > 0.0:
-            raise ToolkitError("config_mc_dt", "dt must be positive")
-        cfg.dt = args.dt
+        cfg.eps_list = _validated("eps_list", eps_list)
+    for key, value in (("seed", args.seed), ("n_paths", args.paths), ("dt", args.dt)):
+        if value is not None:
+            setattr(cfg, key, _validated(key, value))
     if args.out is not None:
         cfg.out_path = args.out
     return cfg
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         # overflow surfaces as a non-finite report value, which _csv and
         # _json reject; numpy's warnings would only add stderr lines
         with np.errstate(all="ignore"):

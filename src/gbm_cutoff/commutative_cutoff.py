@@ -23,6 +23,7 @@ from .system import GBMSystem
 __all__ = [
     "GBMSystem",
     "effective_drift",
+    "drift_mean_square",
     "mean_square_commutative",
     "cutoff_time_from_rate",
     "cutoff_time_commutative",
@@ -30,29 +31,39 @@ __all__ = [
 ]
 
 
-def _require_commutative(sys: GBMSystem):
+def effective_drift(sys: GBMSystem) -> np.ndarray:
+    """Q = A + (B + B*)^2 / 4; ``hypotheses_violated`` unless B is normal
+    and commutes with A.
+
+    This is the regime's one hypothesis check.  Q depends on the pair
+    alone, so the mean square at every t (``drift_mean_square``) and the
+    schedule at every eps (``cutoff_time_from_rate`` on the asymptotics of
+    exp(tQ)x) come from one checked drift.  Callers test stability
+    separately.
+    """
     rep = check_hypotheses(sys)
     if not (rep.normal_B and rep.commutative):
         raise ToolkitError(
             "hypotheses_violated",
             f"normal_B={rep.normal_B}, commutative={rep.commutative}",
         )
-
-
-def effective_drift(sys: GBMSystem) -> np.ndarray:
-    """Q = A + (B + B*)^2 / 4; callers test stability separately."""
-    _require_commutative(sys)
     S = sys.B + sys.B.T
     return sys.A + 0.25 * (S @ S)
+
+
+def drift_mean_square(Q: np.ndarray, x: np.ndarray, t: float) -> float:
+    """|exp(tQ)x|^2 for an effective drift Q from ``effective_drift``."""
+    if t < 0:
+        raise ToolkitError("bad_time", "t must be nonnegative")
+    v = scipy.linalg.expm(t * Q) @ x
+    return float(v @ v)
 
 
 def mean_square_commutative(sys: GBMSystem, t: float) -> float:
     """E|X_t(x)|^2 = |exp(tQ)x|^2 (also the squared W2 distance to delta_0)."""
     if t < 0:
         raise ToolkitError("bad_time", "t must be nonnegative")
-    Q = effective_drift(sys)
-    v = scipy.linalg.expm(t * Q) @ sys.x
-    return float(v @ v)
+    return drift_mean_square(effective_drift(sys), sys.x, t)
 
 
 def cutoff_time_from_rate(q: float, ell: int, eps: float, w: float = 1.0) -> CutoffSchedule:
@@ -76,15 +87,9 @@ def cutoff_time_from_rate(q: float, ell: int, eps: float, w: float = 1.0) -> Cut
 
 
 def cutoff_time_commutative(sys: GBMSystem, eps: float, w: float = 1.0) -> CutoffSchedule:
-    """Cutoff schedule of the system from the asymptotics of exp(tQ)x."""
-    _require_commutative(sys)
-    Q = effective_drift(sys)
-    try:
-        asym = extract_asymptotics(Q, sys.x, margin=0.0)
-    except ToolkitError as exc:
-        if exc.code == "not_stable":
-            raise ToolkitError("not_stable", "effective drift Q is not Hurwitz") from exc
-        raise
+    """Cutoff schedule of the system from the asymptotics of exp(tQ)x;
+    ``not_stable`` when Q is not Hurwitz."""
+    asym = extract_asymptotics(effective_drift(sys), sys.x)
     return cutoff_time_from_rate(asym.q, asym.ell, eps, w)
 
 
@@ -95,11 +100,10 @@ def profile_limit(sys: GBMSystem, rho: float, w: float = 1.0) -> float:
     mean-square normalization.  Requires a diagonalizable A and a non-oscillating leading
     mode, otherwise the limit does not exist.
     """
-    _require_commutative(sys)
+    Q = effective_drift(sys)
     if not is_diagonalizable(sys.A):
         raise ToolkitError("not_diagonalizable", "profile limit requires diagonalizable A")
-    Q = effective_drift(sys)
-    asym = extract_asymptotics(Q, sys.x, margin=0.0)
+    asym = extract_asymptotics(Q, sys.x)
     if asym.ell != 1:
         raise ToolkitError("not_diagonalizable", "leading chain height exceeds 1")
     if any(abs(th) > 1e-9 * (1.0 + asym.q) for th in asym.thetas):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToolkitError
-from .linalg_core import DEFAULT_TOL, as_matrix, fro
+from .linalg_core import DEFAULT_TOL, as_matrix, commutator, fro
 from .system import GBMSystem
 
 # Multiple of the base threshold a bracket norm must exceed to certify "nonzero".
@@ -52,19 +51,16 @@ def bracket_residuals(A, B) -> dict[str, float]:
     """Frobenius norms of every hypothesis-defining bracket."""
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ToolkitError("dim_mismatch", f"A {A.shape} vs B {B.shape}")
-    C = A @ B - B @ A
-    com = lambda U, V: U @ V - V @ U
+    C = commutator(A, B)
     return {
-        "normal_B": fro(com(B, B.T)),
+        "normal_B": fro(commutator(B, B.T)),
         "commute_A_B": fro(C),
-        "commute_A_Bstar": fro(com(A, B.T)),
-        "normal_C": fro(com(C, C.T)),
-        "commute_A_C": fro(com(A, C)),
-        "commute_A_Cstar": fro(com(A, C.T)),
-        "commute_B_C": fro(com(B, C)),
-        "commute_B_Cstar": fro(com(B, C.T)),
+        "commute_A_Bstar": fro(commutator(A, B.T)),
+        "normal_C": fro(commutator(C, C.T)),
+        "commute_A_C": fro(commutator(A, C)),
+        "commute_A_Cstar": fro(commutator(A, C.T)),
+        "commute_B_C": fro(commutator(B, C)),
+        "commute_B_Cstar": fro(commutator(B, C.T)),
     }
 
 
@@ -111,11 +107,7 @@ def check_hypotheses(sys: GBMSystem) -> HypothesisReport:
 
 def power_traces(A, B) -> list[float]:
     """trace(C^k) for C = [A, B], k = 1..d."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ToolkitError("dim_mismatch", f"A {A.shape} vs B {B.shape}")
-    C = A @ B - B @ A
+    C = commutator(as_matrix(A, "A"), as_matrix(B, "B"))
     d = C.shape[0]
     out = []
     P = np.eye(d)

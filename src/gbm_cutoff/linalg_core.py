@@ -20,11 +20,17 @@ DEFAULT_TOL = 1e-10
 CLUSTER_GAP = 1e-7
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return a d x d float64 array (d >= 1, all entries finite)."""
+def _square(M, name: str) -> np.ndarray:
+    """M as a d x d float64 array, d >= 1."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ToolkitError("not_square", f"{name} must be square, got shape {A.shape}")
+    return A
+
+
+def as_matrix(M, name: str = "matrix") -> np.ndarray:
+    """Validate and return a d x d float64 array (d >= 1, all entries finite)."""
+    A = _square(M, name)
     if not np.all(np.isfinite(A)):
         raise ToolkitError("not_finite", f"{name} contains NaN/Inf entries")
     return A
@@ -49,9 +55,14 @@ def fro(M) -> float:
 
 
 def commutator(U, V) -> np.ndarray:
-    """Lie bracket UV - VU."""
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
+    """Lie bracket UV - VU.
+
+    Entries need not be finite: brackets of large finite matrices overflow,
+    and the residual reports built from them pass the inf/nan on to their
+    own finiteness check.
+    """
+    U = _square(U, "U")
+    V = _square(V, "V")
     if U.shape != V.shape:
         raise ToolkitError("dim_mismatch", f"{U.shape} vs {V.shape}")
     return U @ V - V @ U

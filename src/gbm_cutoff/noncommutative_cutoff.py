@@ -34,6 +34,7 @@ from .linalg_core import (
     DEFAULT_TOL,
     as_matrix,
     as_vector,
+    commutator,
     fro,
     is_hurwitz,
     matrix_from_rows,
@@ -177,7 +178,7 @@ def gamma_matrices(sys: GBMSystem) -> ModeDecomposition:
     None; the mode analysis raises ``no_stabilizer`` when it needs them.
     """
     A, B = sys.A, sys.B
-    C = B @ A - A @ B
+    C = commutator(B, A)
     Bhat = B + B.T
     Chat = C + C.T
     alpha = Bhat @ Bhat / 2.0
@@ -204,12 +205,11 @@ def gamma_matrices(sys: GBMSystem) -> ModeDecomposition:
 
 
 def _step3_residuals(A, alpha, beta, Gamma) -> dict[str, float]:
-    com = lambda U, V: U @ V - V @ U
     return {
-        "alpha_beta": fro(com(alpha, beta)),
-        "alpha_Gamma": fro(com(alpha, Gamma)),
-        "beta_Gamma": fro(com(beta, Gamma)),
-        "A_Gamma": fro(com(A, Gamma)),
+        "alpha_beta": fro(commutator(alpha, beta)),
+        "alpha_Gamma": fro(commutator(alpha, Gamma)),
+        "beta_Gamma": fro(commutator(beta, Gamma)),
+        "A_Gamma": fro(commutator(A, Gamma)),
     }
 
 

@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from gbm_cutoff import cli
+from gbm_cutoff import cli, hypothesis_checks, noncommutative_cutoff, spectral_asymptotics
 from gbm_cutoff.cli import load_config, main
 from gbm_cutoff.errors import ToolkitError
 
@@ -65,6 +66,11 @@ class TestConfigValidation:
             ({"output": {"format": "xml"}}, "config_bad_format"),
             ({"x": "abc"}, "config_entries_not_finite"),
             ({"mc": {"seed": 1 << 64}}, "config_mc_seed"),
+            # integers beyond the double range, which float() cannot convert
+            ({"w": 10**400}, "config_w_range"),
+            ({"rho_grid": [0.0, 10**400]}, "config_bad_rho_grid"),
+            ({"eps_list": [10**400]}, "config_eps_range"),
+            ({"mc": {"dt": -(10**400)}}, "config_mc_dt"),
         ],
     )
     def test_each_violation_has_distinct_code(self, tmp_path, overrides, code):
@@ -309,3 +315,85 @@ class TestErrorsAndDeterminism:
         rc = main(["hypotheses", "--config", write_config(tmp_path), "--out", str(tmp_path / "no" / "h.json")])
         assert rc == 1
         assert capsys.readouterr().err == "output_unwritable\n"
+
+
+class TestOverridesAndUsage:
+    @pytest.mark.parametrize(
+        "flag,value,config_overrides,code",
+        [
+            ("--paths", "50", {"mc": {"n_paths": 50}}, "config_mc_paths"),
+            ("--dt", "0", {"mc": {"dt": 0.0}}, "config_mc_dt"),
+            ("--eps", "0.5", {"eps_list": [0.5]}, "config_eps_range"),
+            ("--eps", ",", {"eps_list": []}, "config_eps_range"),
+            ("--seed", "-1", {"mc": {"seed": -1}}, "config_mc_seed"),
+        ],
+    )
+    def test_override_shares_the_config_field_code(self, tmp_path, capsys, flag, value, config_overrides, code):
+        rc = main(["mean-square", "--config", write_config(tmp_path), "--out", "-", flag, value])
+        assert (rc, capsys.readouterr().err) == (1, code + "\n")
+        with pytest.raises(ToolkitError) as err:
+            load_config(write_config(tmp_path, name="field.json", **config_overrides))
+        assert err.value.code == code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--config", "CFG", "--seed", "abc"],
+            ["analyze", "--config", "CFG", "--paths", "1e3"],
+            ["analyze", "--config", "CFG", "--bogus"],
+            ["analyze", "--config", "CFG", "--eps"],
+            ["nonsense", "--config", "CFG"],
+            ["analyze"],
+            [],
+        ],
+    )
+    def test_usage_error_is_one_line_code(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        assert main([cfg if arg == "CFG" else arg for arg in argv]) == 1
+        assert capsys.readouterr() == ("", "usage_error\n")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "gbm-cutoff" in capsys.readouterr().out
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap `fn` at every gbm_cutoff module attribute that refers to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gbm_cutoff" or name.startswith("gbm_cutoff."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestOncePerReport:
+    @pytest.mark.parametrize("command", ["analyze", "mixing", "profile"])
+    @pytest.mark.parametrize("mode", ["commutative", "synthetic"])
+    def test_closed_form_is_built_once(self, tmp_path, monkeypatch, mode, command):
+        path = write_config(tmp_path) if mode == "commutative" else synthetic_config(tmp_path)
+        checks = count_calls(monkeypatch, hypothesis_checks.check_hypotheses)
+        decompositions = count_calls(monkeypatch, noncommutative_cutoff._decompose)
+        asymptotics = count_calls(monkeypatch, spectral_asymptotics.extract_asymptotics)
+        assert main([command, "--config", path, "--out", str(tmp_path / "report")]) == 0
+        assert len(checks) <= 1
+        if mode == "commutative":
+            assert (len(decompositions), len(asymptotics)) == (0, 1)
+        else:
+            assert len(decompositions) == 1
+
+    def test_unstable_commutative_pair_still_has_a_mean_square(self, tmp_path, capsys):
+        # mean-square never needs the asymptotics, which would reject Q = 0.1
+        path = write_config(tmp_path, A=[[0.1]], B=[[0.0]], t_grid=[0.0, 1.0, 2.0])
+        assert main(["mean-square", "--config", path, "--out", "-", "--paths", "200"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        assert float(rows[1][1]) == pytest.approx(math.exp(0.2), rel=1e-12)

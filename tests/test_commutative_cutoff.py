@@ -7,6 +7,7 @@ from gbm_cutoff.commutative_cutoff import (
     GBMSystem,
     cutoff_time_commutative,
     cutoff_time_from_rate,
+    drift_mean_square,
     effective_drift,
     mean_square_commutative,
     profile_limit,
@@ -53,6 +54,14 @@ class TestMeanSquare:
 
     def test_time_zero(self):
         assert mean_square_commutative(diag_system(), 0.0) == pytest.approx(2.0, rel=1e-14)
+
+    def test_negative_time_rejected(self):
+        sys = diag_system()
+        for evaluate in (lambda t: mean_square_commutative(sys, t),
+                         lambda t: drift_mean_square(effective_drift(sys), sys.x, t)):
+            with pytest.raises(ToolkitError) as err:
+                evaluate(-1.0)
+            assert err.value.code == "bad_time"
 
     def test_2d_sum_of_modes(self):
         val = mean_square_commutative(diag_system(), 1.0)

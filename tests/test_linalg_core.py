@@ -55,6 +55,12 @@ class TestCommutator:
             commutator(np.eye(2), np.eye(3))
         assert err.value.code == "dim_mismatch"
 
+    def test_non_finite_entries_propagate(self):
+        # the bracket residuals of overflowing pairs report nan, not an error
+        with np.errstate(invalid="ignore"):
+            C = commutator(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2))
+        assert np.isnan(C[0, 0]) and C[1, 1] == 0.0
+
     def test_jacobi_identity_on_random_triples(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
