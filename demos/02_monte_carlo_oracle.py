@@ -2,8 +2,10 @@
 
 Three independent routes to E|X_t(x)|^2 agree: the closed form, the exact
 exponential-representation sampler, and plain Euler-Maruyama on the Ito
-form.  Every path draws from its own counter-based substream, so the
-estimates below reproduce bit for bit on any machine.
+form.  On the non-commuting Heisenberg pair the exact value comes from the
+linear second-moment equation.  Every path draws from its own
+counter-based substream, so the estimates below reproduce bit for bit on
+any machine.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 from gbm_cutoff import (
     GBMSystem,
     estimate_mean_square,
+    exact_mean_square,
     mean_square_commutative,
     sample_gaussian_pairs,
 )
@@ -28,6 +31,20 @@ for t in (0.5, 1.0, 2.0):
     mc2 = estimate_mean_square(scalar, t, "euler_maruyama", N, dt=1e-3, seed=7)
     band = 3 * max(mc1.std_error, mc2.std_error)
     print(f"{t:4.1f} {exact:12.6f} {mc1.value:12.6f} {mc2.value:12.6f} {band:10.2e}")
+
+heisenberg = GBMSystem(
+    A=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    B=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    x=np.array([0.0, 0.0, 1.0]),
+)
+print("\nHeisenberg pair, E|X_t|^2 = 1 + t^2 + t^3/3 from the moment equation:")
+print(f"{'t':>4} {'moment eq.':>12} {'exact MC':>12} {'euler MC':>12} {'3*SE':>10}")
+t = 1.0
+exact = exact_mean_square(heisenberg, t)
+mc1 = estimate_mean_square(heisenberg, t, "exact_first_order", N, seed=7)
+mc2 = estimate_mean_square(heisenberg, t, "euler_maruyama", N, dt=1e-2, seed=7)
+band = 3 * max(mc1.std_error, mc2.std_error)
+print(f"{t:4.1f} {exact:12.6f} {mc1.value:12.6f} {mc2.value:12.6f} {band:10.2e}")
 
 print("\nexact joint sampling of (W_t, int_0^t W_s ds) at t = 2:")
 w, integral = sample_gaussian_pairs(2.0, seed=8, n=N)

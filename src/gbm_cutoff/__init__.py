@@ -10,7 +10,13 @@ from .commutative_cutoff import (
     mean_square_commutative,
     profile_limit,
 )
-from .cubic_solver import CubicCoefficients, cardano_unique_real, correction_root, solve_log_cubic
+from .cubic_solver import (
+    CubicCoefficients,
+    CutoffSchedule,
+    cardano_unique_real,
+    correction_root,
+    solve_log_cubic,
+)
 from .errors import ToolkitError
 from .hypothesis_checks import HypothesisReport, check_hypotheses, check_pair, nilpotence_diagnostic
 from .linalg_core import (
@@ -23,7 +29,6 @@ from .linalg_core import (
 )
 from .mixing import MixingTimeResult, mixing_ratio_check, mixing_time
 from .noncommutative_cutoff import (
-    CutoffSchedule,
     ModeDecomposition,
     cutoff_schedule_first_order,
     example35_check,
@@ -39,6 +44,7 @@ from .simulate import (
     MCEstimate,
     estimate_mean_square,
     euler_maruyama,
+    exact_mean_square,
     magnus_exponent,
     sample_exact_first_order,
     sample_gaussian_pair,
@@ -71,6 +77,7 @@ __all__ = [
     "effective_drift",
     "estimate_mean_square",
     "euler_maruyama",
+    "exact_mean_square",
     "example35_check",
     "extract_asymptotics",
     "gamma_matrices",

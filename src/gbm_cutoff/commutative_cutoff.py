@@ -14,9 +14,9 @@ import math
 import numpy as np
 import scipy.linalg
 
+from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
-from .noncommutative_cutoff import CutoffSchedule
 from .spectral_asymptotics import extract_asymptotics, is_diagonalizable
 from .system import GBMSystem
 

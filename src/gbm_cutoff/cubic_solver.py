@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.optimize
@@ -47,6 +48,45 @@ class CubicCoefficients:
 
     def derivative(self, t: float) -> float:
         return (3.0 * self.c3 * t + 2.0 * self.c2) * t + self.c1
+
+
+@dataclass
+class CutoffSchedule:
+    """Cutoff time scale, window and the cubic data that produced them.
+
+    The mean square behaves like (e^{-a t - b t^2 - gamma t^3} t^{ell_star})^2,
+    so the commutative regime is the special case gamma = b = 0 with a the
+    decay rate q and ell_star = ell - 1.  Entries that do not apply to a
+    regime stay None.
+    """
+
+    regime: str
+    eps: float
+    gamma: Optional[float] = None
+    b: Optional[float] = None
+    a: Optional[float] = None
+    ell_star: Optional[int] = None
+    t_eps: Optional[float] = None
+    w_eps: Optional[float] = None
+    r_eps: Optional[float] = None
+    T_eps: Optional[float] = None
+    tau_eps: Optional[float] = None
+    selected_mode: Optional[int] = None
+    note: str = ""
+
+    def to_dict(self) -> dict:
+        out = {"regime": self.regime, "eps": float(self.eps)}
+        for k in ("gamma", "b", "a", "t_eps", "w_eps", "r_eps", "T_eps", "tau_eps"):
+            v = getattr(self, k)
+            if v is not None:
+                out[k] = float(v)
+        if self.ell_star is not None:
+            out["ell_star"] = int(self.ell_star)
+        if self.selected_mode is not None:
+            out["selected_mode"] = int(self.selected_mode)
+        if self.note:
+            out["note"] = self.note
+        return out
 
 
 def _polish(f, fprime, t: float, target: float, max_steps: int = 4) -> float:

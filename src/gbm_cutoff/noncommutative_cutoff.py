@@ -28,7 +28,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg
 
-from .cubic_solver import CubicCoefficients, cardano_unique_real, correction_root, solve_log_cubic
+from .cubic_solver import (
+    CubicCoefficients,
+    CutoffSchedule,
+    cardano_unique_real,
+    correction_root,
+    solve_log_cubic,
+)
 from .errors import ToolkitError
 from .linalg_core import (
     DEFAULT_TOL,
@@ -52,45 +58,6 @@ OVERLAP_TOL = 1e-12
 TIE_TOL = 1e-9
 
 REGIMES = ("commutative", "first_order", "synthetic", "no_decay")
-
-
-@dataclass
-class CutoffSchedule:
-    """Cutoff time scale, window and the cubic data that produced them.
-
-    The mean square behaves like (e^{-a t - b t^2 - gamma t^3} t^{ell_star})^2,
-    so the commutative regime is the special case gamma = b = 0 with a the
-    decay rate q and ell_star = ell - 1.  Entries that do not apply to a
-    regime stay None.
-    """
-
-    regime: str
-    eps: float
-    gamma: Optional[float] = None
-    b: Optional[float] = None
-    a: Optional[float] = None
-    ell_star: Optional[int] = None
-    t_eps: Optional[float] = None
-    w_eps: Optional[float] = None
-    r_eps: Optional[float] = None
-    T_eps: Optional[float] = None
-    tau_eps: Optional[float] = None
-    selected_mode: Optional[int] = None
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        out = {"regime": self.regime, "eps": float(self.eps)}
-        for k in ("gamma", "b", "a", "t_eps", "w_eps", "r_eps", "T_eps", "tau_eps"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = float(v)
-        if self.ell_star is not None:
-            out["ell_star"] = int(self.ell_star)
-        if self.selected_mode is not None:
-            out["selected_mode"] = int(self.selected_mode)
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 @dataclass

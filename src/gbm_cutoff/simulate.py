@@ -1,5 +1,6 @@
 """Monte Carlo oracle: path sampling under three representations plus a
-truncated stochastic Magnus exponent, and mean-square estimation.
+truncated stochastic Magnus exponent, mean-square estimation, and the exact
+mean square of any pair from its linear second-moment equation.
 
 Every path draws from its own counter-based substream, keyed by
 (seed, path index), so estimates are reproducible bit for bit no matter
@@ -20,7 +21,7 @@ import scipy.linalg
 from numpy.random import Generator, Philox
 
 from .errors import ToolkitError
-from .linalg_core import fro
+from .linalg_core import commutator, fro
 from .system import GBMSystem
 
 SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_truncated")
@@ -28,7 +29,9 @@ SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_t
 # A seed keys Philox substreams as one 64-bit word: valid seeds are [0, SEED_END).
 SEED_END = 1 << 64
 _BATCH = 8192
-# Bound on rows x steps of one batch's increment matrix (2^24 doubles, 128 MiB).
+# Bound on the largest array of one batch, in doubles (2^24, 128 MiB): rows x
+# steps of its increments, rows x d^2 of its exponents.  The d^2 x d^2
+# moment equation of exact_mean_square obeys the same bound.
 _MAX_BATCH_DOUBLES = 1 << 24
 
 
@@ -131,11 +134,16 @@ def sample_gaussian_pairs(t: float, seed: int, n: int) -> tuple[np.ndarray, np.n
 def _first_order_matrix(sys: GBMSystem) -> np.ndarray:
     """C = [B, A], checked to satisfy [A, C] = [B, C] = 0."""
     A, B = sys.A, sys.B
-    C = B @ A - A @ B
+    C = commutator(B, A)
     thr = sys.tol * sys.bracket_scale()
-    if fro(A @ C - C @ A) > thr or fro(B @ C - C @ B) > thr:
+    if fro(commutator(A, C)) > thr or fro(commutator(B, C)) > thr:
         raise ToolkitError("representation_invalid", "[A,C] or [B,C] does not vanish")
     return C
+
+
+def _ito_drift(sys: GBMSystem) -> np.ndarray:
+    """A + B^2/2, the drift of the Ito form dX = (A + B^2/2) X dt + B X dW."""
+    return sys.A + 0.5 * (sys.B @ sys.B)
 
 
 def _exact_exponents(sys: GBMSystem, t: float, scheme: str, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -150,10 +158,10 @@ def _exact_exponents(sys: GBMSystem, t: float, scheme: str, seed: int, lo: int, 
 
 def _magnus_exponents(sys: GBMSystem, t: float, f: PathFunctionals) -> np.ndarray:
     """Truncated stochastic Magnus exponents, one per entry of the functionals."""
-    A, B = sys.A, sys.B
-    D = A + 0.5 * (B @ B)
-    DB = D @ B - B @ D  # [D, B]
-    C1, C2, C3 = -DB, DB @ B - B @ DB, DB @ D - D @ DB
+    B = sys.B
+    D = _ito_drift(sys)
+    DB = commutator(D, B)
+    C1, C2, C3 = -DB, commutator(DB, B), commutator(DB, D)
     u1 = 0.5 * t * f.w_t - f.int_w
     u2 = 0.5 * f.int_w2 - 0.5 * f.w_t * f.int_w + 0.5 * t * f.w_t**2
     u3 = f.int_sw - 0.5 * t * f.int_w - t**2 * f.w_t / 12.0
@@ -169,7 +177,7 @@ def _magnus_exponents(sys: GBMSystem, t: float, f: PathFunctionals) -> np.ndarra
 def _euler_states(sys: GBMSystem, t: float, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
     """Euler-Maruyama end states of the Ito form dX = (A + B^2/2) X dt + B X dW."""
     inc = _increments(t, dt, seed, lo, hi)
-    drift = sys.A + 0.5 * (sys.B @ sys.B)
+    drift = _ito_drift(sys)
     if sys.dim == 1:
         # scalar update collapses to a product of per-step factors
         factors = 1.0 + drift[0, 0] * dt + sys.B[0, 0] * inc
@@ -254,8 +262,10 @@ def estimate_mean_square(
 
     Paths are indexed 0..n_paths-1 on deterministic substreams; identical
     (seed, scheme, n_paths, dt) reproduce the estimate bit for bit.  A batch
-    holds at most 8192 paths and 2^24 Brownian increments; a path of more
-    than 2^24 steps is rejected.
+    holds at most 8192 paths, and at most 2^24 doubles in its increments
+    (rows x steps) and in its exponents (rows x d^2).  A path of more than
+    2^24 steps is rejected with ``too_many_steps``, a pair with d^2 > 2^24
+    with ``too_large``.
     """
     if scheme not in SCHEMES:
         raise ToolkitError("bad_scheme", f"scheme must be one of {SCHEMES}")
@@ -268,7 +278,7 @@ def estimate_mean_square(
 
     if scheme == "exact_commutative":
         thr = sys.tol * sys.bracket_scale()
-        if fro(sys.A @ sys.B - sys.B @ sys.A) > thr:
+        if fro(commutator(sys.A, sys.B)) > thr:
             raise ToolkitError("representation_invalid", "[A,B] does not vanish")
     if scheme == "exact_first_order":
         _first_order_matrix(sys)
@@ -282,7 +292,9 @@ def estimate_mean_square(
     steps = _nsteps(t, dt) if scheme in ("euler_maruyama", "magnus_truncated") else 1
     if steps > _MAX_BATCH_DOUBLES:
         raise ToolkitError("too_many_steps", f"t/dt = {steps} exceeds {_MAX_BATCH_DOUBLES} steps per path")
-    rows = min(_BATCH, _MAX_BATCH_DOUBLES // steps)
+    rows = min(_BATCH, _MAX_BATCH_DOUBLES // max(steps, sys.dim**2))
+    if rows == 0:
+        raise ToolkitError("too_large", f"one {sys.dim}x{sys.dim} path exceeds {_MAX_BATCH_DOUBLES} doubles per batch")
     values = np.empty(n_paths)
     for lo in range(0, n_paths, rows):
         hi = min(lo + rows, n_paths)
@@ -298,3 +310,29 @@ def estimate_mean_square(
         seed=seed,
         scheme=scheme,
     )
+
+
+def exact_mean_square(sys: GBMSystem, t: float) -> float:
+    """E|X_t(x)|^2 of any pair (A, B), exactly, from the linear moment equation.
+
+    P(t) = E[X_t X_t^T] solves dP/dt = D P + P D^T + B P B^T with the Ito
+    drift D = A + B^2/2 (Kloeden & Platen 1992), so
+
+        vec P(t) = exp(t L) vec(x x^T),   L = I (x) D + D (x) I + B (x) B
+
+    with (x) the Kronecker product, and E|X_t|^2 = tr P(t), the squared W2
+    distance of X_t(x) to delta_0.  L has d^4 entries: a pair with
+    d^4 > 2^24 (d > 64) is refused with ``too_large``.  At t = 0 the value
+    is x.x, as in estimate_mean_square.
+    """
+    if t < 0:
+        raise ToolkitError("bad_time", "t must be nonnegative")
+    d = sys.dim
+    if d**4 > _MAX_BATCH_DOUBLES:
+        raise ToolkitError("too_large", f"the moment equation of a {d}x{d} pair has {d**4} > {_MAX_BATCH_DOUBLES} entries")
+    if t == 0.0:
+        return float(sys.x @ sys.x)
+    drift, eye = _ito_drift(sys), np.eye(d)
+    L = np.kron(eye, drift) + np.kron(drift, eye) + np.kron(sys.B, sys.B)
+    p = scipy.linalg.expm(t * L) @ np.outer(sys.x, sys.x).ravel()
+    return float(np.trace(p.reshape(d, d)))

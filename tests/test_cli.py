@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbm_cutoff import cli, hypothesis_checks, noncommutative_cutoff, spectral_asymptotics
+from gbm_cutoff import cli, hypothesis_checks, noncommutative_cutoff, simulate, spectral_asymptotics
 from gbm_cutoff.cli import load_config, main
 from gbm_cutoff.errors import ToolkitError
 
@@ -397,3 +397,63 @@ class TestOncePerReport:
         rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
         assert float(rows[1][1]) == pytest.approx(math.exp(0.2), rel=1e-12)
+
+
+HEISENBERG = {
+    "mode": "first_order",
+    "A": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+    "B": [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    "x": [0.0, 0.0, 1.0],
+}
+
+
+def rotated(Q, M):
+    return (Q @ np.array(M) @ Q.T).tolist()
+
+
+def verify_rows(capsys):
+    return [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+
+
+class TestVerify:
+    def test_first_order_rows_follow_the_joint_rule(self, tmp_path, capsys):
+        path = write_config(tmp_path, **HEISENBERG)
+        assert main(["verify", "--config", path, "--out", "-", "--paths", "300", "--seed", "6"]) == 0
+        rows = verify_rows(capsys)
+        assert len(rows) == 9
+        joint_only = 0  # rows that pass on the joint band but not on 3 mc_se alone
+        for row in rows:
+            t, ref, ref_se, mc, mc_se = map(float, row[:5])
+            exact = 1.0 + t**2 + t**3 / 3.0  # the exact-sampler reference estimates this
+            assert abs(ref - exact) <= 4.0 * ref_se + 1e-15 * exact
+            assert row[5] == ("pass" if abs(mc - ref) <= 3.0 * math.hypot(ref_se, mc_se) else "fail")
+            joint_only += 3.0 * mc_se < abs(mc - ref) <= 3.0 * math.hypot(ref_se, mc_se)
+        assert joint_only > 0
+
+    def test_non_first_order_pair_rejected(self, tmp_path, capsys):
+        # C = [B, A] = [[0, -1], [1, 0]] does not commute with A
+        path = write_config(
+            tmp_path, mode="first_order", A=[[-1.0, 0.0], [0.0, -2.0]], B=[[0.0, 1.0], [1.0, 0.0]], x=[1.0, 1.0]
+        )
+        assert main(["verify", "--config", path, "--out", "-"]) == 1
+        assert capsys.readouterr().err.strip() == "representation_invalid"
+
+    @pytest.mark.parametrize("mode", ["commutative", "first_order"])
+    def test_time_zero_row_passes_for_a_dense_state(self, tmp_path, capsys, mode):
+        Q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))
+        if mode == "commutative":
+            A, B = rotated(Q, np.diag([-1.0, -0.5, -2.0])), rotated(Q, np.diag([0.3, -0.2, 0.1]))
+        else:
+            A, B = rotated(Q, HEISENBERG["A"]), rotated(Q, HEISENBERG["B"])
+        x = [0.3, -1.7, 2.2]
+        path = write_config(tmp_path, mode=mode, A=A, B=B, x=x, t_grid=[0.0, 0.5])
+        assert main(["verify", "--config", path, "--out", "-", "--paths", "200", "--dt", "0.05"]) == 0
+        t, ref, ref_se, mc, mc_se, status = verify_rows(capsys)[0]
+        assert float(ref) == float(np.dot(x, x)) == float(mc)
+        assert (ref_se, mc_se, status) == ("0", "0", "pass")
+
+    def test_pair_too_large_for_a_batch(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 8)  # one 3 x 3 exponent holds 9
+        path = write_config(tmp_path, **HEISENBERG)
+        assert main(["verify", "--config", path, "--out", "-"]) == 1
+        assert capsys.readouterr().err.strip() == "too_large"

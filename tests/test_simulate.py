@@ -6,11 +6,14 @@ import pytest
 import scipy.linalg
 
 from gbm_cutoff import simulate
+from gbm_cutoff.commutative_cutoff import mean_square_commutative
 from gbm_cutoff.errors import ToolkitError
+from gbm_cutoff.noncommutative_cutoff import mean_square_first_order, mode_decomposition
 from gbm_cutoff.simulate import (
     BrownianPath,
     estimate_mean_square,
     euler_maruyama,
+    exact_mean_square,
     magnus_exponent,
     sample_exact_first_order,
     sample_gaussian_pair,
@@ -39,6 +42,25 @@ def dense_system():
     rng = np.random.default_rng(3)
     A, B = 0.3 * rng.standard_normal((3, 3)), 0.3 * rng.standard_normal((3, 3))
     return GBMSystem(A=A, B=B, x=np.array([1.0, 0.5, -0.2]))
+
+
+def commuting_system(seed, d):
+    """A stable A and a normal B that commute: 1x1 and rotation-scaling 2x2
+    blocks in a random orthonormal basis, with a dense x."""
+    rng = np.random.default_rng([seed, d])
+    A, B = np.zeros((d, d)), np.zeros((d, d))
+    i = 0
+    while i < d:
+        if i + 1 < d and rng.random() < 0.5:
+            p, q, r, s = rng.standard_normal(4)
+            A[i : i + 2, i : i + 2] = [[-abs(p) - 0.1, q], [-q, -abs(p) - 0.1]]
+            B[i : i + 2, i : i + 2] = [[r, s], [-s, r]]
+            i += 2
+        else:
+            A[i, i], B[i, i] = -abs(rng.standard_normal()) - 0.1, rng.standard_normal()
+            i += 1
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return GBMSystem(A=U @ A @ U.T, B=U @ B @ U.T, x=rng.standard_normal(d))
 
 
 def square_norm(X):
@@ -352,6 +374,36 @@ class TestBatchMemory:
             estimate_mean_square(scalar_system(), 2.0, "euler_maruyama", 200, dt=1e-2, seed=1)
         assert err.value.code == "too_many_steps"
 
+    def test_exponent_stacks_count_against_the_cap(self, monkeypatch):
+        sys = commuting_system(0, 16)
+        t, dt, n = 0.5, 5e-2, 100
+        ref = {s: estimate_mean_square(sys, t, s, n, dt=dt, seed=82) for s in ("exact_first_order", "magnus_truncated")}
+        # 7 rows of 16 x 16 exponents per batch; 100 paths leave a two-path batch
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 7 * 16 * 16)
+        for scheme, uncapped in ref.items():
+            capped = estimate_mean_square(sys, t, scheme, n, dt=dt, seed=82)
+            assert capped.to_dict() == uncapped.to_dict()
+
+    def test_peak_memory_of_exact_batches_follows_the_cap(self, monkeypatch):
+        sys = commuting_system(1, 16)
+        cap = 1 << 14
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", cap)
+        tracemalloc.start()
+        try:
+            # counting increments alone, this is one batch of 1000 16 x 16 exponents
+            estimate_mean_square(sys, 0.5, "exact_first_order", 1000, seed=83)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cap * 8  # expm holds a few (rows x d x d) stacks at once
+
+    @pytest.mark.parametrize("scheme", ["euler_maruyama", "exact_first_order", "magnus_truncated"])
+    def test_pair_larger_than_the_cap_rejected(self, monkeypatch, scheme):
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 8)
+        with pytest.raises(ToolkitError) as err:
+            estimate_mean_square(heisenberg_system(), 0.5, scheme, 200, dt=0.25, seed=1)
+        assert err.value.code == "too_large"
+
 
 class TestSubstreams:
     def test_distinct_indices_distinct_draws(self):
@@ -361,3 +413,40 @@ class TestSubstreams:
 
     def test_same_key_same_draws(self):
         assert np.array_equal(_rng(5, 3).standard_normal(4), _rng(5, 3).standard_normal(4))
+
+
+class TestExactMeanSquare:
+    def test_heisenberg_polynomial(self):
+        sys = heisenberg_system()
+        for t in [0.25 * k for k in range(9)]:
+            exact = 1.0 + t**2 + t**3 / 3.0
+            assert abs(exact_mean_square(sys, t) - exact) <= 1e-15 * exact
+
+    def test_time_zero_is_the_estimators_value(self):
+        sys = dense_system()
+        assert exact_mean_square(sys, 0.0) == estimate_mean_square(sys, 0.0, "euler_maruyama", 100).value
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_both_closed_forms_on_commuting_pairs(self, seed):
+        sys = commuting_system(seed, 1 + seed % 8)
+        t = float(np.random.default_rng(seed).uniform(0.0, 2.5))
+        exact = exact_mean_square(sys, t)
+        assert exact == pytest.approx(mean_square_commutative(sys, t), rel=1e-11)
+        assert exact == pytest.approx(mean_square_first_order(mode_decomposition(sys), sys.x, t), rel=1e-11)
+
+    def test_agrees_with_euler_maruyama_on_a_dense_pair(self):
+        sys = dense_system()
+        est = estimate_mean_square(sys, 1.0, "euler_maruyama", 4000, dt=1e-2, seed=84)
+        assert abs(est.value - exact_mean_square(sys, 1.0)) < 4 * est.std_error
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ToolkitError) as err:
+            exact_mean_square(scalar_system(), -1.0)
+        assert err.value.code == "bad_time"
+
+    def test_pair_larger_than_the_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 80)  # 3^4 = 81 entries
+        for t in (0.0, 1.0):
+            with pytest.raises(ToolkitError) as err:
+                exact_mean_square(heisenberg_system(), t)
+            assert err.value.code == "too_large"
