@@ -43,6 +43,7 @@ from .simulate import (
     BrownianPath,
     MCEstimate,
     estimate_mean_square,
+    estimate_mean_squares,
     euler_maruyama,
     exact_mean_square,
     magnus_exponent,
@@ -76,6 +77,7 @@ __all__ = [
     "drift_mean_square",
     "effective_drift",
     "estimate_mean_square",
+    "estimate_mean_squares",
     "euler_maruyama",
     "exact_mean_square",
     "example35_check",

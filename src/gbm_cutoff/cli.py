@@ -34,7 +34,7 @@ from .noncommutative_cutoff import (
     mode_decomposition,
     synthetic_mode_decomposition,
 )
-from .simulate import SEED_END, estimate_mean_square
+from .simulate import SEED_END, _first_order_matrix, estimate_mean_squares
 from .spectral_asymptotics import extract_asymptotics
 from .system import GBMSystem
 
@@ -263,14 +263,12 @@ def cmd_analyze(cfg: RunConfig) -> tuple[str, str]:
 def cmd_mean_square(cfg: RunConfig) -> tuple[str, str]:
     sys_ = _system(cfg)
     _, msq = _closed_form(cfg, sys_)
-    rows = []
-    for t in cfg.t_grid:
-        closed = msq(t)
-        if sys_ is None:
-            rows.append([t, closed, "", ""])
-        else:
-            est = estimate_mean_square(sys_, t, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
-            rows.append([t, closed, est.value, est.std_error])
+    closed = [msq(t) for t in cfg.t_grid]
+    if sys_ is None:
+        rows = [[t, c, "", ""] for t, c in zip(cfg.t_grid, closed)]
+    else:
+        ests = estimate_mean_squares(sys_, cfg.t_grid, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
+        rows = [[t, c, est.value, est.std_error] for t, c, est in zip(cfg.t_grid, closed, ests)]
     return _csv(["t", "closed_form", "mc_value", "mc_se"], rows), "csv"
 
 
@@ -313,19 +311,18 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, str]:
     sys_ = _system(cfg)
     if cfg.mode == "commutative":
         _, msq = _closed_form(cfg, sys_)
-
-        def reference(t):
-            return msq(t), 0.0
     else:
-
-        def reference(t):
-            est = estimate_mean_square(sys_, t, "exact_first_order", cfg.n_paths, seed=cfg.seed)
-            return est.value, est.std_error
-
+        _first_order_matrix(sys_)  # representation_invalid before any code of the grid
+    # the estimates are checked and drawn before the first-order reference, so
+    # a t that dt does not divide is reported ahead of an overflowing reference
+    ests = estimate_mean_squares(sys_, cfg.t_grid, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
+    if cfg.mode == "commutative":
+        refs = [(msq(t), 0.0) for t in cfg.t_grid]
+    else:
+        exact = estimate_mean_squares(sys_, cfg.t_grid, "exact_first_order", cfg.n_paths, seed=cfg.seed)
+        refs = [(est.value, est.std_error) for est in exact]
     rows = []
-    for t in cfg.t_grid:
-        ref, ref_se = reference(t)
-        est = estimate_mean_square(sys_, t, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
+    for t, (ref, ref_se), est in zip(cfg.t_grid, refs, ests):
         ok = abs(est.value - ref) <= 3.0 * math.hypot(ref_se, est.std_error)
         rows.append([t, ref, ref_se, est.value, est.std_error, "pass" if ok else "fail"])
     return _csv(["t", "reference", "reference_se", "mc_value", "mc_se", "status"], rows), "csv"

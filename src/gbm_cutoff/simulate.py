@@ -5,9 +5,10 @@ mean square of any pair from its linear second-moment equation.
 Every path draws from its own counter-based substream, keyed by
 (seed, path index), so estimates are reproducible bit for bit no matter
 how paths are batched.  Each scheme is one batch kernel over a range of
-path indices; the public single-path functions are its n = 1 views.  The
-reduction uses exact compensated summation over the per-path values in
-index order.
+path indices and a grid of times: a path is drawn once, at the largest t,
+and every other t reads a prefix of that draw.  The public single-path
+functions are its n = 1 views.  The reduction uses exact compensated
+summation over the per-path values in index order.
 """
 
 from __future__ import annotations
@@ -35,16 +36,21 @@ _BATCH = 8192
 _MAX_BATCH_DOUBLES = 1 << 24
 
 
-def _rng(seed: int, index: int) -> Generator:
-    """Independent substream for one path: Philox keyed by (seed, index)."""
-    return Generator(Philox(key=np.array([seed, index], dtype=np.uint64)))
-
-
 def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
-    """(hi - lo, k) standard normals; row i is the first k draws of path lo + i."""
+    """(hi - lo, k) standard normals; row i is the first k draws of path lo + i.
+
+    One Philox per call, re-keyed to (seed, index) with counter 0 for each
+    path: the same draws as a generator built afresh from that key.
+    """
+    bitgen = Philox(key=np.array([seed, lo], dtype=np.uint64))
+    gen = Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
     z = np.empty((hi - lo, k))
     for i in range(hi - lo):
-        z[i] = _rng(seed, lo + i).standard_normal(k)
+        key[1] = lo + i
+        bitgen.state = state
+        gen.standard_normal(out=z[i])
     return z
 
 
@@ -57,22 +63,21 @@ def _nsteps(t: float, dt: float) -> int:
     return n
 
 
-def _increments(t: float, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Brownian increments on the grid k dt, one row per path lo..hi-1."""
-    inc = _normals(seed, lo, hi, _nsteps(t, dt))
+def _increments(n: int, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Brownian increments of n steps of size dt, one row per path lo..hi-1."""
+    inc = _normals(seed, lo, hi, n)
     inc *= math.sqrt(dt)
     return inc
 
 
-def _pairs(t: float, seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact draws of (W_t, int_0^t W_s ds) for paths lo..hi-1.
+def _pairs(t: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact draws of (W_t, int_0^t W_s ds) from each row's 2 normals.
 
     The pair is bivariate normal with covariance [[t, t^2/2], [t^2/2, t^3/3]];
     sampling goes through the explicit Cholesky factor of that 2x2 matrix.
     """
     if not t > 0:
         raise ToolkitError("bad_time", "t must be positive")
-    z = _normals(seed, lo, hi, 2)
     w = math.sqrt(t) * z[:, 0]
     integral = 0.5 * t**1.5 * z[:, 0] + math.sqrt(t**3 / 12.0) * z[:, 1]
     return w, integral
@@ -87,17 +92,29 @@ class PathFunctionals(NamedTuple):
     int_sw: float
 
 
-def _functionals(inc: np.ndarray, dt: float) -> PathFunctionals:
-    """PathFunctionals of each row of increments, as arrays over the rows."""
-    cum = np.cumsum(inc, axis=1)
-    w_left = np.hstack([np.zeros((len(inc), 1)), cum[:, :-1]])
-    s_left = np.arange(inc.shape[1]) * dt
-    return PathFunctionals(
-        w_t=cum[:, -1],
-        int_w=w_left.sum(axis=1) * dt,
-        int_w2=(w_left**2).sum(axis=1) * dt,
-        int_sw=(w_left * s_left).sum(axis=1) * dt,
-    )
+def _walk(inc: np.ndarray) -> np.ndarray:
+    """The Brownian path at the grid points, zero-led: W_0 = 0, then the
+    running sums of each row of increments."""
+    w = np.zeros((len(inc), inc.shape[1] + 1))
+    np.cumsum(inc, axis=1, out=w[:, 1:])
+    return w
+
+
+def _functionals(w: np.ndarray, ks: list[int], dt: float) -> list[PathFunctionals]:
+    """PathFunctionals of the first k steps of each row of the walk `w`, as
+    arrays over the rows, for each k of `ks`."""
+    scratch = np.empty((len(w), max(ks)))
+    s_left = np.arange(max(ks)) * dt
+    out = []
+    for k in ks:
+        w_left, buf = w[:, :k], scratch[:, :k]
+        out.append(PathFunctionals(
+            w_t=w[:, k],
+            int_w=w_left.sum(axis=1) * dt,
+            int_w2=np.square(w_left, out=buf).sum(axis=1) * dt,
+            int_sw=np.multiply(w_left, s_left[:k], out=buf).sum(axis=1) * dt,
+        ))
+    return out
 
 
 @dataclass
@@ -109,7 +126,7 @@ class BrownianPath:
 
     @classmethod
     def sample(cls, t: float, dt: float, seed: int, index: int) -> "BrownianPath":
-        return cls(dt=dt, increments=_increments(t, dt, seed, index, index + 1)[0])
+        return cls(dt=dt, increments=_increments(_nsteps(t, dt), dt, seed, index, index + 1)[0])
 
     def functionals(self, t: float) -> PathFunctionals:
         if t == 0.0:
@@ -117,18 +134,19 @@ class BrownianPath:
         n = _nsteps(t, self.dt)
         if n > self.increments.size:
             raise ToolkitError("path_too_short", f"path covers {self.increments.size} steps, need {n}")
-        return PathFunctionals(*(float(v[0]) for v in _functionals(self.increments[None, :n], self.dt)))
+        f = _functionals(_walk(self.increments[None, :n]), [n], self.dt)[0]
+        return PathFunctionals(*(float(v[0]) for v in f))
 
 
 def sample_gaussian_pair(t: float, seed: int, index: int) -> tuple[float, float]:
     """One exact draw of (W_t, int_0^t W_s ds) for path `index`."""
-    w, integral = _pairs(t, seed, index, index + 1)
+    w, integral = _pairs(t, _normals(seed, index, index + 1, 2))
     return float(w[0]), float(integral[0])
 
 
 def sample_gaussian_pairs(t: float, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact pairs for path indices 0..n-1 (same draws as sample_gaussian_pair)."""
-    return _pairs(t, seed, 0, n)
+    return _pairs(t, _normals(seed, 0, n, 2))
 
 
 def _first_order_matrix(sys: GBMSystem) -> np.ndarray:
@@ -146,9 +164,10 @@ def _ito_drift(sys: GBMSystem) -> np.ndarray:
     return sys.A + 0.5 * (sys.B @ sys.B)
 
 
-def _exact_exponents(sys: GBMSystem, t: float, scheme: str, seed: int, lo: int, hi: int) -> np.ndarray:
-    """tA + W_t B, plus (t W_t / 2 - int W ds) C for the first-order scheme."""
-    w, integral = _pairs(t, seed, lo, hi)
+def _exact_exponents(sys: GBMSystem, t: float, scheme: str, z: np.ndarray) -> np.ndarray:
+    """tA + W_t B, plus (t W_t / 2 - int W ds) C for the first-order scheme,
+    from each path's 2 normals `z`."""
+    w, integral = _pairs(t, z)
     M = t * sys.A[None] + w[:, None, None] * sys.B[None]
     if scheme == "exact_first_order":
         C = _first_order_matrix(sys)
@@ -174,14 +193,17 @@ def _magnus_exponents(sys: GBMSystem, t: float, f: PathFunctionals) -> np.ndarra
     )
 
 
-def _euler_states(sys: GBMSystem, t: float, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Euler-Maruyama end states of the Ito form dX = (A + B^2/2) X dt + B X dW."""
-    inc = _increments(t, dt, seed, lo, hi)
+def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, hi: int) -> list[np.ndarray]:
+    """Euler-Maruyama states of the Ito form dX = (A + B^2/2) X dt + B X dW
+    after k steps, for each k of `ks`, from one draw of max(ks) steps."""
+    inc = _increments(max(ks), dt, seed, lo, hi)
     drift = _ito_drift(sys)
     if sys.dim == 1:
         # scalar update collapses to a product of per-step factors
-        factors = 1.0 + drift[0, 0] * dt + sys.B[0, 0] * inc
-        return (sys.x[0] * np.prod(factors, axis=1))[:, None]
+        # 1 + drift dt + B dW, built in place of the increments
+        inc *= sys.B[0, 0]
+        inc += 1.0 + drift[0, 0] * dt
+        return [(sys.x[0] * np.prod(inc[:, :k], axis=1))[:, None] for k in ks]
     # numpy multiplies a one-row matrix through gemv, which rounds differently
     # from gemm; stepping a lone path as two rows keeps its bits batch-independent
     rows = max(hi - lo, 2)
@@ -189,32 +211,40 @@ def _euler_states(sys: GBMSystem, t: float, dt: float, seed: int, lo: int, hi: i
     driftT = drift.T
     BT = sys.B.T
     X = np.broadcast_to(sys.x, (rows, sys.dim)).copy()
-    for k in range(inc.shape[1]):
-        X = X + dt * (X @ driftT) + inc[:, k, None] * (X @ BT)
-    return X[: hi - lo]
+    wanted, states = set(ks), {}
+    for k in range(1, inc.shape[1] + 1):
+        X = X + dt * (X @ driftT) + inc[:, k - 1, None] * (X @ BT)
+        if k in wanted:
+            states[k] = X[: hi - lo]
+    return [states[k] for k in ks]
 
 
-def _end_states(sys: GBMSystem, t: float, scheme: str, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
-    """X_t(x) under `scheme`, one row per path lo..hi-1 (t > 0)."""
+def _end_states(sys: GBMSystem, ts: list[float], scheme: str, dt: float, seed: int, lo: int, hi: int) -> list[np.ndarray]:
+    """X_t(x) under `scheme` for each t of `ts` (all > 0), one row per path
+    lo..hi-1.  Each path is drawn once, at the largest t; every other t reads
+    a prefix of that draw, so its rows are those of a draw at that t."""
     if scheme == "euler_maruyama":
-        return _euler_states(sys, t, dt, seed, lo, hi)
+        return _euler_states(sys, [_nsteps(t, dt) for t in ts], dt, seed, lo, hi)
     if scheme == "magnus_truncated":
-        Y = _magnus_exponents(sys, t, _functionals(_increments(t, dt, seed, lo, hi), dt))
+        ks = [_nsteps(t, dt) for t in ts]
+        fs = _functionals(_walk(_increments(max(ks), dt, seed, lo, hi)), ks, dt)
+        exponents = (_magnus_exponents(sys, t, f) for t, f in zip(ts, fs))
     else:
-        Y = _exact_exponents(sys, t, scheme, seed, lo, hi)
-    return scipy.linalg.expm(Y) @ sys.x
+        z = _normals(seed, lo, hi, 2)
+        exponents = (_exact_exponents(sys, t, scheme, z) for t in ts)
+    return [scipy.linalg.expm(Y) @ sys.x for Y in exponents]
 
 
 def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) -> np.ndarray:
     """X_t(x) = exp(tA + W_t B + (t W_t / 2 - int W ds) C) x with one exact pair."""
-    return _end_states(sys, t, "exact_first_order", 0.0, seed, index, index + 1)[0]
+    return _end_states(sys, [t], "exact_first_order", 0.0, seed, index, index + 1)[0][0]
 
 
 def euler_maruyama(sys: GBMSystem, t: float, dt: float, seed: int, index: int) -> np.ndarray:
     """One Euler-Maruyama path of the Ito form dX = (A + B^2/2) X dt + B X dW."""
     if t == 0.0:
         return sys.x.copy()
-    return _end_states(sys, t, "euler_maruyama", dt, seed, index, index + 1)[0]
+    return _end_states(sys, [t], "euler_maruyama", dt, seed, index, index + 1)[0][0]
 
 
 def magnus_exponent(sys: GBMSystem, path: BrownianPath, t: float) -> np.ndarray:
@@ -250,6 +280,92 @@ class MCEstimate:
         }
 
 
+def _grid_steps(sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int) -> list[int]:
+    """Steps per path at each t of the grid: 0 at t = 0, 1 for an exact
+    scheme.  The checks run in grid order, as one estimate per t runs them."""
+    if scheme not in SCHEMES:
+        raise ToolkitError("bad_scheme", f"scheme must be one of {SCHEMES}")
+    if n_paths < 100:
+        raise ToolkitError("bad_path_count", "need at least 100 paths")
+    steps = []
+    for t in ts:
+        if t < 0:
+            raise ToolkitError("bad_time", "t must be nonnegative")
+        if not steps:  # the checks that do not depend on t, at the first t
+            if not 0 <= seed < SEED_END:
+                raise ToolkitError("bad_seed", f"seed must lie in [0, 2^64), got {seed}")
+            if scheme == "exact_commutative" and fro(commutator(sys.A, sys.B)) > sys.tol * sys.bracket_scale():
+                raise ToolkitError("representation_invalid", "[A,B] does not vanish")
+            if scheme == "exact_first_order":
+                _first_order_matrix(sys)
+        if t == 0.0:
+            steps.append(0)
+            continue
+        # the pair's bound before the step checks: every scheme shares it, so a
+        # caller checking two schemes' grids meets it first in either order
+        if sys.dim**2 > _MAX_BATCH_DOUBLES:
+            raise ToolkitError("too_large", f"one {sys.dim}x{sys.dim} path exceeds {_MAX_BATCH_DOUBLES} doubles per batch")
+        k = _nsteps(t, dt) if scheme in ("euler_maruyama", "magnus_truncated") else 1
+        if k > _MAX_BATCH_DOUBLES:
+            raise ToolkitError("too_many_steps", f"t/dt = {k} exceeds {_MAX_BATCH_DOUBLES} steps per path")
+        steps.append(k)
+    return steps
+
+
+def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    n = len(values)
+    try:
+        mean = math.fsum(values) / n
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    except OverflowError:  # finite values whose exact sum is beyond the double range
+        return math.inf, math.inf
+    return mean, math.sqrt(var / n)
+
+
+def estimate_mean_squares(
+    sys: GBMSystem,
+    ts: list[float],
+    scheme: str,
+    n_paths: int,
+    dt: float = 1e-3,
+    seed: int = 0,
+) -> list[MCEstimate]:
+    """Monte Carlo estimates of E|X_t(x)|^2, with standard errors, one per
+    entry of `ts` in grid order; the grid may be unsorted and repeat a t.
+
+    Paths are indexed 0..n_paths-1 on deterministic substreams; identical
+    (seed, scheme, n_paths, dt) reproduce each estimate bit for bit.  Each
+    path is drawn and stepped once, to the largest t, and every other t
+    reads a prefix of that draw, so each estimate equals the one a draw at
+    its own t gives.  Every t is checked, in grid order, before anything is
+    drawn.  A batch holds at most 8192 paths, and at most 2^24 doubles in
+    its increments (rows x steps) and in its exponents (rows x d^2).  A path
+    of more than 2^24 steps is rejected with ``too_many_steps``, a pair with
+    d^2 > 2^24 with ``too_large``, and an estimate whose value or standard
+    error is not finite with ``report_not_finite``.
+    """
+    steps = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
+    drawn = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
+    values = {t: np.empty(n_paths) for t in drawn}
+    # overflow surfaces as a non-finite estimate, refused below
+    with np.errstate(all="ignore"):
+        if drawn:
+            rows = min(_BATCH, _MAX_BATCH_DOUBLES // max(max(steps), sys.dim**2))
+            for lo in range(0, n_paths, rows):
+                hi = min(lo + rows, n_paths)
+                for t, X in zip(drawn, _end_states(sys, drawn, scheme, dt, seed, lo, hi)):
+                    values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
+        moments = {t: _mean_and_se(v) for t, v in values.items()}
+        at_zero = (float(sys.x @ sys.x), 0.0)
+    estimates = []
+    for t in ts:
+        value, std_error = moments.get(t, at_zero)
+        if not (math.isfinite(value) and math.isfinite(std_error)):
+            raise ToolkitError("report_not_finite", f"estimate at t={t} is {value} +- {std_error}")
+        estimates.append(MCEstimate(value, std_error, n_paths, seed, scheme))
+    return estimates
+
+
 def estimate_mean_square(
     sys: GBMSystem,
     t: float,
@@ -258,58 +374,10 @@ def estimate_mean_square(
     dt: float = 1e-3,
     seed: int = 0,
 ) -> MCEstimate:
-    """Monte Carlo estimate of E|X_t(x)|^2 with its standard error.
-
-    Paths are indexed 0..n_paths-1 on deterministic substreams; identical
-    (seed, scheme, n_paths, dt) reproduce the estimate bit for bit.  A batch
-    holds at most 8192 paths, and at most 2^24 doubles in its increments
-    (rows x steps) and in its exponents (rows x d^2).  A path of more than
-    2^24 steps is rejected with ``too_many_steps``, a pair with d^2 > 2^24
-    with ``too_large``.
-    """
-    if scheme not in SCHEMES:
-        raise ToolkitError("bad_scheme", f"scheme must be one of {SCHEMES}")
-    if n_paths < 100:
-        raise ToolkitError("bad_path_count", "need at least 100 paths")
-    if t < 0:
-        raise ToolkitError("bad_time", "t must be nonnegative")
-    if not 0 <= seed < SEED_END:
-        raise ToolkitError("bad_seed", f"seed must lie in [0, 2^64), got {seed}")
-
-    if scheme == "exact_commutative":
-        thr = sys.tol * sys.bracket_scale()
-        if fro(commutator(sys.A, sys.B)) > thr:
-            raise ToolkitError("representation_invalid", "[A,B] does not vanish")
-    if scheme == "exact_first_order":
-        _first_order_matrix(sys)
-
-    if t == 0.0:
-        return MCEstimate(
-            value=float(sys.x @ sys.x), std_error=0.0,
-            n_paths=n_paths, seed=seed, scheme=scheme,
-        )
-
-    steps = _nsteps(t, dt) if scheme in ("euler_maruyama", "magnus_truncated") else 1
-    if steps > _MAX_BATCH_DOUBLES:
-        raise ToolkitError("too_many_steps", f"t/dt = {steps} exceeds {_MAX_BATCH_DOUBLES} steps per path")
-    rows = min(_BATCH, _MAX_BATCH_DOUBLES // max(steps, sys.dim**2))
-    if rows == 0:
-        raise ToolkitError("too_large", f"one {sys.dim}x{sys.dim} path exceeds {_MAX_BATCH_DOUBLES} doubles per batch")
-    values = np.empty(n_paths)
-    for lo in range(0, n_paths, rows):
-        hi = min(lo + rows, n_paths)
-        X = _end_states(sys, t, scheme, dt, seed, lo, hi)
-        values[lo:hi] = np.einsum("ni,ni->n", X, X)
-
-    mean = math.fsum(values) / n_paths
-    var = math.fsum((v - mean) ** 2 for v in values) / (n_paths - 1)
-    return MCEstimate(
-        value=mean,
-        std_error=math.sqrt(var / n_paths),
-        n_paths=n_paths,
-        seed=seed,
-        scheme=scheme,
-    )
+    """Monte Carlo estimate of E|X_t(x)|^2 with its standard error: the
+    one-t view of estimate_mean_squares, with the same draws, bounds and
+    error codes."""
+    return estimate_mean_squares(sys, [t], scheme, n_paths, dt, seed)[0]
 
 
 def exact_mean_square(sys: GBMSystem, t: float) -> float:

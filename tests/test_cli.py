@@ -390,6 +390,17 @@ class TestOncePerReport:
         else:
             assert len(decompositions) == 1
 
+    @pytest.mark.parametrize("command,pair,kernel_calls", [
+        ("mean-square", "scalar", 1),
+        ("verify", "scalar", 1),
+        ("verify", "heisenberg", 2),  # the estimates and the exact-sampler reference
+    ])
+    def test_each_path_is_drawn_once_per_kernel_call(self, tmp_path, monkeypatch, command, pair, kernel_calls):
+        path = write_config(tmp_path, **(HEISENBERG if pair == "heisenberg" else {}))
+        draws = count_calls(monkeypatch, simulate._normals)
+        assert main([command, "--config", path, "--out", str(tmp_path / "report"), "--paths", "200"]) == 0
+        assert len(draws) == kernel_calls  # one batch of 200 paths, drawn at the largest t
+
     def test_unstable_commutative_pair_still_has_a_mean_square(self, tmp_path, capsys):
         # mean-square never needs the asymptotics, which would reject Q = 0.1
         path = write_config(tmp_path, A=[[0.1]], B=[[0.0]], t_grid=[0.0, 1.0, 2.0])
@@ -451,6 +462,19 @@ class TestVerify:
         t, ref, ref_se, mc, mc_se, status = verify_rows(capsys)[0]
         assert float(ref) == float(np.dot(x, x)) == float(mc)
         assert (ref_se, mc_se, status) == ("0", "0", "pass")
+
+    @pytest.mark.parametrize(
+        "A,B,code",
+        [
+            ([[400.0]], [[0.0]], "bad_timestep"),  # the exact reference overflows at t = 0.5
+            ([[-1.0, 0.0], [0.0, -2.0]], [[0.0, 1.0], [1.0, 0.0]], "representation_invalid"),
+        ],
+    )
+    def test_first_failing_check_wins_on_a_bad_grid(self, tmp_path, capsys, A, B, code):
+        # dt = 0.01 does not divide t = 0.005
+        path = write_config(tmp_path, mode="first_order", A=A, B=B, x=[1.0] * len(A), t_grid=[0.5, 0.005, 1.0])
+        assert main(["verify", "--config", path, "--out", "-", "--paths", "200"]) == 1
+        assert capsys.readouterr().err == code + "\n"
 
     def test_pair_too_large_for_a_batch(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 8)  # one 3 x 3 exponent holds 9

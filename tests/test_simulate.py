@@ -1,24 +1,27 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.random import Generator, Philox
 
 from gbm_cutoff import simulate
 from gbm_cutoff.commutative_cutoff import mean_square_commutative
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.noncommutative_cutoff import mean_square_first_order, mode_decomposition
 from gbm_cutoff.simulate import (
+    SCHEMES,
     BrownianPath,
     estimate_mean_square,
+    estimate_mean_squares,
     euler_maruyama,
     exact_mean_square,
     magnus_exponent,
     sample_exact_first_order,
     sample_gaussian_pair,
     sample_gaussian_pairs,
-    _rng,
 )
 from gbm_cutoff.system import GBMSystem
 
@@ -339,7 +342,7 @@ class TestBatchRows:
     def test_batch_row_is_its_single_path(self, system, scheme):
         sys = system()
         t, dt, seed, n = 0.3, 1e-2, 81, 40
-        X = simulate._end_states(sys, t, scheme, dt, seed, 0, n)
+        X = simulate._end_states(sys, [t], scheme, dt, seed, 0, n)[0]
         for i in range(n):
             assert np.array_equal(X[i], single_end_state(sys, t, scheme, dt, seed, i))
 
@@ -397,6 +400,21 @@ class TestBatchMemory:
             tracemalloc.stop()
         assert peak < 8 * cap * 8  # expm holds a few (rows x d x d) stacks at once
 
+    @pytest.mark.parametrize("scheme,arrays", [("euler_maruyama", 1), ("magnus_truncated", 2)])
+    @pytest.mark.parametrize("system", [scalar_system, dense_system])
+    def test_one_pass_holds_one_or_two_batch_arrays(self, monkeypatch, system, scheme, arrays):
+        # EM builds its factors in the increments; Magnus holds the walk and one scratch array
+        cap = 1 << 18
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", cap)
+        tracemalloc.start()
+        try:
+            # 131 paths x 2000 steps per batch, read at 8 times
+            estimate_mean_squares(system(), [0.25 * k for k in range(9)], scheme, 1000, dt=1e-3, seed=88)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (arrays + 0.5) * cap * 8
+
     @pytest.mark.parametrize("scheme", ["euler_maruyama", "exact_first_order", "magnus_truncated"])
     def test_pair_larger_than_the_cap_rejected(self, monkeypatch, scheme):
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 8)
@@ -407,12 +425,123 @@ class TestBatchMemory:
 
 class TestSubstreams:
     def test_distinct_indices_distinct_draws(self):
-        a = _rng(5, 0).standard_normal(4)
-        b = _rng(5, 1).standard_normal(4)
+        a, b = simulate._normals(5, 0, 2, 4)
         assert not np.allclose(a, b)
 
     def test_same_key_same_draws(self):
-        assert np.array_equal(_rng(5, 3).standard_normal(4), _rng(5, 3).standard_normal(4))
+        assert np.array_equal(simulate._normals(5, 3, 4, 4), simulate._normals(5, 0, 4, 4)[3:])
+
+    @pytest.mark.parametrize("seed", [0, (1 << 63) + 1, (1 << 64) - 1])
+    @pytest.mark.parametrize("k", [2, 2000])
+    def test_rows_are_generators_built_afresh_from_their_key(self, seed, k):
+        # one Philox per batch, re-keyed for each path, draws what a new one would
+        z = simulate._normals(seed, 5, 9, k)
+        for i, row in enumerate(z):
+            fresh = Generator(Philox(key=np.array([seed, 5 + i], dtype=np.uint64)))
+            assert np.array_equal(row, fresh.standard_normal(k))
+
+
+# unsorted, with a repeated t and a t = 0; dt = 0.01 gives up to 50 steps
+GRID = [0.5, 0.1, 0.0, 0.5, 0.3]
+
+
+def grid_system(name):
+    return {"scalar": scalar_system, "dense": dense_system, "dense commuting": lambda: commuting_system(5, 3)}[name]()
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "name,scheme",
+        [("scalar", s) for s in SCHEMES]
+        + [("dense", "euler_maruyama"), ("dense", "magnus_truncated")]
+        + [("dense commuting", "exact_commutative"), ("dense commuting", "exact_first_order")],
+    )
+    def test_grid_equals_one_estimate_per_t(self, monkeypatch, name, scheme):
+        sys, n = grid_system(name), 101
+        per_t = [estimate_mean_square(sys, t, scheme, n, dt=0.01, seed=85).to_dict() for t in GRID]
+        # 64 doubles per batch: one path of 50 steps, 7 of 3 x 3 exponents, 64 scalar pairs
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 64)
+        one_pass = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, n, dt=0.01, seed=85)]
+        assert one_pass == per_t
+        assert one_pass[0] == one_pass[3] and one_pass[2]["value"] == float(sys.x @ sys.x)
+
+    @pytest.mark.parametrize("name", ["scalar", "dense"])
+    def test_each_t_reads_its_own_number_of_steps(self, name):
+        # a plain loop over fresh generators, stopped at each t's step count
+        sys, n, dt, seed = grid_system(name), 100, 0.01, 89
+        drift = sys.A + 0.5 * sys.B @ sys.B
+        ests = estimate_mean_squares(sys, GRID, "euler_maruyama", n, dt=dt, seed=seed)
+        for t, est in zip(GRID, ests):
+            values = []
+            for i in range(n):
+                dw = math.sqrt(dt) * Generator(Philox(key=np.array([seed, i], dtype=np.uint64))).standard_normal(50)
+                X = sys.x.copy()
+                for k in range(round(t / dt)):
+                    X = X + dt * drift @ X + dw[k] * sys.B @ X
+                values.append(X @ X)
+            assert est.value == pytest.approx(math.fsum(values) / n, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "scheme,grid,cap,code",
+        [
+            ("euler_maruyama", [0.5, 0.0, -0.5, 0.3], None, "bad_time"),
+            ("exact_first_order", [0.5, -1.0], None, "bad_time"),
+            ("euler_maruyama", [0.5, 0.0, 0.255, 0.3], None, "bad_timestep"),
+            ("magnus_truncated", [0.5, 0.005], None, "bad_timestep"),
+            ("euler_maruyama", [0.2, 0.0, 0.5], 30, "too_many_steps"),
+            ("exact_first_order", [0.0, 0.5], 8, "too_large"),
+            ("exact_commutative", [0.0, 0.5], None, "representation_invalid"),
+        ],
+    )
+    def test_grid_fails_with_the_code_of_one_estimate_per_t(self, monkeypatch, scheme, grid, cap, code):
+        sys = heisenberg_system()
+        if cap is not None:
+            monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", cap)
+        with pytest.raises(ToolkitError) as per_t:
+            for t in grid:
+                estimate_mean_square(sys, t, scheme, 200, dt=0.01, seed=86)
+        draws = []
+        monkeypatch.setattr(simulate, "_normals", lambda *args: draws.append(args))
+        with pytest.raises(ToolkitError) as one_pass:
+            estimate_mean_squares(sys, grid, scheme, 200, dt=0.01, seed=86)
+        assert one_pass.value.code == per_t.value.code == code
+        assert draws == []  # every t is checked before anything is drawn
+
+
+class TestPrefixReductions:
+    """One pass reads every t off a prefix of one draw; these numpy
+    reductions must give the bits of a reduction over a fresh array."""
+
+    F = 1.0 + 0.03 * np.random.default_rng(87).standard_normal((64, 2000))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 250, 1001, 1999, 2000])
+    def test_prefix_product_is_a_fresh_and_a_cumulative_product(self, k):
+        prefix = np.prod(self.F[:, :k], axis=1)
+        assert np.array_equal(prefix, np.prod(np.array(self.F[:, :k]), axis=1))
+        assert np.array_equal(prefix, np.cumprod(self.F, axis=1)[:, k - 1])
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 250, 1001, 1999, 2000])
+    def test_prefix_sums_are_fresh_sums(self, k):
+        assert np.array_equal(self.F[:, :k].sum(axis=1), np.array(self.F[:, :k]).sum(axis=1))
+        assert np.array_equal(np.cumsum(self.F, axis=1)[:, :k], np.cumsum(np.array(self.F[:, :k]), axis=1))
+
+
+class TestNonFiniteEstimates:
+    @pytest.mark.parametrize(
+        "A,x,t,dt",
+        [
+            ([[400.0]], [1.0], 2.0, 1e-3),  # |X_t|^2 overflows to inf
+            ([[0.0]], [1.3e154], 0.5, 0.1),  # every |X_t|^2 is finite, their sum is not
+            ([[0.0]], [1e200], 0.0, 0.1),
+        ],
+    )
+    def test_refused_with_a_code_and_no_warning(self, A, x, t, dt):
+        sys = GBMSystem(A=np.array(A), B=np.array([[0.0]]), x=np.array(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToolkitError) as err:
+                estimate_mean_square(sys, t, "euler_maruyama", 100, dt=dt)
+        assert err.value.code == "report_not_finite"
 
 
 class TestExactMeanSquare:
