@@ -36,7 +36,6 @@ from .noncommutative_cutoff import (
     mean_square_first_order,
     mode_decomposition,
     select_dominant_mode,
-    synthetic_from_dict,
     synthetic_mode_decomposition,
 )
 from .simulate import (
@@ -100,7 +99,6 @@ __all__ = [
     "solve_log_cubic",
     "sym_eig",
     "simultaneous_diagonalize",
-    "synthetic_from_dict",
     "synthetic_mode_decomposition",
 ]
 

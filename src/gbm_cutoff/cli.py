@@ -70,10 +70,17 @@ class RunConfig:
     seed: int = 1
     tol: float = 1e-10
     out_path: Optional[str] = None
-    out_format: Optional[str] = None
+
+
+def _has_bool(raw) -> bool:
+    """True when a JSON value is, or holds at any depth, true or false,
+    which numpy would otherwise read as 1.0 or 0.0."""
+    return isinstance(raw, bool) or (isinstance(raw, list) and any(map(_has_bool, raw)))
 
 
 def _load_matrix(raw, name: str) -> np.ndarray:
+    if _has_bool(raw):
+        raise ToolkitError("config_matrix_not_square", f"{name} holds a boolean entry")
     try:
         return matrix_from_rows(raw, name)
     except ToolkitError as exc:
@@ -84,7 +91,8 @@ def _load_matrix(raw, name: str) -> np.ndarray:
 # One validator per range-checked field, shared by load_config and the
 # command line overrides: field -> (error code, requirement, test).  A list
 # field is a nonempty list whose every entry passes the test; an integer
-# field takes JSON integers, the others any JSON number, tested as float.
+# field takes JSON integers, the others any JSON number, tested as float;
+# true and false are not numbers here.
 _LIST_FIELDS = ("eps_list", "rho_grid", "t_grid")
 _INT_FIELDS = ("n_paths", "seed")
 _FIELDS = {
@@ -106,7 +114,7 @@ def _validated(key: str, value):
     code, rule, ok = _FIELDS[key]
     kind = int if key in _INT_FIELDS else (int, float)
     entries = value if key in _LIST_FIELDS else [value]
-    typed = isinstance(entries, list) and all(isinstance(v, kind) for v in entries)
+    typed = isinstance(entries, list) and all(isinstance(v, kind) and not isinstance(v, bool) for v in entries)
     try:
         out = [v if kind is int else float(v) for v in entries] if typed else []
     except OverflowError:  # a JSON integer beyond the double range
@@ -154,6 +162,8 @@ def load_config(path: str) -> RunConfig:
         if M.shape != cfg.A.shape:
             raise ToolkitError("config_dim_mismatch", f"{name} shape {M.shape} != A shape {cfg.A.shape}")
 
+    if _has_bool(raw["x"]):
+        raise ToolkitError("config_entries_not_finite", "x holds a boolean entry")
     try:
         cfg.x = as_vector(raw["x"], "x")
     except ToolkitError as exc:
@@ -179,10 +189,9 @@ def load_config(path: str) -> RunConfig:
     out = raw.get("output", {})
     if not isinstance(out, dict):
         raise ToolkitError("config_bad_format", "output must be an object")
-    if "format" in out:
-        if out["format"] not in FORMATS:
-            raise ToolkitError("config_bad_format", f"format must be one of {FORMATS}")
-        cfg.out_format = out["format"]
+    # the command alone fixes the report format; output.format is only checked
+    if "format" in out and out["format"] not in FORMATS:
+        raise ToolkitError("config_bad_format", f"format must be one of {FORMATS}")
     if "path" in out:
         if not isinstance(out["path"], str) or not out["path"]:
             raise ToolkitError("config_bad_format", "output.path must be a nonempty string")

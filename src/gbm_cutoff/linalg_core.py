@@ -7,7 +7,7 @@ pure; inputs are validated once and never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -85,17 +85,18 @@ def is_hurwitz(U, margin: float = 0.0) -> bool:
     return bool(np.max(lam.real) <= -margin)
 
 
-def cluster_values(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[list[int]]:
+def cluster_values(values: np.ndarray) -> list[list[int]]:
     """Group indices of nearly-equal (complex) values.
 
     Two values belong to the same cluster when their distance is below
-    ``gap * (1 + max|value|)``; clusters are the connected components of
-    that relation, listed in a deterministic order (by first member).
+    ``CLUSTER_GAP * (1 + max|value|)``; clusters are the connected
+    components of that relation, listed in a deterministic order (by first
+    member).
     """
     n = len(values)
     if n == 0:
         return []
-    tol = gap * (1.0 + float(np.max(np.abs(values))))
+    tol = CLUSTER_GAP * (1.0 + float(np.max(np.abs(values))))
     parent = list(range(n))
 
     def find(i):
@@ -118,13 +119,11 @@ def cluster_values(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[list[in
 class EigDecomposition:
     """Eigenstructure container shared by sym_eig and simultaneous_diagonalize.
 
-    ``basis`` holds the eigenvectors as columns; ``jordan_heights`` gives the
-    chain height per eigenvalue cluster (all 1 for the symmetric routines).
+    ``basis`` holds the eigenvectors as columns.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-    jordan_heights: list[int] = field(default_factory=list)
     orthonormal: bool = False
 
     def eigenvalues_of(self, M) -> np.ndarray:
@@ -154,7 +153,6 @@ def sym_eig(U, tol: float = DEFAULT_TOL) -> EigDecomposition:
     return EigDecomposition(
         eigenvalues=w.astype(complex),
         basis=V.astype(float),
-        jordan_heights=[1] * len(w),
         orthonormal=True,
     )
 
@@ -194,12 +192,7 @@ def simultaneous_diagonalize(family, tol: float = DEFAULT_TOL) -> EigDecompositi
             w, R = np.linalg.eigh(0.5 * (sub + sub.T))
             V[:, blk] = Vb @ R
             # split the block by eigenvalue clusters of this member
-            scale = CLUSTER_GAP * (1.0 + float(np.max(np.abs(w))))
-            start = 0
-            for k in range(1, len(w) + 1):
-                if k == len(w) or w[k] - w[k - 1] > scale:
-                    refined.append([blk[i] for i in range(start, k)])
-                    start = k
+            refined.extend([blk[i] for i in idx] for idx in cluster_values(w))
         blocks = refined
 
     for k, M in enumerate(mats):
@@ -211,7 +204,6 @@ def simultaneous_diagonalize(family, tol: float = DEFAULT_TOL) -> EigDecompositi
     return EigDecomposition(
         eigenvalues=np.diag(V.T @ mats[0] @ V).astype(complex),
         basis=V,
-        jordan_heights=[1] * d,
         orthonormal=True,
     )
 

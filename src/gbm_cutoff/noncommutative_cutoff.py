@@ -43,11 +43,10 @@ from .linalg_core import (
     commutator,
     fro,
     is_hurwitz,
-    matrix_from_rows,
     matrix_to_rows,
     simultaneous_diagonalize,
 )
-from .spectral_asymptotics import extract_asymptotics
+from .spectral_asymptotics import _read_vector, _split_spectrum
 from .system import GBMSystem
 
 # Strictness margin for internal Hurwitz tests (p_Gamma search, Atilde).
@@ -56,8 +55,6 @@ STABILITY_MARGIN = 1e-9
 OVERLAP_TOL = 1e-12
 # Relative slack when collecting argmin/argmax tie sets in the cascade.
 TIE_TOL = 1e-9
-
-REGIMES = ("commutative", "first_order", "synthetic", "no_decay")
 
 
 @dataclass
@@ -207,12 +204,12 @@ def _decompose(
     if not is_hurwitz(A_tilde, STABILITY_MARGIN):
         raise ToolkitError("not_stable", "A_tilde is not Hurwitz stable")
 
+    # one split of A_tilde; every mode's (lambda_j, ell_j) is read off it
+    parts = _split_spectrum(A_tilde)
     lambdas = np.empty(A.shape[0])
     ells = np.empty(A.shape[0], dtype=int)
     for j in range(A.shape[0]):
-        asym = extract_asymptotics(A_tilde, V[:, j], margin=0.0)
-        lambdas[j] = asym.q
-        ells[j] = asym.ell
+        lambdas[j], ells[j], _ = _read_vector(parts, V[:, j])
 
     return ModeDecomposition(
         A=A,
@@ -239,11 +236,12 @@ def _decompose(
 
 
 def mode_decomposition(sys: GBMSystem) -> ModeDecomposition:
-    """Full mode analysis of a coefficient pair (A, B)."""
+    """Full mode analysis of a coefficient pair (A, B).  gamma_matrices'
+    p_Gamma is reused; when it is None, _decompose raises no_stabilizer."""
     g = gamma_matrices(sys)
     return _decompose(
         sys.A, g.alpha, g.beta, g.Gamma, sys.x, sys.tol,
-        C=g.C, Bhat=g.Bhat, Chat=g.Chat,
+        C=g.C, Bhat=g.Bhat, Chat=g.Chat, p_gamma=g.p_Gamma,
     )
 
 
@@ -259,20 +257,6 @@ def synthetic_mode_decomposition(
     unchanged.
     """
     return _decompose(A, alpha, beta, Gamma, x, tol, synthetic=True, p_gamma=p_gamma)
-
-
-def synthetic_from_dict(cfg: dict, tol: float = DEFAULT_TOL) -> ModeDecomposition:
-    """Build a synthetic decomposition from the JSON schema
-    {"alpha": rows, "beta": rows, "Gamma": rows, "A": rows, "x": vector}."""
-    try:
-        alpha = matrix_from_rows(cfg["alpha"], "alpha")
-        beta = matrix_from_rows(cfg["beta"], "beta")
-        Gamma = matrix_from_rows(cfg["Gamma"], "Gamma")
-        A = matrix_from_rows(cfg["A"], "A")
-        x = as_vector(cfg["x"], "x")
-    except KeyError as exc:
-        raise ToolkitError("missing_field", f"synthetic schema needs {exc}") from exc
-    return synthetic_mode_decomposition(alpha, beta, Gamma, A, x, tol)
 
 
 def mean_square_first_order(dec: ModeDecomposition, x, t: float) -> float:

@@ -91,12 +91,12 @@ def spectral_projector(Q, members, radius: float) -> np.ndarray:
     return Z @ M @ Z.conj().T
 
 
-def is_diagonalizable(M, gap: float = CLUSTER_GAP) -> bool:
+def is_diagonalizable(M) -> bool:
     """True when every eigenvalue cluster has full geometric multiplicity."""
     M = as_matrix(M, "M")
     lam = np.linalg.eigvals(M)
-    scale = gap * (1.0 + float(np.max(np.abs(lam))))
-    for idx in cluster_values(lam, gap):
+    scale = CLUSTER_GAP * (1.0 + float(np.max(np.abs(lam))))
+    for idx in cluster_values(lam):
         rep = complex(np.mean(lam[idx]))
         sv = np.linalg.svd(M.astype(complex) - rep * np.eye(M.shape[0]), compute_uv=False)
         geometric = int(np.sum(sv <= scale * (1.0 + sv[0])))
@@ -105,61 +105,69 @@ def is_diagonalizable(M, gap: float = CLUSTER_GAP) -> bool:
     return True
 
 
-def extract_asymptotics(Q, y, margin: float = 0.0) -> SpectralAsymptotics:
-    """Extract (q, ell, m, thetas, vs, K0, K1) for exp(tQ)y.
-
-    Q must be Hurwitz stable with the given margin and y nonzero.
-    """
-    Q = as_matrix(Q, "Q")
-    y = as_vector(y, "y")
-    ynorm = float(np.linalg.norm(y))
-    if ynorm == 0.0:
-        raise ToolkitError("zero_vector", "y must be nonzero")
-    if not is_hurwitz(Q, margin):
-        raise ToolkitError("not_stable", "Q is not Hurwitz stable at the given margin")
-
+def _split_spectrum(Q: np.ndarray) -> list:
+    """The split of Q that every vector is read off: per eigenvalue cluster,
+    its mean rep, its size, its spectral projector and Q - rep I."""
     lam = np.linalg.eigvals(Q)
-    clusters = cluster_values(lam, CLUSTER_GAP)
-    yc = y.astype(complex)
+    parts = []
+    for idx in cluster_values(lam):
+        members, others = lam[idx], np.delete(lam, idx)
+        rep = complex(np.mean(members))
+        radius = 0.5 * float(min(abs(m - o) for m in members for o in others)) if others.size else np.inf
+        N = Q.astype(complex) - rep * np.eye(Q.shape[0])
+        parts.append((rep, len(idx), spectral_projector(Q, members, radius), N))
+    return parts
 
+
+def _read_vector(parts, y: np.ndarray) -> tuple[float, int, list]:
+    """(q, ell, kept) of exp(tQ)y off the split of Q: kept lists (rep, top of
+    chain) of the leading clusters of height ell, by decreasing frequency."""
+    ynorm = float(np.linalg.norm(y))
+    yc = y.astype(complex)
     # component of y, chain height and top-of-chain vector per cluster
     carriers = []
-    for idx in clusters:
-        members = lam[idx]
-        rep = complex(np.mean(members))
-        others = np.delete(lam, idx)
-        if others.size:
-            radius = 0.5 * float(min(abs(m - o) for m in members for o in others))
-        else:
-            radius = np.inf
-        P = spectral_projector(Q, members, radius)
+    for rep, size, P, N in parts:
         comp = P @ yc
         if np.linalg.norm(comp) <= COMPONENT_TOL * ynorm:
             continue
-        N = Q.astype(complex) - rep * np.eye(Q.shape[0])
         height, top = 1, comp
         z = comp
-        for j in range(1, len(idx)):
+        for j in range(1, size):
             z = N @ z
             if np.linalg.norm(z) > COMPONENT_TOL * ynorm:
                 height, top = j + 1, z
-        carriers.append({"rep": rep, "height": height, "top": top})
+        carriers.append((rep, height, top))
 
     if not carriers:
         raise ToolkitError("eig_failure", "no spectral component of y exceeds threshold")
 
-    q = -max(c["rep"].real for c in carriers)
+    q = -max(rep.real for rep, _, _ in carriers)
     lead_tol = CLUSTER_GAP * (1.0 + abs(q))
-    leading = [c for c in carriers if c["rep"].real >= -q - lead_tol]
-    ell = max(c["height"] for c in leading)
+    leading = [c for c in carriers if c[0].real >= -q - lead_tol]
+    ell = max(height for _, height, _ in leading)
     kept = sorted(
-        (c for c in leading if c["height"] == ell),
-        key=lambda c: -c["rep"].imag,
+        ((rep, top) for rep, height, top in leading if height == ell),
+        key=lambda c: -c[0].imag,
     )
+    return q, ell, kept
 
+
+def extract_asymptotics(Q, y) -> SpectralAsymptotics:
+    """Extract (q, ell, m, thetas, vs, K0, K1) for exp(tQ)y.
+
+    Q must be Hurwitz stable and y nonzero.
+    """
+    Q = as_matrix(Q, "Q")
+    y = as_vector(y, "y")
+    if float(np.linalg.norm(y)) == 0.0:
+        raise ToolkitError("zero_vector", "y must be nonzero")
+    if not is_hurwitz(Q):
+        raise ToolkitError("not_stable", "Q is not Hurwitz stable")
+
+    q, ell, kept = _read_vector(_split_spectrum(Q), y)
     fact = math.factorial(ell - 1)
-    thetas = [c["rep"].imag for c in kept]
-    vs = [c["top"] / fact for c in kept]
+    thetas = [rep.imag for rep, _ in kept]
+    vs = [top / fact for _, top in kept]
 
     if len(kept) == 1:
         K0 = K1 = float(np.linalg.norm(vs[0]))

@@ -71,6 +71,17 @@ class TestConfigValidation:
             ({"rho_grid": [0.0, 10**400]}, "config_bad_rho_grid"),
             ({"eps_list": [10**400]}, "config_eps_range"),
             ({"mc": {"dt": -(10**400)}}, "config_mc_dt"),
+            # JSON true and false are not numbers, though numpy reads them as 1.0 and 0.0
+            ({"mc": {"dt": True, "seed": False}}, "config_mc_dt"),
+            ({"mc": {"seed": False}}, "config_mc_seed"),
+            ({"mc": {"n_paths": True}}, "config_mc_paths"),
+            ({"t_grid": [0.0, True]}, "config_bad_t_grid"),
+            ({"w": True}, "config_w_range"),
+            ({"rho_grid": [False, True]}, "config_bad_rho_grid"),
+            ({"A": [[True]]}, "config_matrix_not_square"),
+            ({"B": [[False]]}, "config_matrix_not_square"),
+            ({"A": True}, "config_matrix_not_square"),
+            ({"x": [True]}, "config_entries_not_finite"),
         ],
     )
     def test_each_violation_has_distinct_code(self, tmp_path, overrides, code):
@@ -389,6 +400,28 @@ class TestOncePerReport:
             assert (len(decompositions), len(asymptotics)) == (0, 1)
         else:
             assert len(decompositions) == 1
+
+    @pytest.mark.parametrize("mode", ["synthetic", "first_order"])
+    def test_one_spectral_split_per_decomposition(self, tmp_path, monkeypatch, mode):
+        # A_tilde = A has 2 eigenvalue clusters in both configs; the first-order
+        # one has 3 modes, as its eigenvalue -1 is repeated
+        if mode == "synthetic":
+            path = synthetic_config(tmp_path)
+        else:
+            path = write_config(tmp_path, mode="first_order", A=np.diag([-1.0, -1.0, -2.0]).tolist(),
+                                B=np.diag([0.5, 0.5, 0.3]).tolist(), x=[1.0, 1.0, 1.0])
+        projectors = count_calls(monkeypatch, spectral_asymptotics.spectral_projector)
+        asymptotics = count_calls(monkeypatch, spectral_asymptotics.extract_asymptotics)
+        searches = count_calls(monkeypatch, noncommutative_cutoff._stabilizing_p)
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "report")]) == 0
+        assert (len(projectors), len(asymptotics)) == (2, 0)
+        if mode == "first_order":
+            assert len(searches) == 1  # gamma_matrices' p_Gamma is passed on
+
+    def test_output_format_does_not_choose_the_format(self, tmp_path, capsys):
+        path = write_config(tmp_path, output={"format": "csv"})
+        assert main(["analyze", "--config", path, "--out", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "commutative"
 
     @pytest.mark.parametrize("command,pair,kernel_calls", [
         ("mean-square", "scalar", 1),

@@ -3,6 +3,7 @@ import pytest
 
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.linalg_core import (
+    CLUSTER_GAP,
     commutator,
     is_hurwitz,
     matrix_exp,
@@ -230,6 +231,21 @@ class TestSimultaneousDiagonalize:
             D = dec.basis.T @ (R @ M @ R.T) @ dec.basis
             off = D - np.diag(np.diag(D))
             assert np.linalg.norm(off, "fro") < 1e-10
+
+    @pytest.mark.parametrize("steps,blocks", [
+        # each within the gap of the next, the ends beyond it
+        pytest.param([0.75, 0.75], 1, id="chain-is-one-block"),
+        pytest.param([1.25], 2, id="pair-beyond-gap-splits"),
+    ])
+    def test_cluster_gap_boundary(self, steps, blocks):
+        # M1's eigenvalues lie near 1, where the cluster gap is about 2 CLUSTER_GAP;
+        # M2 = diag(n, .., 1) is diagonalized inside M1's blocks, which reverses
+        # the basis of a single block
+        w = np.cumsum([1.0] + [s * 2.0 * CLUSTER_GAP for s in steps])
+        n = len(w)
+        dec = simultaneous_diagonalize([np.diag(w), np.diag(np.arange(n, 0, -1.0))])
+        expected = np.eye(n)[::-1] if blocks == 1 else np.eye(n)
+        assert np.array_equal(np.abs(dec.basis), expected)
 
 
 class TestSerialization:

@@ -14,9 +14,9 @@ from gbm_cutoff.noncommutative_cutoff import (
     mean_square_first_order,
     mode_decomposition,
     select_dominant_mode,
-    synthetic_from_dict,
     synthetic_mode_decomposition,
 )
+from gbm_cutoff.spectral_asymptotics import extract_asymptotics
 from gbm_cutoff.system import GBMSystem
 
 
@@ -119,6 +119,41 @@ class TestGammaMatrices:
         assert dec.p_Gamma == 2.0
 
 
+JORDAN = [[-1.0, 1.0], [0.0, -1.0]]
+ROTATION = [[-1.0, 2.0], [-2.0, -1.0]]
+# A's diagonal blocks, each with Gamma's eigenvalue on it, and the largest ell
+PINNED_BLOCKS = [
+    pytest.param([(JORDAN, -1.0), ([[-2.0]], -2.0), ([[-0.5]], -3.0)], 2, id="jordan-d4"),
+    pytest.param([(ROTATION, -0.5), ([[-3.0]], -1.0)], 1, id="complex-pair-d3"),
+    pytest.param(
+        [([[-1.0]], -1.0), ([[-1.0]], -2.0), ([[-1.0]], -3.0), ([[-2.0]], -1.0), ([[-2.0]], -1.5)], 1,
+        id="repeated-d5",
+    ),
+    # A is unstable: p_Gamma = 1 puts -1 and the Jordan block in one cluster of A_tilde
+    pytest.param([([[0.5]], -2.0), ([[-1.0]], -1.0), (JORDAN, -1.0)], 2, id="stabilized-d4"),
+    pytest.param([(ROTATION, -1.0), (JORDAN, -2.0), ([[-1.0]], -3.0), ([[-0.25]], -0.5)], 2, id="mixed-d6"),
+]
+
+
+def block_synthetic(seed, blocks):
+    """Synthetic decomposition in a seeded random orthonormal basis.  A is
+    block diagonal there, each block inside one eigenspace of Gamma; alpha
+    and beta are diagonal with seeded entries."""
+    rng = np.random.default_rng(seed)
+    A = scipy.linalg.block_diag(*[np.array(block) for block, _ in blocks])
+    g = np.concatenate([np.full(len(block), gamma) for block, gamma in blocks])
+    d = len(g)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    conj = lambda M: Q @ M @ Q.T
+    return synthetic_mode_decomposition(
+        alpha=conj(np.diag(rng.uniform(0.1, 1.0, d))),
+        beta=conj(np.diag(rng.uniform(-0.5, 0.5, d))),
+        Gamma=conj(np.diag(g)),
+        A=conj(A),
+        x=rng.standard_normal(d),
+    )
+
+
 class TestModeDecomposition:
     def test_synthetic_diagonal_example(self):
         dec = synthetic_example()
@@ -159,16 +194,17 @@ class TestModeDecomposition:
             )
         assert err.value.code == "not_commuting"
 
-    def test_synthetic_from_dict(self):
-        cfg = {
-            "alpha": [[0.2, 0.0], [0.0, 0.4]],
-            "beta": [[0.3, 0.0], [0.0, 0.1]],
-            "Gamma": [[-0.6, 0.0], [0.0, -1.2]],
-            "A": [[-1.0, 0.0], [0.0, -2.0]],
-            "x": [1.0, 1.0],
-        }
-        dec = synthetic_from_dict(cfg)
-        assert np.allclose(dec.g_coeffs, [0.6, 1.2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("blocks,max_ell", PINNED_BLOCKS)
+    def test_each_mode_reads_as_its_own_extraction(self, seed, blocks, max_ell):
+        # every (lambda_j, ell_j) is read off one split of A_tilde; it must be
+        # exactly what a separate extraction for v_j alone gives
+        dec = block_synthetic(seed, blocks)
+        assert max(dec.ells) == max_ell
+        for j in range(dec.dim):
+            asym = extract_asymptotics(dec.A_tilde, dec.basis[:, j])
+            assert dec.lambdas[j] == asym.q
+            assert dec.ells[j] == asym.ell
 
 
 class TestMeanSquareFirstOrder:
