@@ -29,6 +29,7 @@ from .linalg_core import (
 )
 from .mixing import MixingTimeResult, mixing_ratio_check, mixing_time
 from .noncommutative_cutoff import (
+    GammaMatrices,
     ModeDecomposition,
     cutoff_schedule_first_order,
     example35_check,
@@ -59,6 +60,7 @@ __all__ = [
     "CutoffSchedule",
     "EigDecomposition",
     "GBMSystem",
+    "GammaMatrices",
     "HypothesisReport",
     "MCEstimate",
     "MixingTimeResult",

@@ -72,17 +72,26 @@ class RunConfig:
     out_path: Optional[str] = None
 
 
-def _has_bool(raw) -> bool:
-    """True when a JSON value is, or holds at any depth, true or false,
-    which numpy would otherwise read as 1.0 or 0.0."""
-    return isinstance(raw, bool) or (isinstance(raw, list) and any(map(_has_bool, raw)))
+def _numbers(raw, name: str, code: str):
+    """raw with every entry read as a float; `code` for an entry that is not
+    a JSON number (numpy would read true, false and "1" as numbers).  null
+    reads as NaN and an integer beyond the double range as an infinity."""
+    if isinstance(raw, list):
+        return [_numbers(v, name, code) for v in raw]
+    if raw is None:
+        return math.nan
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ToolkitError(code, f"{name} holds {raw!r}, not a number")
+    try:
+        return float(raw)
+    except OverflowError:
+        return math.inf if raw > 0 else -math.inf
 
 
 def _load_matrix(raw, name: str) -> np.ndarray:
-    if _has_bool(raw):
-        raise ToolkitError("config_matrix_not_square", f"{name} holds a boolean entry")
+    rows = _numbers(raw, name, "config_matrix_not_square")
     try:
-        return matrix_from_rows(raw, name)
+        return matrix_from_rows(rows, name)
     except ToolkitError as exc:
         mapping = {"not_square": "config_matrix_not_square", "not_finite": "config_entries_not_finite"}
         raise ToolkitError(mapping.get(exc.code, "config_matrix_not_square"), str(exc)) from exc
@@ -162,10 +171,8 @@ def load_config(path: str) -> RunConfig:
         if M.shape != cfg.A.shape:
             raise ToolkitError("config_dim_mismatch", f"{name} shape {M.shape} != A shape {cfg.A.shape}")
 
-    if _has_bool(raw["x"]):
-        raise ToolkitError("config_entries_not_finite", "x holds a boolean entry")
     try:
-        cfg.x = as_vector(raw["x"], "x")
+        cfg.x = as_vector(_numbers(raw["x"], "x", "config_entries_not_finite"), "x")
     except ToolkitError as exc:
         raise ToolkitError("config_entries_not_finite", str(exc)) from exc
     if cfg.x.size != cfg.A.shape[0]:

@@ -89,10 +89,11 @@ class CutoffSchedule:
         return out
 
 
-def _polish(f, fprime, t: float, target: float, max_steps: int = 4) -> float:
-    """Newton-polish an approximate root until the residual target is met."""
+def _polish(f, fprime, t: float, target: float) -> float:
+    """The iterate of least residual over at most four Newton steps from an
+    approximate root, stopping once the residual target is met."""
     best, best_res = t, abs(f(t))
-    for _ in range(max_steps):
+    for _ in range(4):
         if best_res <= 0.25 * target:
             break
         fp = fprime(t)
@@ -234,7 +235,7 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
     q_t = (
         2.0 * a2**3 / (27.0 * gamma**3)
         - a1 * a2 / (3.0 * gamma**2)
-        - ell_star * c.c0 / (gamma * t_eps)
+        + a0 / gamma
     )
     disc = (q_t / 2.0) ** 2 + (p_t / 3.0) ** 3
     if disc >= 0.0:
@@ -244,7 +245,7 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
         r = 0.0
 
     target = RESIDUAL_TOL * (1.0 + abs(a0))
-    r = _polish(corr, corr.derivative, r, target, max_steps=40)
+    r = _polish(corr, corr.derivative, r, target)
     if abs(corr(r)) > target:
         r = _bracketed_refine(corr, r, target)
     return r

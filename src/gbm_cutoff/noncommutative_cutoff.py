@@ -22,7 +22,7 @@ negative-definite Gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -36,6 +36,7 @@ from .cubic_solver import (
     solve_log_cubic,
 )
 from .errors import ToolkitError
+from .hypothesis_checks import check_hypotheses
 from .linalg_core import (
     DEFAULT_TOL,
     as_matrix,
@@ -49,7 +50,7 @@ from .linalg_core import (
 from .spectral_asymptotics import _read_vector, _split_spectrum
 from .system import GBMSystem
 
-# Strictness margin for internal Hurwitz tests (p_Gamma search, Atilde).
+# Strictness margin of the p_Gamma search's Hurwitz tests; it certifies Atilde.
 STABILITY_MARGIN = 1e-9
 # Overlap <x, v_j> below this fraction of |x| excludes the mode from J0.
 OVERLAP_TOL = 1e-12
@@ -65,29 +66,26 @@ class ModeDecomposition:
     b_j = eig_j(beta), g_j = -eig_j(Gamma) (signs chosen so decaying modes
     carry positive coefficients),
     (lambda_j, ell_j) the decay rate and chain height of exp(t Atilde) v_j,
-    and overlap_j = <x, v_j>.
+    and overlap_j = <x, v_j>.  C is None for synthetic modes.
     """
 
     A: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     Gamma: np.ndarray
-    p_Gamma: Optional[float]
-    A_tilde: Optional[np.ndarray]
-    C: Optional[np.ndarray] = None
-    Bhat: Optional[np.ndarray] = None
-    Chat: Optional[np.ndarray] = None
-    basis: Optional[np.ndarray] = None
-    a_coeffs: Optional[np.ndarray] = None
-    b_coeffs: Optional[np.ndarray] = None
-    g_coeffs: Optional[np.ndarray] = None
-    lambdas: Optional[np.ndarray] = None
-    ells: Optional[np.ndarray] = None
-    overlaps: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = None
-    tol: float = DEFAULT_TOL
-    synthetic: bool = False
-    step3_residuals: dict = field(default_factory=dict)
+    p_Gamma: float
+    A_tilde: np.ndarray
+    C: Optional[np.ndarray]
+    basis: np.ndarray
+    a_coeffs: np.ndarray
+    b_coeffs: np.ndarray
+    g_coeffs: np.ndarray
+    lambdas: np.ndarray
+    ells: np.ndarray
+    overlaps: np.ndarray
+    x: np.ndarray
+    synthetic: bool
+    step3_residuals: dict
 
     @property
     def dim(self) -> int:
@@ -95,18 +93,14 @@ class ModeDecomposition:
 
     def to_dict(self) -> dict:
         out = {
-            "p_Gamma": None if self.p_Gamma is None else float(self.p_Gamma),
+            "p_Gamma": float(self.p_Gamma),
             "alpha": matrix_to_rows(self.alpha),
             "beta": matrix_to_rows(self.beta),
             "Gamma": matrix_to_rows(self.Gamma),
             "A": matrix_to_rows(self.A),
             "synthetic": self.synthetic,
             "step3_residuals": {k: float(v) for k, v in self.step3_residuals.items()},
-        }
-        if self.C is not None:
-            out["C"] = matrix_to_rows(self.C)
-        if self.basis is not None:
-            out["modes"] = [
+            "modes": [
                 {
                     "a": float(self.a_coeffs[j]),
                     "b": float(self.b_coeffs[j]),
@@ -117,13 +111,31 @@ class ModeDecomposition:
                     "v": [float(c) for c in self.basis[:, j]],
                 }
                 for j in range(self.dim)
-            ]
+            ],
+        }
+        if self.C is not None:
+            out["C"] = matrix_to_rows(self.C)
         return out
+
+
+class GammaMatrices(NamedTuple):
+    """C = [B, A], Bhat = B + B*, Chat = C + C*, the Gamma matrices and the
+    stabilized drift; p_Gamma and A_tilde are None when no power of two
+    stabilizes."""
+
+    C: np.ndarray
+    Bhat: np.ndarray
+    Chat: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    Gamma: np.ndarray
+    p_Gamma: Optional[float]
+    A_tilde: Optional[np.ndarray]
 
 
 def _stabilizing_p(A: np.ndarray, Gamma: np.ndarray) -> float:
     """0 when A is already stable, else the smallest power of two p with
-    A + (p/2) Gamma Hurwitz."""
+    A + (p/2) Gamma Hurwitz at STABILITY_MARGIN."""
     if is_hurwitz(A, STABILITY_MARGIN):
         return 0.0
     for k in range(21):
@@ -133,39 +145,27 @@ def _stabilizing_p(A: np.ndarray, Gamma: np.ndarray) -> float:
     raise ToolkitError("no_stabilizer", "no p in {1,2,...,2^20} stabilizes A + (p/2) Gamma")
 
 
-def gamma_matrices(sys: GBMSystem) -> ModeDecomposition:
-    """C = [B, A] and the derived matrices; no mode analysis yet.
+def _brackets(sys: GBMSystem) -> tuple:
+    """(C, Bhat, Chat, alpha, beta, Gamma) of the pair."""
+    C = commutator(sys.B, sys.A)
+    Bhat, Chat = sys.B + sys.B.T, C + C.T
+    return C, Bhat, Chat, Bhat @ Bhat / 2.0, Bhat @ Chat / 2.0, Chat @ Chat / 6.0
+
+
+def gamma_matrices(sys: GBMSystem) -> GammaMatrices:
+    """The Gamma matrices of a pair and its stabilizer, with no mode analysis.
 
     The matrices are computable for any pair.  When no power of two
     stabilizes A + (p/2) Gamma (e.g. a nilpotent A with the positive
-    semidefinite Gamma every real pair produces), p_Gamma and A_tilde stay
-    None; the mode analysis raises ``no_stabilizer`` when it needs them.
+    semidefinite Gamma every real pair produces), p_Gamma and A_tilde are
+    None; ``mode_decomposition`` raises ``no_stabilizer`` there.
     """
-    A, B = sys.A, sys.B
-    C = commutator(B, A)
-    Bhat = B + B.T
-    Chat = C + C.T
-    alpha = Bhat @ Bhat / 2.0
-    beta = Bhat @ Chat / 2.0
-    Gamma = Chat @ Chat / 6.0
+    C, Bhat, Chat, alpha, beta, Gamma = _brackets(sys)
     try:
-        p = _stabilizing_p(A, Gamma)
-        A_tilde = A + 0.5 * p * Gamma
+        p = _stabilizing_p(sys.A, Gamma)
     except ToolkitError:
-        p, A_tilde = None, None
-    return ModeDecomposition(
-        A=A,
-        alpha=alpha,
-        beta=beta,
-        Gamma=Gamma,
-        p_Gamma=p,
-        A_tilde=A_tilde,
-        C=C,
-        Bhat=Bhat,
-        Chat=Chat,
-        x=sys.x,
-        tol=sys.tol,
-    )
+        return GammaMatrices(C, Bhat, Chat, alpha, beta, Gamma, None, None)
+    return GammaMatrices(C, Bhat, Chat, alpha, beta, Gamma, p, sys.A + 0.5 * p * Gamma)
 
 
 def _step3_residuals(A, alpha, beta, Gamma) -> dict[str, float]:
@@ -177,10 +177,9 @@ def _step3_residuals(A, alpha, beta, Gamma) -> dict[str, float]:
     }
 
 
-def _decompose(
-    A, alpha, beta, Gamma, x, tol, *,
-    C=None, Bhat=None, Chat=None, synthetic=False, p_gamma=None,
-) -> ModeDecomposition:
+def _decompose(A, alpha, beta, Gamma, x, tol, *, C=None) -> ModeDecomposition:
+    """Step III, the joint basis, then the stabilizer search; the search
+    certifies A_tilde at STABILITY_MARGIN.  C is None for synthetic modes."""
     A = as_matrix(A, "A")
     alpha = as_matrix(alpha, "alpha")
     beta = as_matrix(beta, "beta")
@@ -195,15 +194,9 @@ def _decompose(
 
     joint = simultaneous_diagonalize([alpha, beta, Gamma], tol)
     V = joint.basis
-    a_coeffs = -joint.eigenvalues_of(alpha)
-    b_coeffs = joint.eigenvalues_of(beta)
-    g_coeffs = -joint.eigenvalues_of(Gamma)
 
-    p = _stabilizing_p(A, Gamma) if p_gamma is None else float(p_gamma)
+    p = _stabilizing_p(A, Gamma)
     A_tilde = A + 0.5 * p * Gamma
-    if not is_hurwitz(A_tilde, STABILITY_MARGIN):
-        raise ToolkitError("not_stable", "A_tilde is not Hurwitz stable")
-
     # one split of A_tilde; every mode's (lambda_j, ell_j) is read off it
     parts = _split_spectrum(A_tilde)
     lambdas = np.empty(A.shape[0])
@@ -219,44 +212,41 @@ def _decompose(
         p_Gamma=p,
         A_tilde=A_tilde,
         C=C,
-        Bhat=Bhat,
-        Chat=Chat,
         basis=V,
-        a_coeffs=a_coeffs,
-        b_coeffs=b_coeffs,
-        g_coeffs=g_coeffs,
+        a_coeffs=-joint.eigenvalues_of(alpha),
+        b_coeffs=joint.eigenvalues_of(beta),
+        g_coeffs=-joint.eigenvalues_of(Gamma),
         lambdas=lambdas,
         ells=ells,
         overlaps=V.T @ x,
         x=x,
-        tol=tol,
-        synthetic=synthetic,
+        synthetic=C is None,
         step3_residuals=res,
     )
 
 
 def mode_decomposition(sys: GBMSystem) -> ModeDecomposition:
-    """Full mode analysis of a coefficient pair (A, B).  gamma_matrices'
-    p_Gamma is reused; when it is None, _decompose raises no_stabilizer."""
-    g = gamma_matrices(sys)
-    return _decompose(
-        sys.A, g.alpha, g.beta, g.Gamma, sys.x, sys.tol,
-        C=g.C, Bhat=g.Bhat, Chat=g.Chat, p_gamma=g.p_Gamma,
-    )
+    """Full mode analysis of a coefficient pair (A, B).
+
+    After the checks of the decomposition, a B that is not normal is
+    refused with ``hypotheses_violated``: the closed form assumes it, as
+    the commutative regime's effective drift does.
+    """
+    C, _, _, alpha, beta, Gamma = _brackets(sys)
+    dec = _decompose(sys.A, alpha, beta, Gamma, sys.x, sys.tol, C=C)
+    if not check_hypotheses(sys).normal_B:
+        raise ToolkitError("hypotheses_violated", "the first-order closed form needs a normal B")
+    return dec
 
 
-def synthetic_mode_decomposition(
-    alpha, beta, Gamma, A, x, tol: float = DEFAULT_TOL, p_gamma=None
-) -> ModeDecomposition:
+def synthetic_mode_decomposition(alpha, beta, Gamma, A, x, tol: float = DEFAULT_TOL) -> ModeDecomposition:
     """Mode analysis from directly supplied (alpha, beta, Gamma, A, x).
 
     Exists because no real pair (A, B) with [A, B] != 0 yields a
     negative-definite Gamma, yet the cubic pipeline is well defined and
-    testable at the mode level.  ``p_gamma`` overrides the automatic
-    stabilizer search; any admissible value leaves the mean square
-    unchanged.
+    testable at the mode level.
     """
-    return _decompose(A, alpha, beta, Gamma, x, tol, synthetic=True, p_gamma=p_gamma)
+    return _decompose(A, alpha, beta, Gamma, x, tol)
 
 
 def mean_square_first_order(dec: ModeDecomposition, x, t: float) -> float:
@@ -265,8 +255,6 @@ def mean_square_first_order(dec: ModeDecomposition, x, t: float) -> float:
     The admissible p_Gamma cancels algebraically between exp(t Atilde) and
     the (t^3 - p t) Gamma term, so the value does not depend on it.
     """
-    if dec.basis is None:
-        raise ToolkitError("not_decomposed", "run mode_decomposition first")
     if t < 0:
         raise ToolkitError("bad_time", "t must be nonnegative")
     x = as_vector(x, "x")
@@ -300,8 +288,6 @@ def _tie_set_max(values, idx):
 
 def select_dominant_mode(dec: ModeDecomposition, x) -> CascadeSelection:
     """The J0 -> J4 argmin/argmax cascade picking the slowest mode's exponents."""
-    if dec.basis is None:
-        raise ToolkitError("not_decomposed", "run mode_decomposition first")
     x = as_vector(x, "x")
     ov = dec.basis.T @ x
     xnorm = float(np.linalg.norm(x))

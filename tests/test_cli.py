@@ -82,6 +82,15 @@ class TestConfigValidation:
             ({"B": [[False]]}, "config_matrix_not_square"),
             ({"A": True}, "config_matrix_not_square"),
             ({"x": [True]}, "config_entries_not_finite"),
+            # JSON strings are not numbers either, though numpy converts numeric ones
+            ({"A": [["-1"]], "B": [["0.5"]], "x": ["1"]}, "config_matrix_not_square"),
+            ({"B": [["0.5"]]}, "config_matrix_not_square"),
+            ({"A": [["a"]]}, "config_matrix_not_square"),
+            ({"x": ["1"]}, "config_entries_not_finite"),
+            # an integer beyond the double range is not finite, as 1e400 is not
+            ({"A": [[10**400]]}, "config_entries_not_finite"),
+            ({"B": [[-(10**400)]]}, "config_entries_not_finite"),
+            ({"x": [10**400]}, "config_entries_not_finite"),
         ],
     )
     def test_each_violation_has_distinct_code(self, tmp_path, overrides, code):
@@ -286,6 +295,15 @@ class TestErrorsAndDeterminism:
         assert len(data["schedules"]) == 1
         assert data["schedules"][0]["t_eps"] == pytest.approx(8.0 / 0.75)
 
+    @pytest.mark.parametrize("command", ["analyze", "mean-square", "mixing", "profile"])
+    def test_first_order_pair_with_non_normal_B_refused(self, tmp_path, capsys, command):
+        # the mode formula needs a normal B: here it would print 0.22313 at
+        # t = 1 for E|X_1|^2 = 2 e^-2 = 0.27067
+        path = write_config(tmp_path, mode="first_order", A=[[-1.0, 0.0], [0.0, -1.0]],
+                            B=[[0.0, 1.0], [0.0, 0.0]], x=[0.0, 1.0], t_grid=[1.0])
+        assert main([command, "--config", path, "--out", "-", "--paths", "200"]) == 1
+        assert capsys.readouterr().err == "hypotheses_violated\n"
+
     def test_non_numeric_vector_is_one_line_code(self, tmp_path, capsys):
         rc = main(["analyze", "--config", write_config(tmp_path, x="abc"), "--out", "-"])
         assert rc == 1
@@ -416,7 +434,14 @@ class TestOncePerReport:
         assert main(["analyze", "--config", path, "--out", str(tmp_path / "report")]) == 0
         assert (len(projectors), len(asymptotics)) == (2, 0)
         if mode == "first_order":
-            assert len(searches) == 1  # gamma_matrices' p_Gamma is passed on
+            assert len(searches) == 1
+
+    def test_failed_stabilizer_search_runs_once(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, mode="first_order", A=[[0.5]], B=[[0.1]])
+        searches = count_calls(monkeypatch, noncommutative_cutoff._stabilizing_p)
+        assert main(["analyze", "--config", path, "--out", "-"]) == 1
+        assert capsys.readouterr().err == "no_stabilizer\n"
+        assert len(searches) == 1
 
     def test_output_format_does_not_choose_the_format(self, tmp_path, capsys):
         path = write_config(tmp_path, output={"format": "csv"})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gbm_cutoff import cubic_solver
 from gbm_cutoff.cubic_solver import (
     CubicCoefficients,
     cardano_unique_real,
@@ -158,6 +159,36 @@ class TestCorrectionRoot:
                 -ell * math.log(t_eps),
             )
             assert abs(corr(r)) < 1e-9 * (1.0 + abs(corr.c0))
+
+    def test_newton_starts_at_the_root_of_the_correction_cubic(self, monkeypatch):
+        # the radicals solve the correction cubic itself, so Newton starts
+        # next to its root (cube-root cancellation costs a few digits) and
+        # meets the residual contract with no bracketing
+        cases = []
+        for seed in (44, 45, 46):
+            for k, c in enumerate(random_cutoff_cubics(100, seed)):
+                try:
+                    t_eps = cardano_unique_real(c)
+                except ToolkitError:  # three real roots: not a cutoff cubic
+                    continue
+                if t_eps > 1.0:
+                    cases.append((t_eps, c, 1 + k % 3))
+        assert len(cases) > 200
+        starts = []
+        polish = cubic_solver._polish
+
+        def recorded(f, fprime, t, target):
+            starts.append(t)
+            return polish(f, fprime, t, target)
+
+        def no_bracketing(*args):
+            raise AssertionError("Newton did not meet the residual contract")
+
+        monkeypatch.setattr(cubic_solver, "_polish", recorded)
+        monkeypatch.setattr(cubic_solver, "_bracketed_refine", no_bracketing)
+        for t_eps, c, ell in cases:
+            r = correction_root(t_eps, c, ell)
+            assert abs(starts[-1] - r) <= 1e-3 * abs(r)
 
     def test_consistency_with_log_cubic_at_small_eps(self):
         # tau = t + r approximates the log-cubic root T within 5% at eps = e^-20

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.linalg
 from gbm_cutoff.commutative_cutoff import mean_square_commutative
 from gbm_cutoff.cubic_solver import CubicCoefficients
 from gbm_cutoff.errors import ToolkitError
+from gbm_cutoff.hypothesis_checks import check_hypotheses
 from gbm_cutoff.noncommutative_cutoff import (
     cutoff_schedule_first_order,
     example35_check,
@@ -16,6 +18,7 @@ from gbm_cutoff.noncommutative_cutoff import (
     select_dominant_mode,
     synthetic_mode_decomposition,
 )
+from gbm_cutoff.simulate import exact_mean_square
 from gbm_cutoff.spectral_asymptotics import extract_asymptotics
 from gbm_cutoff.system import GBMSystem
 
@@ -38,14 +41,13 @@ def bisect_root(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def synthetic_example(x=(1.0, 1.0), p_gamma=None):
+def synthetic_example(x=(1.0, 1.0)):
     return synthetic_mode_decomposition(
         alpha=np.diag([0.2, 0.4]),
         beta=np.diag([0.3, 0.1]),
         Gamma=np.diag([-0.6, -1.2]),
         A=np.diag([-1.0, -2.0]),
         x=np.array(x),
-        p_gamma=p_gamma,
     )
 
 
@@ -231,9 +233,11 @@ class TestMeanSquareFirstOrder:
                 assert abs(a - b) <= 1e-10 * max(abs(b), 1.0)
 
     def test_p_gamma_independence(self):
+        # A is stable, so the search picks p_Gamma = 0; p = 2 is admissible too
         x = np.array([1.0, 1.0])
-        base = synthetic_example(p_gamma=0.0)
-        shifted = synthetic_example(p_gamma=2.0)
+        base = synthetic_example()
+        assert base.p_Gamma == 0.0
+        shifted = dataclasses.replace(base, p_Gamma=2.0, A_tilde=base.A + base.Gamma)
         for t in (0.3, 1.0, 2.2, 4.0):
             a = mean_square_first_order(base, x, t)
             b = mean_square_first_order(shifted, x, t)
@@ -249,6 +253,47 @@ class TestMeanSquareFirstOrder:
             a = mean_square_first_order(diag, x, t)
             b = mean_square_first_order(rot, R @ x, t)
             assert a == pytest.approx(b, rel=1e-10)
+
+
+def commuting_pair(seed, normal):
+    """A seeded commuting pair with d <= 4 and C = [B, A] = 0.  B = U T U^T in
+    a random orthonormal basis U: T holds 1x1 and rotation-scaling 2x2 blocks
+    when B is normal, and is upper triangular with a nonzero strict upper
+    part when it is not.  A is a quadratic in B shifted to be stable."""
+    rng = np.random.default_rng([seed, normal])
+    d = 1 + seed % 4 if normal else 2 + seed % 3
+    T = np.diag(rng.uniform(-1.0, 1.0, d))
+    if normal:
+        for i in range(0, d - 1, 2):
+            if rng.random() < 0.5:
+                s = rng.uniform(0.2, 1.0)
+                T[i, i + 1], T[i + 1, i], T[i + 1, i + 1] = s, -s, T[i, i]
+    else:
+        T += np.triu(rng.uniform(0.5, 1.5, (d, d)), 1)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    B = U @ T @ U.T
+    c1, c2 = rng.standard_normal(2)
+    A = c1 * B + c2 * (B @ B)
+    A -= (max(np.linalg.eigvals(A).real) + rng.uniform(0.1, 1.0)) * np.eye(d)
+    return GBMSystem(A=A, B=B, x=rng.standard_normal(d))
+
+
+class TestAgainstMomentEquation:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_normal_commuting_pair_matches_moment_equation(self, seed):
+        sys = commuting_pair(seed, normal=True)
+        dec = mode_decomposition(sys)
+        for t in (0.3, 1.0, 2.5):
+            exact = exact_mean_square(sys, t)
+            assert abs(mean_square_first_order(dec, sys.x, t) - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_commuting_pair_with_non_normal_B_is_refused(self, seed):
+        sys = commuting_pair(seed, normal=False)
+        assert not check_hypotheses(sys).normal_B
+        with pytest.raises(ToolkitError) as err:
+            mode_decomposition(sys)
+        assert err.value.code == "hypotheses_violated"
 
 
 class TestSelectionCascade:
