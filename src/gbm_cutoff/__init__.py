@@ -18,7 +18,7 @@ from .cubic_solver import (
     solve_log_cubic,
 )
 from .errors import ToolkitError
-from .hypothesis_checks import HypothesisReport, check_hypotheses, check_pair, nilpotence_diagnostic
+from .hypothesis_checks import HypothesisReport, check_hypotheses, check_pair
 from .linalg_core import (
     EigDecomposition,
     commutator,
@@ -92,7 +92,6 @@ __all__ = [
     "mixing_ratio_check",
     "mixing_time",
     "mode_decomposition",
-    "nilpotence_diagnostic",
     "profile_limit",
     "sample_exact_first_order",
     "sample_gaussian_pair",

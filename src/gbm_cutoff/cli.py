@@ -271,7 +271,7 @@ def cmd_analyze(cfg: RunConfig) -> tuple[str, str]:
     else:
         out["decomposition"] = form.to_dict()
         if cfg.mode == "first_order":
-            out["hypotheses"] = check_pair(cfg.A, cfg.B, cfg.tol).to_dict()
+            out["hypotheses"] = form.hypotheses.to_dict()
     out["schedules"] = [schedule(eps).to_dict() for eps in cfg.eps_list]
     return _json(out), "json"
 

@@ -3,11 +3,15 @@
 Four bracket-based regimes are tested with one relative tolerance:
 normality of B, commutativity of A and B, normality of C = [A, B], and
 first-order non-commutativity (C nonzero but commuting with A and B).
-The module also exposes a nilpotence diagnostic: whenever C commutes
+The report also carries a nilpotence witness: whenever C commutes
 with A (or B), all power traces of C vanish, so C is nilpotent; a
 nonzero nilpotent C can never be normal, which makes the combined
 normality + first-order hypothesis set infeasible.  The report states
 this tension explicitly rather than hiding it.
+
+This is the one module that tests the pair's brackets, against the one
+threshold tol (1 + |A|_F)(1 + |B|_F) of ``check_pair``; every regime gate
+(commutative drift, first-order modes, exact samplers) reads its report.
 """
 
 from __future__ import annotations
@@ -115,8 +119,3 @@ def power_traces(A, B) -> list[float]:
         P = P @ C
         out.append(float(np.trace(P)))
     return out
-
-
-def nilpotence_diagnostic(sys: GBMSystem) -> list[float]:
-    """Power traces of C = [A, B]; all vanish when C commutes with A or B."""
-    return power_traces(sys.A, sys.B)

@@ -22,7 +22,8 @@ import scipy.linalg
 from numpy.random import Generator, Philox
 
 from .errors import ToolkitError
-from .linalg_core import commutator, fro
+from .hypothesis_checks import check_hypotheses
+from .linalg_core import commutator
 from .system import GBMSystem
 
 SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_truncated")
@@ -150,13 +151,11 @@ def sample_gaussian_pairs(t: float, seed: int, n: int) -> tuple[np.ndarray, np.n
 
 
 def _first_order_matrix(sys: GBMSystem) -> np.ndarray:
-    """C = [B, A], checked to satisfy [A, C] = [B, C] = 0."""
-    A, B = sys.A, sys.B
-    C = commutator(B, A)
-    thr = sys.tol * sys.bracket_scale()
-    if fro(commutator(A, C)) > thr or fro(commutator(B, C)) > thr:
+    """C = [B, A], checked by the pair's report to satisfy [A, C] = [B, C] = 0."""
+    rep = check_hypotheses(sys)
+    if rep.residuals["commute_A_C"] > rep.threshold or rep.residuals["commute_B_C"] > rep.threshold:
         raise ToolkitError("representation_invalid", "[A,C] or [B,C] does not vanish")
-    return C
+    return commutator(sys.B, sys.A)
 
 
 def _ito_drift(sys: GBMSystem) -> np.ndarray:
@@ -164,13 +163,12 @@ def _ito_drift(sys: GBMSystem) -> np.ndarray:
     return sys.A + 0.5 * (sys.B @ sys.B)
 
 
-def _exact_exponents(sys: GBMSystem, t: float, scheme: str, z: np.ndarray) -> np.ndarray:
-    """tA + W_t B, plus (t W_t / 2 - int W ds) C for the first-order scheme,
-    from each path's 2 normals `z`."""
+def _exact_exponents(sys: GBMSystem, t: float, C: np.ndarray | None, z: np.ndarray) -> np.ndarray:
+    """tA + W_t B, plus (t W_t / 2 - int W ds) C unless C is None (the
+    commutative scheme), from each path's 2 normals `z`."""
     w, integral = _pairs(t, z)
     M = t * sys.A[None] + w[:, None, None] * sys.B[None]
-    if scheme == "exact_first_order":
-        C = _first_order_matrix(sys)
+    if C is not None:
         M = M + (0.5 * t * w - integral)[:, None, None] * C[None]
     return M
 
@@ -230,8 +228,9 @@ def _end_states(sys: GBMSystem, ts: list[float], scheme: str, dt: float, seed: i
         fs = _functionals(_walk(_increments(max(ks), dt, seed, lo, hi)), ks, dt)
         exponents = (_magnus_exponents(sys, t, f) for t, f in zip(ts, fs))
     else:
+        C = _first_order_matrix(sys) if scheme == "exact_first_order" else None
         z = _normals(seed, lo, hi, 2)
-        exponents = (_exact_exponents(sys, t, scheme, z) for t in ts)
+        exponents = (_exact_exponents(sys, t, C, z) for t in ts)
     return [scipy.linalg.expm(Y) @ sys.x for Y in exponents]
 
 
@@ -294,8 +293,10 @@ def _grid_steps(sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: 
         if not steps:  # the checks that do not depend on t, at the first t
             if not 0 <= seed < SEED_END:
                 raise ToolkitError("bad_seed", f"seed must lie in [0, 2^64), got {seed}")
-            if scheme == "exact_commutative" and fro(commutator(sys.A, sys.B)) > sys.tol * sys.bracket_scale():
-                raise ToolkitError("representation_invalid", "[A,B] does not vanish")
+            if scheme == "exact_commutative":
+                rep = check_hypotheses(sys)
+                if rep.residuals["commute_A_B"] > rep.threshold:
+                    raise ToolkitError("representation_invalid", "[A,B] does not vanish")
             if scheme == "exact_first_order":
                 _first_order_matrix(sys)
         if t == 0.0:

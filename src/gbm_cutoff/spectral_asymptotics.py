@@ -155,7 +155,7 @@ def _read_vector(parts, y: np.ndarray) -> tuple[float, int, list]:
 def extract_asymptotics(Q, y) -> SpectralAsymptotics:
     """Extract (q, ell, m, thetas, vs, K0, K1) for exp(tQ)y.
 
-    Q must be Hurwitz stable and y nonzero.
+    Q must be Hurwitz stable, y nonzero and exp(tQ)y decaying (q > 0).
     """
     Q = as_matrix(Q, "Q")
     y = as_vector(y, "y")
@@ -165,6 +165,8 @@ def extract_asymptotics(Q, y) -> SpectralAsymptotics:
         raise ToolkitError("not_stable", "Q is not Hurwitz stable")
 
     q, ell, kept = _read_vector(_split_spectrum(Q), y)
+    if q <= 0.0:  # a marginal mode of y: |exp(tQ)y| does not decay
+        raise ToolkitError("not_stable", f"slowest component of y decays at rate {q}")
     fact = math.factorial(ell - 1)
     thetas = [rep.imag for rep, _ in kept]
     vs = [top / fact for _, top in kept]

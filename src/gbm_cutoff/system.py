@@ -24,7 +24,6 @@ class GBMSystem:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        # private frozen copies: instances are shared read-only across threads
         self.A = as_matrix(self.A, "A").copy()
         self.B = as_matrix(self.B, "B").copy()
         self.x = as_vector(self.x, "x").copy()
@@ -43,9 +42,3 @@ class GBMSystem:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    def bracket_scale(self) -> float:
-        """Common scale (1 + |A|_F)(1 + |B|_F) for bracket residual tests."""
-        return float(
-            (1.0 + np.linalg.norm(self.A, "fro")) * (1.0 + np.linalg.norm(self.B, "fro"))
-        )

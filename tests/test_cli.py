@@ -304,6 +304,38 @@ class TestErrorsAndDeterminism:
         assert main([command, "--config", path, "--out", "-", "--paths", "200"]) == 1
         assert capsys.readouterr().err == "hypotheses_violated\n"
 
+    @pytest.mark.parametrize("command,code", [
+        ("analyze", "hypotheses_violated"),
+        ("mean-square", "hypotheses_violated"),
+        ("mixing", "hypotheses_violated"),
+        ("profile", "hypotheses_violated"),
+        ("verify", "representation_invalid"),
+    ])
+    def test_first_order_pair_outside_both_regimes_refused(self, tmp_path, capsys, command, code):
+        # B is normal, but the pair is neither commutative nor first order: the
+        # mode formula would print 0.070756 at t = 2 for E|X_2|^2 = 1.7757e-4
+        path = write_config(tmp_path, mode="first_order", A=[[-3.0, 0.0], [0.0, -2.0]],
+                            B=[[0.0, -1.0], [1.0, 0.0]], x=[1.0, 1.0], t_grid=[2.0])
+        assert main([command, "--config", path, "--out", "-", "--paths", "200"]) == 1
+        assert capsys.readouterr().err == code + "\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "mixing", "profile"])
+    @pytest.mark.parametrize("A", [[[0.0]], [[0.0, 1.0], [-1.0, 0.0]]])
+    def test_marginal_drift_is_not_stable(self, tmp_path, capsys, command, A):
+        # exp(tQ)x does not decay, so there is no cutoff to schedule
+        path = write_config(tmp_path, A=A, B=np.zeros_like(A).tolist(), x=[1.0] * len(A))
+        assert main([command, "--config", path, "--out", "-"]) == 1
+        assert capsys.readouterr().err == "not_stable\n"
+
+    def test_marginal_mode_that_x_misses_is_kept(self, tmp_path, capsys):
+        # Q = diag(-1, 0) is not strictly stable, but |exp(tQ)e1|^2 = e^-2t
+        # reaches delta eps^2 at its mixing time
+        path = write_config(tmp_path, A=[[-1.0, 0.0], [0.0, 0.0]], B=[[0.0, 0.0], [0.0, 0.0]],
+                            x=[1.0, 0.0], eps_list=[math.exp(-4)], delta=0.5)
+        assert main(["mixing", "--config", path, "--out", "-"]) == 0
+        tau = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+        assert math.exp(-2.0 * tau) == pytest.approx(0.5 * math.exp(-8), rel=1e-6)
+
     def test_non_numeric_vector_is_one_line_code(self, tmp_path, capsys):
         rc = main(["analyze", "--config", write_config(tmp_path, x="abc"), "--out", "-"])
         assert rc == 1
@@ -405,15 +437,25 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 class TestOncePerReport:
-    @pytest.mark.parametrize("command", ["analyze", "mixing", "profile"])
-    @pytest.mark.parametrize("mode", ["commutative", "synthetic"])
+    @pytest.mark.parametrize("mode,command", [
+        (mode, command) for mode in ("commutative", "synthetic") for command in ("analyze", "mixing", "profile")
+    ] + [("first_order", "analyze")])
     def test_closed_form_is_built_once(self, tmp_path, monkeypatch, mode, command):
-        path = write_config(tmp_path) if mode == "commutative" else synthetic_config(tmp_path)
+        if mode == "synthetic":
+            path = synthetic_config(tmp_path)
+        elif mode == "first_order":
+            path = write_config(tmp_path, mode="first_order", A=[[-2.0, 0.0], [0.0, -3.0]],
+                                B=[[1.0, 0.0], [0.0, 0.5]], x=[1.0, 1.0])
+        else:
+            path = write_config(tmp_path)
+        reports = count_calls(monkeypatch, hypothesis_checks.check_pair)
         checks = count_calls(monkeypatch, hypothesis_checks.check_hypotheses)
         decompositions = count_calls(monkeypatch, noncommutative_cutoff._decompose)
         asymptotics = count_calls(monkeypatch, spectral_asymptotics.extract_asymptotics)
         assert main([command, "--config", path, "--out", str(tmp_path / "report")]) == 0
         assert len(checks) <= 1
+        # one report per pair: first-order analyze prints the one its gate read
+        assert len(reports) == (mode != "synthetic")
         if mode == "commutative":
             assert (len(decompositions), len(asymptotics)) == (0, 1)
         else:
@@ -458,6 +500,14 @@ class TestOncePerReport:
         draws = count_calls(monkeypatch, simulate._normals)
         assert main([command, "--config", path, "--out", str(tmp_path / "report"), "--paths", "200"]) == 0
         assert len(draws) == kernel_calls  # one batch of 200 paths, drawn at the largest t
+
+    def test_first_order_gate_runs_once_per_kernel_call(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, **HEISENBERG)
+        gates = count_calls(monkeypatch, simulate._first_order_matrix)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "report"), "--paths", "200"]) == 0
+        # verify's own check, the exact scheme's grid check and its one batch,
+        # not one more per t of the grid
+        assert len(gates) <= 3
 
     def test_unstable_commutative_pair_still_has_a_mean_square(self, tmp_path, capsys):
         # mean-square never needs the asymptotics, which would reject Q = 0.1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gbm_cutoff.errors import ToolkitError
-from gbm_cutoff.hypothesis_checks import check_hypotheses, check_pair, nilpotence_diagnostic
+from gbm_cutoff.hypothesis_checks import check_hypotheses, check_pair
 from gbm_cutoff.system import GBMSystem
 
 
@@ -95,17 +95,17 @@ class TestNilpotenceDiagnostic:
     def test_heisenberg_traces_vanish(self):
         A, B = HEISENBERG
         sys = GBMSystem(A=A, B=B, x=np.array([0.0, 0.0, 1.0]))
-        assert nilpotence_diagnostic(sys) == [0.0, 0.0, 0.0]
+        assert check_hypotheses(sys).nilpotence_witness == [0.0, 0.0, 0.0]
 
     def test_commuting_pair_traces_vanish(self):
         sys = GBMSystem(A=np.diag([-2.0, -3.0]), B=np.diag([1.0, 0.5]), x=np.array([1.0, 1.0]))
-        assert nilpotence_diagnostic(sys) == [0.0, 0.0]
+        assert check_hypotheses(sys).nilpotence_witness == [0.0, 0.0]
 
     def test_generic_pair_has_nonzero_power_trace(self):
         rng = np.random.default_rng(22)
         A, B = rng.standard_normal((2, 4, 4))
         sys = GBMSystem(A=A, B=B, x=np.ones(4))
-        traces = nilpotence_diagnostic(sys)
+        traces = check_hypotheses(sys).nilpotence_witness
         assert traces[0] == pytest.approx(0.0, abs=1e-12)  # trace[A,B] = 0 always
         assert abs(traces[1]) > 1e-3  # trace(C^2) generically nonzero
 
@@ -119,7 +119,7 @@ class TestNilpotenceDiagnostic:
         assert C_norm > 10 * rep.threshold
         bound = d * tol * (1.0 + C_norm) ** d
         sys = GBMSystem(A=A, B=B, x=np.array([0.0, 0.0, 1.0]))
-        assert max(abs(v) for v in nilpotence_diagnostic(sys)) <= bound
+        assert max(abs(v) for v in check_hypotheses(sys).nilpotence_witness) <= bound
 
     def test_check_hypotheses_accepts_system(self):
         sys = GBMSystem(A=np.diag([-1.0]), B=np.diag([0.5]), x=np.array([1.0]))

@@ -278,10 +278,37 @@ def commuting_pair(seed, normal):
     return GBMSystem(A=A, B=B, x=rng.standard_normal(d))
 
 
+def normal_integer_pair(seed):
+    """A seeded pair with d <= 4 and a normal B: B antisymmetric and A = -2I,
+    both plus entries in {-1, 0, 1}.  Most such pairs are neither commutative
+    nor first order."""
+    rng = np.random.default_rng([seed, 3])
+    d = 2 + seed % 3
+    A = -2.0 * np.eye(d) + rng.integers(-1, 2, (d, d))
+    U = np.triu(rng.integers(-1, 2, (d, d)), 1)
+    return GBMSystem(A=A, B=U - U.T, x=rng.standard_normal(d))
+
+
 class TestAgainstMomentEquation:
     @pytest.mark.parametrize("seed", range(20))
     def test_normal_commuting_pair_matches_moment_equation(self, seed):
         sys = commuting_pair(seed, normal=True)
+        dec = mode_decomposition(sys)
+        for t in (0.3, 1.0, 2.5):
+            exact = exact_mean_square(sys, t)
+            assert abs(mean_square_first_order(dec, sys.x, t) - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_normal_pair_is_refused_outside_both_regimes(self, seed):
+        # the mode formula rests on the hypotheses, not only on step III:
+        # seeds 0, 3, 10, 12, 15 and 18 pass step III but neither hypothesis
+        sys = normal_integer_pair(seed)
+        rep = check_hypotheses(sys)
+        assert rep.normal_B
+        if not (rep.commutative or rep.first_order):
+            with pytest.raises(ToolkitError):
+                mode_decomposition(sys)
+            return
         dec = mode_decomposition(sys)
         for t in (0.3, 1.0, 2.5):
             exact = exact_mean_square(sys, t)
