@@ -4,7 +4,9 @@ mean square of any pair from its linear second-moment equation.
 
 Every path draws from its own counter-based substream, keyed by
 (seed, path index), so estimates are reproducible bit for bit no matter
-how paths are batched.  Each scheme is one batch kernel over a range of
+how paths are batched.  The rows of a batch are drawn on every usable
+CPU, one contiguous chunk each, and the output does not depend on the CPU
+count.  Each scheme is one batch kernel over a range of
 path indices and a grid of times: a path is drawn once, at the largest t,
 and every other t reads a prefix of that draw.  The public single-path
 functions are its n = 1 views.  The reduction uses exact compensated
@@ -14,6 +16,8 @@ summation over the per-path values in index order.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,8 +41,21 @@ _BATCH = 8192
 _MAX_BATCH_DOUBLES = 1 << 24
 
 
-def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
-    """(hi - lo, k) standard normals; row i is the first k draws of path lo + i.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+# One chunk of each batch's rows per usable CPU; the pool's threads fill them
+# in parallel, as Generator.standard_normal releases the GIL while it draws.
+_WORKERS = _usable_cpus()
+_POOL = ThreadPoolExecutor(_WORKERS)
+
+
+def _fill(z: np.ndarray, seed: int, lo: int) -> None:
+    """Fill row i of `z` with the first draws of path lo + i.
 
     One Philox per call, re-keyed to (seed, index) with counter 0 for each
     path: the same draws as a generator built afresh from that key.
@@ -47,11 +64,27 @@ def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
     gen = Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
-    z = np.empty((hi - lo, k))
-    for i in range(hi - lo):
+    for i in range(len(z)):
         key[1] = lo + i
         bitgen.state = state
         gen.standard_normal(out=z[i])
+
+
+def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
+    """(hi - lo, k) standard normals; row i is the first k draws of path lo + i.
+
+    The rows are split into one contiguous chunk per worker.  Each row's
+    draws depend only on its key, so the split changes no bit.
+    """
+    rows = hi - lo
+    z = np.empty((rows, k))
+    n = min(_WORKERS, rows)
+    if n <= 1:
+        _fill(z, seed, lo)
+        return z
+    cuts = [rows * j // n for j in range(n + 1)]
+    # list() waits for every chunk and re-raises a worker's exception
+    list(_POOL.map(lambda a, b: _fill(z[a:b], seed, lo + a), cuts[:-1], cuts[1:]))
     return z
 
 
@@ -191,6 +224,19 @@ def _magnus_exponents(sys: GBMSystem, t: float, f: PathFunctionals) -> np.ndarra
     )
 
 
+def _prefix_products(f: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+    """np.prod(f[:, :k], axis=1) for each k of `ks`, bit for bit, in one pass
+    over the columns; overwrites `f`.  Each prefix product is folded into the
+    first factor of the next segment, which continues numpy's left-to-right
+    chain of multiplies instead of restarting it."""
+    prods, prev = {}, 0
+    for k in sorted(set(ks)):
+        if prev:
+            f[:, prev] *= prods[prev]
+        prods[k], prev = np.prod(f[:, prev:k], axis=1), k
+    return [prods[k] for k in ks]
+
+
 def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, hi: int) -> list[np.ndarray]:
     """Euler-Maruyama states of the Ito form dX = (A + B^2/2) X dt + B X dW
     after k steps, for each k of `ks`, from one draw of max(ks) steps."""
@@ -201,7 +247,7 @@ def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, 
         # 1 + drift dt + B dW, built in place of the increments
         inc *= sys.B[0, 0]
         inc += 1.0 + drift[0, 0] * dt
-        return [(sys.x[0] * np.prod(inc[:, :k], axis=1))[:, None] for k in ks]
+        return [(sys.x[0] * p)[:, None] for p in _prefix_products(inc, ks)]
     # numpy multiplies a one-row matrix through gemv, which rounds differently
     # from gemm; stepping a lone path as two rows keeps its bits batch-independent
     rows = max(hi - lo, 2)
@@ -217,10 +263,14 @@ def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, 
     return [states[k] for k in ks]
 
 
-def _end_states(sys: GBMSystem, ts: list[float], scheme: str, dt: float, seed: int, lo: int, hi: int) -> list[np.ndarray]:
+def _end_states(
+    sys: GBMSystem, ts: list[float], scheme: str, dt: float, seed: int, lo: int, hi: int, C: np.ndarray | None = None
+) -> list[np.ndarray]:
     """X_t(x) under `scheme` for each t of `ts` (all > 0), one row per path
     lo..hi-1.  Each path is drawn once, at the largest t; every other t reads
-    a prefix of that draw, so its rows are those of a draw at that t."""
+    a prefix of that draw, so its rows are those of a draw at that t.  `C` is
+    the gated C = [B, A] of exact_first_order (from _first_order_matrix), and
+    None for every other scheme."""
     if scheme == "euler_maruyama":
         return _euler_states(sys, [_nsteps(t, dt) for t in ts], dt, seed, lo, hi)
     if scheme == "magnus_truncated":
@@ -228,7 +278,6 @@ def _end_states(sys: GBMSystem, ts: list[float], scheme: str, dt: float, seed: i
         fs = _functionals(_walk(_increments(max(ks), dt, seed, lo, hi)), ks, dt)
         exponents = (_magnus_exponents(sys, t, f) for t, f in zip(ts, fs))
     else:
-        C = _first_order_matrix(sys) if scheme == "exact_first_order" else None
         z = _normals(seed, lo, hi, 2)
         exponents = (_exact_exponents(sys, t, C, z) for t in ts)
     return [scipy.linalg.expm(Y) @ sys.x for Y in exponents]
@@ -236,7 +285,8 @@ def _end_states(sys: GBMSystem, ts: list[float], scheme: str, dt: float, seed: i
 
 def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) -> np.ndarray:
     """X_t(x) = exp(tA + W_t B + (t W_t / 2 - int W ds) C) x with one exact pair."""
-    return _end_states(sys, [t], "exact_first_order", 0.0, seed, index, index + 1)[0][0]
+    C = _first_order_matrix(sys)
+    return _end_states(sys, [t], "exact_first_order", 0.0, seed, index, index + 1, C)[0][0]
 
 
 def euler_maruyama(sys: GBMSystem, t: float, dt: float, seed: int, index: int) -> np.ndarray:
@@ -279,14 +329,18 @@ class MCEstimate:
         }
 
 
-def _grid_steps(sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int) -> list[int]:
+def _grid_steps(
+    sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int
+) -> tuple[list[int], np.ndarray | None]:
     """Steps per path at each t of the grid: 0 at t = 0, 1 for an exact
-    scheme.  The checks run in grid order, as one estimate per t runs them."""
+    scheme; and the gated C = [B, A] of exact_first_order, None for any
+    other scheme.  The checks run in grid order, as one estimate per t runs
+    them."""
     if scheme not in SCHEMES:
         raise ToolkitError("bad_scheme", f"scheme must be one of {SCHEMES}")
     if n_paths < 100:
         raise ToolkitError("bad_path_count", "need at least 100 paths")
-    steps = []
+    steps, C = [], None
     for t in ts:
         if t < 0:
             raise ToolkitError("bad_time", "t must be nonnegative")
@@ -298,7 +352,7 @@ def _grid_steps(sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: 
                 if rep.residuals["commute_A_B"] > rep.threshold:
                     raise ToolkitError("representation_invalid", "[A,B] does not vanish")
             if scheme == "exact_first_order":
-                _first_order_matrix(sys)
+                C = _first_order_matrix(sys)
         if t == 0.0:
             steps.append(0)
             continue
@@ -310,14 +364,14 @@ def _grid_steps(sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: 
         if k > _MAX_BATCH_DOUBLES:
             raise ToolkitError("too_many_steps", f"t/dt = {k} exceeds {_MAX_BATCH_DOUBLES} steps per path")
         steps.append(k)
-    return steps
+    return steps, C
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     n = len(values)
     try:
         mean = math.fsum(values) / n
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        var = math.fsum(np.square(values - mean)) / (n - 1)
     except OverflowError:  # finite values whose exact sum is beyond the double range
         return math.inf, math.inf
     return mean, math.sqrt(var / n)
@@ -345,7 +399,7 @@ def estimate_mean_squares(
     d^2 > 2^24 with ``too_large``, and an estimate whose value or standard
     error is not finite with ``report_not_finite``.
     """
-    steps = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
+    steps, C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
     drawn = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
     values = {t: np.empty(n_paths) for t in drawn}
     # overflow surfaces as a non-finite estimate, refused below
@@ -354,7 +408,7 @@ def estimate_mean_squares(
             rows = min(_BATCH, _MAX_BATCH_DOUBLES // max(max(steps), sys.dim**2))
             for lo in range(0, n_paths, rows):
                 hi = min(lo + rows, n_paths)
-                for t, X in zip(drawn, _end_states(sys, drawn, scheme, dt, seed, lo, hi)):
+                for t, X in zip(drawn, _end_states(sys, drawn, scheme, dt, seed, lo, hi, C)):
                     values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
         moments = {t: _mean_and_se(v) for t, v in values.items()}
         at_zero = (float(sys.x @ sys.x), 0.0)

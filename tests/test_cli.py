@@ -505,9 +505,9 @@ class TestOncePerReport:
         path = write_config(tmp_path, **HEISENBERG)
         gates = count_calls(monkeypatch, simulate._first_order_matrix)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "report"), "--paths", "200"]) == 0
-        # verify's own check, the exact scheme's grid check and its one batch,
-        # not one more per t of the grid
-        assert len(gates) <= 3
+        # verify's own check and the exact scheme's grid check, whose C every
+        # batch reads: none per batch or per t of the grid
+        assert len(gates) == 2
 
     def test_unstable_commutative_pair_still_has_a_mean_square(self, tmp_path, capsys):
         # mean-square never needs the asymptotics, which would reject Q = 0.1

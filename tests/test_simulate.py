@@ -1,13 +1,15 @@
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.random import Generator, Philox
 
-from gbm_cutoff import simulate
+from gbm_cutoff import hypothesis_checks, simulate
 from gbm_cutoff.commutative_cutoff import mean_square_commutative
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.noncommutative_cutoff import mean_square_first_order, mode_decomposition
@@ -158,6 +160,18 @@ class TestExactFirstOrder:
         with pytest.raises(ToolkitError) as err:
             sample_exact_first_order(sys, 1.0, 0, 0)
         assert err.value.code == "representation_invalid"
+
+    def test_gate_runs_once_per_estimate(self, monkeypatch):
+        # 20,000 paths are 3 batches; C = [B, A] is gated once, by the grid check
+        reports, check = [], hypothesis_checks.check_pair
+
+        def counted(*args):
+            reports.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(hypothesis_checks, "check_pair", counted)
+        estimate_mean_squares(heisenberg_system(), [1.0], "exact_first_order", 20_000, seed=64)
+        assert len(reports) == 1
 
 
 class TestEulerMaruyama:
@@ -342,7 +356,8 @@ class TestBatchRows:
     def test_batch_row_is_its_single_path(self, system, scheme):
         sys = system()
         t, dt, seed, n = 0.3, 1e-2, 81, 40
-        X = simulate._end_states(sys, [t], scheme, dt, seed, 0, n)[0]
+        C = simulate._first_order_matrix(sys) if scheme == "exact_first_order" else None
+        X = simulate._end_states(sys, [t], scheme, dt, seed, 0, n, C)[0]
         for i in range(n):
             assert np.array_equal(X[i], single_end_state(sys, t, scheme, dt, seed, i))
 
@@ -423,7 +438,51 @@ class TestBatchMemory:
         assert err.value.code == "too_large"
 
 
+@pytest.fixture
+def three_workers(monkeypatch):
+    """Split each batch's draws into 3 chunks on a pool of 3 threads, whatever
+    the CPU count; yields the row count of each chunk filled."""
+    chunks, fill = [], simulate._fill
+
+    def counted(z, seed, lo):
+        chunks.append(len(z))
+        fill(z, seed, lo)
+
+    pool, interval = ThreadPoolExecutor(3), getswitchinterval()
+    monkeypatch.setattr(simulate, "_WORKERS", 3)
+    monkeypatch.setattr(simulate, "_POOL", pool)
+    monkeypatch.setattr(simulate, "_fill", counted)
+    setswitchinterval(1e-6)  # interleave the chunks' threads often
+    try:
+        yield chunks
+    finally:
+        setswitchinterval(interval)
+        pool.shutdown()
+
+
 class TestSubstreams:
+    @pytest.mark.parametrize("rows,split", [(1, [1]), (2, [1, 1]), (7, [2, 2, 3]), (8193, [2731, 2731, 2731])])
+    def test_chunked_rows_are_generators_built_afresh(self, three_workers, rows, split):
+        seed, lo, k = 17, 40, 5
+        z = simulate._normals(seed, lo, lo + rows, k)
+        assert sorted(three_workers) == split
+        for i, row in enumerate(z):
+            fresh = Generator(Philox(key=np.array([seed, lo + i], dtype=np.uint64)))
+            assert np.array_equal(row, fresh.standard_normal(k))
+
+    @pytest.mark.parametrize(
+        "name,scheme",
+        [("scalar", s) for s in SCHEMES]
+        + [("dense", "euler_maruyama"), ("dense", "magnus_truncated"), ("dense commuting", "exact_first_order")],
+    )
+    def test_estimates_do_not_depend_on_the_worker_count(self, monkeypatch, three_workers, name, scheme):
+        sys = grid_system(name)
+        three = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=0.01, seed=91)]
+        assert sorted(three_workers) == [100, 100, 101]  # one batch, drawn once
+        monkeypatch.setattr(simulate, "_WORKERS", 1)
+        one = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=0.01, seed=91)]
+        assert three == one
+
     def test_distinct_indices_distinct_draws(self):
         a, b = simulate._normals(5, 0, 2, 4)
         assert not np.allclose(a, b)
@@ -519,6 +578,13 @@ class TestPrefixReductions:
         prefix = np.prod(self.F[:, :k], axis=1)
         assert np.array_equal(prefix, np.prod(np.array(self.F[:, :k]), axis=1))
         assert np.array_equal(prefix, np.cumprod(self.F, axis=1)[:, k - 1])
+
+    @pytest.mark.parametrize("ks", [[1, 2, 7, 250, 1001, 1999, 2000], [250, 7, 2000, 7, 1, 250], [1999]])
+    def test_folded_prefix_products_are_fresh_products(self, ks):
+        products = simulate._prefix_products(self.F.copy(), ks)
+        assert len(products) == len(ks)
+        for k, p in zip(ks, products):
+            assert np.array_equal(p, np.prod(self.F[:, :k], axis=1))
 
     @pytest.mark.parametrize("k", [1, 2, 7, 250, 1001, 1999, 2000])
     def test_prefix_sums_are_fresh_sums(self, k):
