@@ -22,6 +22,7 @@ from .hypothesis_checks import HypothesisReport, check_hypotheses, check_pair
 from .linalg_core import (
     EigDecomposition,
     commutator,
+    expm_stack,
     is_hurwitz,
     matrix_exp,
     sym_eig,
@@ -82,6 +83,7 @@ __all__ = [
     "euler_maruyama",
     "exact_mean_square",
     "example35_check",
+    "expm_stack",
     "extract_asymptotics",
     "gamma_matrices",
     "is_hurwitz",

@@ -73,6 +73,86 @@ def matrix_exp(U) -> np.ndarray:
     return scipy.linalg.expm(as_matrix(U, "U"))
 
 
+# Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, over b_0,
+# and the 1-norm up to which it is accurate to double precision (Higham
+# 2005).  With b_0 = 1 the approximant of a zero or nilpotent matrix has an
+# exact unit diagonal, which squaring then keeps.
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+))
+_THETA13 = 5.371920351148152
+
+
+def expm_stack(Y) -> np.ndarray:
+    """exp(Y[i]) for each matrix of an (n, d, d) stack.
+
+    Pade-13 scaling and squaring (Higham 2005) with one scaling power per
+    matrix, s_i = max(0, ceil(log2(|Y_i|_1 / theta_13))), chosen for each
+    matrix alone as in Al-Mohy & Higham 2009: row i is squared s_i times.
+    A 1 x 1 stack takes the scalar exponential, as scipy.linalg.expm does.
+    Every step works on each matrix alone, so row i's bits do not depend on
+    its neighbours or on n.  A row with a non-finite entry or 1-norm comes
+    out all NaN; a row whose exponential overflows comes out non-finite.
+    """
+    Y = np.asarray(Y, dtype=float)
+    norms = np.abs(Y).sum(axis=1).max(axis=1)
+    bad = ~np.isfinite(norms)
+    R = np.exp(Y) if Y.shape[-1] == 1 else _pade13_squared(Y, norms)
+    R[bad] = np.nan
+    return R
+
+
+def _pade13_squared(Y: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The Pade-13 scaling and squaring of expm_stack, given the 1-norms of
+    Y.  Besides Y, at most six (n, d, d) arrays are held at once."""
+    n, d = len(Y), Y.shape[-1]
+    # ceil(log2(r)) is e - 1 when r = m 2^e with m = 1/2, else e; a row with
+    # a non-finite 1-norm is not squared (C leaves frexp's e unspecified there)
+    m, e = np.frexp(norms / _THETA13)
+    s = np.where(np.isfinite(norms), np.maximum(e - (m == 0.5), 0), 0)
+    X = np.ldexp(Y, -s[:, None, None])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    u, w = np.empty_like(X), np.empty_like(X)
+
+    def add_even(out, scratch, c6, c4, c2, c0=None):
+        """out = c6 X6 + c4 X4 + c2 X2 when c0 is None, else
+        out += c6 X6 + c4 X4 + c2 X2 + c0 I."""
+        if c0 is None:
+            np.multiply(X6, c6, out=out)
+        else:
+            out += np.multiply(X6, c6, out=scratch)
+            out.reshape(n, d * d)[:, :: d + 1] += c0
+        out += np.multiply(X4, c4, out=scratch)
+        out += np.multiply(X2, c2, out=scratch)
+
+    b = _PADE13
+    # U = X (X6 (b13 X6 + b11 X4 + b9 X2) + b7 X6 + b5 X4 + b3 X2 + b1 I), in u
+    add_even(u, w, b[13], b[11], b[9])
+    np.matmul(X6, u, out=w)
+    add_even(w, u, b[7], b[5], b[3], b[1])
+    np.matmul(X, w, out=u)
+    # V = X6 (b12 X6 + b10 X4 + b8 X2) + b6 X6 + b4 X4 + b2 X2 + b0 I, in X
+    add_even(w, X, b[12], b[10], b[8])
+    np.matmul(X6, w, out=X)
+    add_even(X, w, b[6], b[4], b[2], b[0])
+    # drop each array once it is spent, so that the solve and the squarings
+    # stay within the six
+    del X2, X4, X6
+    np.add(X, u, out=w)  # V + U
+    X -= u  # V - U
+    del u
+    R = np.linalg.solve(X, w)
+    del X, w
+    for j in range(int(s.max(initial=0))):
+        rows = s > j
+        R[rows] = R[rows] @ R[rows]
+    return R
+
+
 def is_hurwitz(U, margin: float = 0.0) -> bool:
     """True iff every eigenvalue of U has real part <= -margin."""
     U = as_matrix(U, "U")

@@ -5,12 +5,15 @@ mean square of any pair from its linear second-moment equation.
 Every path draws from its own counter-based substream, keyed by
 (seed, path index), so estimates are reproducible bit for bit no matter
 how paths are batched.  The rows of a batch are drawn on every usable
-CPU, one contiguous chunk each, and the output does not depend on the CPU
-count.  Each scheme is one batch kernel over a range of
+CPU, one contiguous chunk each, when a row holds enough draws to pay for the
+threads, and on the calling thread otherwise; the output does not depend on
+the CPU count.  Each scheme is one batch kernel over a range of
 path indices and a grid of times: a path is drawn once, at the largest t,
-and every other t reads a prefix of that draw.  The public single-path
-functions are its n = 1 views.  The reduction uses exact compensated
-summation over the per-path values in index order.
+and every other t reads a prefix of that draw.  The exact and Magnus
+kernels exponentiate the batch's stack of exponents at once with
+linalg_core.expm_stack, whose rows do not depend on each other.  The public
+single-path functions are its n = 1 views.  The reduction uses exact
+compensated summation over the per-path values in index order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
-from .linalg_core import commutator
+from .linalg_core import commutator, expm_stack
 from .system import GBMSystem
 
 SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_truncated")
@@ -52,6 +55,12 @@ def _usable_cpus() -> int:
 # in parallel, as Generator.standard_normal releases the GIL while it draws.
 _WORKERS = _usable_cpus()
 _POOL = ThreadPoolExecutor(_WORKERS)
+# Rows of fewer draws are filled on the calling thread: re-keying a row holds
+# the GIL, and below this width it outweighs the draws, so the pool's threads
+# only contend.  Pooled over inline time for about 2^20 draws (8192 rows at
+# 2 draws), median of 31, 2 cores, numpy 2.4.6: 1.0-1.4 at 2 draws per row,
+# 1.3-1.4 at 256, 1.1-1.2 at 512, 0.85-0.92 at 640, 0.7-0.8 at 1000 and 2000.
+_POOLED_MIN_DRAWS = 640
 
 
 def _fill(z: np.ndarray, seed: int, lo: int) -> None:
@@ -73,12 +82,13 @@ def _fill(z: np.ndarray, seed: int, lo: int) -> None:
 def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
     """(hi - lo, k) standard normals; row i is the first k draws of path lo + i.
 
-    The rows are split into one contiguous chunk per worker.  Each row's
-    draws depend only on its key, so the split changes no bit.
+    Rows of at least _POOLED_MIN_DRAWS draws are split into one contiguous
+    chunk per worker.  Each row's draws depend only on its key, so the split
+    changes no bit.
     """
     rows = hi - lo
     z = np.empty((rows, k))
-    n = min(_WORKERS, rows)
+    n = min(_WORKERS, rows) if k >= _POOLED_MIN_DRAWS else 1
     if n <= 1:
         _fill(z, seed, lo)
         return z
@@ -280,7 +290,7 @@ def _end_states(
     else:
         z = _normals(seed, lo, hi, 2)
         exponents = (_exact_exponents(sys, t, C, z) for t in ts)
-    return [scipy.linalg.expm(Y) @ sys.x for Y in exponents]
+    return [expm_stack(Y) @ sys.x for Y in exponents]
 
 
 def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.linalg_core import (
     CLUSTER_GAP,
     commutator,
+    expm_stack,
     is_hurwitz,
     matrix_exp,
     matrix_from_rows,
@@ -12,6 +15,7 @@ from gbm_cutoff.linalg_core import (
     sym_eig,
     simultaneous_diagonalize,
 )
+from gbm_cutoff.simulate import sample_gaussian_pairs
 
 
 def series_expm(M, terms=60):
@@ -129,6 +133,114 @@ class TestMatrixExp:
         with pytest.raises(ToolkitError) as err:
             matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
         assert err.value.code == "not_finite"
+
+
+def nilpotent(a, b, c):
+    """A strictly upper-triangular 3 x 3 matrix; its exponential is I + Y + Y^2/2."""
+    return np.array([[0.0, a, b], [0.0, 0.0, c], [0.0, 0.0, 0.0]])
+
+
+def rel_one(X, R):
+    """Normwise (1-norm) relative error of X against the reference R."""
+    return np.linalg.norm(X - R, 1) / np.linalg.norm(R, 1)
+
+
+class TestExpmStack:
+    # Largest normwise error against these exact references over 2000 draws
+    # of each family below (numpy 2.4.6): strictly upper-triangular 3.3e-16
+    # (entries up to 2^20), U diag(lambda) U^T 4.7e-15, rotation-scaling
+    # 3.8e-15, 1 x 1 2.2e-16.
+    RTOL = 1e-14
+
+    def test_strictly_upper_triangular(self):
+        rng = np.random.default_rng(11)
+        entries = rng.standard_normal((300, 3)) * rng.choice([0.1, 1.0, 3.0], (300, 1))
+        Y = np.array([nilpotent(*v) for v in entries])
+        for R, M in zip(expm_stack(Y), Y):
+            assert rel_one(R, np.eye(3) + M + M @ M / 2) <= self.RTOL
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_heisenberg_exponents(self, t):
+        # t A + W_t B + (t W_t / 2 - int W) [B, A] with A = E23, B = E12, [B, A] = E13
+        w, integral = sample_gaussian_pairs(t, 12, 500)
+        Y = np.array([nilpotent(a, 0.5 * t * a - i, t) for a, i in zip(w, integral)])
+        for R, M in zip(expm_stack(Y), Y):
+            assert rel_one(R, np.eye(3) + M + M @ M / 2) <= self.RTOL
+
+    def test_one_by_one_is_the_scalar_exponential(self):
+        y = np.linspace(-30.0, 30.0, 601)
+        R = expm_stack(y[:, None, None])
+        assert R.shape == (601, 1, 1)
+        for r, v in zip(R[:, 0, 0], y):
+            assert r == pytest.approx(math.exp(v), rel=self.RTOL)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_orthogonally_diagonalizable(self, d):
+        rng = np.random.default_rng(13 + d)
+        Ys, refs = [], []
+        for _ in range(100):
+            U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            lam = rng.uniform(-3.0, 3.0, d)
+            Ys.append(U @ np.diag(lam) @ U.T)
+            refs.append(U @ np.diag(np.exp(lam)) @ U.T)
+        for R, ref in zip(expm_stack(np.array(Ys)), refs):
+            assert rel_one(R, ref) <= self.RTOL
+
+    def test_rotation_scaling_blocks(self):
+        rng = np.random.default_rng(14)
+        ab = rng.uniform(-3.0, 3.0, (300, 2))
+        Y = np.array([[[a, b], [-b, a]] for a, b in ab])
+        for R, (a, b) in zip(expm_stack(Y), ab):
+            ref = math.exp(a) * np.array([[math.cos(b), math.sin(b)], [-math.sin(b), math.cos(b)]])
+            assert rel_one(R, ref) <= self.RTOL
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_zero_gives_identity(self, d):
+        assert np.array_equal(expm_stack(np.zeros((3, d, d))), np.broadcast_to(np.eye(d), (3, d, d)))
+
+    def test_rows_with_scaling_powers_0_to_30(self):
+        # 1-norm 0.75 theta_13 2^k, so row k is squared k times (row 0 not at all)
+        r = 0.75 * 5.371920351148152 * 2.0 ** np.arange(31)
+        Y = np.array([nilpotent(0.5 * v, 0.25 * v, -0.5 * v) for v in r])
+        R = expm_stack(Y)
+        for k, (Rk, M) in enumerate(zip(R, Y)):
+            assert rel_one(Rk, np.eye(3) + M + M @ M / 2) <= self.RTOL
+            assert np.array_equal(Rk, expm_stack(M[None])[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_row_is_the_kernel_on_that_row_alone(self, d, n):
+        rng = np.random.default_rng([15, d])
+        scales = np.repeat([0.01, 0.3, 1.0, 5.0, 40.0, 300.0], 6)
+        Y = rng.standard_normal((len(scales), d, d)) * scales[:, None, None]
+        Y[::7] = np.triu(Y[::7], 1)
+        Y[5] = 0.0
+        R = expm_stack(Y)
+        for i in range(len(Y) - n + 1):
+            assert np.array_equal(expm_stack(Y[i : i + n])[0], R[i])
+
+    def test_non_finite_rows_come_out_non_finite(self):
+        Y = np.zeros((7, 3, 3))
+        Y[0, 0, 1] = np.inf
+        Y[1, 2, 2] = np.nan
+        Y[2, 1, 0] = -np.inf
+        Y[3, :, 0] = 1e308  # finite entries whose 1-norm overflows
+        Y[4] = 800.0 * np.eye(3)  # a finite exponent whose exponential overflows
+        Y[5] = np.diag([1.0, 2.0, 3.0])
+        Y[6] = nilpotent(1.0, 2.0, 3.0)
+        with np.errstate(all="ignore"):
+            R = expm_stack(Y)
+            for i in (5, 6):
+                assert np.array_equal(R[i], expm_stack(Y[i : i + 1])[0])
+        assert np.isnan(R[:4]).all()
+        assert not np.isfinite(R[4]).all()
+        assert np.isfinite(R[5:]).all()
+
+    def test_one_by_one_non_finite_rows_come_out_nan(self):
+        y = np.array([np.inf, -np.inf, np.nan, 1.0])
+        with np.errstate(all="ignore"):
+            R = expm_stack(y[:, None, None])[:, 0, 0]
+        assert np.isnan(R[:3]).all() and R[3] == math.exp(1.0)
 
 
 class TestIsHurwitz:

@@ -12,6 +12,7 @@ from numpy.random import Generator, Philox
 from gbm_cutoff import hypothesis_checks, simulate
 from gbm_cutoff.commutative_cutoff import mean_square_commutative
 from gbm_cutoff.errors import ToolkitError
+from gbm_cutoff.linalg_core import expm_stack
 from gbm_cutoff.noncommutative_cutoff import mean_square_first_order, mode_decomposition
 from gbm_cutoff.simulate import (
     SCHEMES,
@@ -78,7 +79,7 @@ def single_end_state(sys, t, scheme, dt, seed, i):
     if scheme == "euler_maruyama":
         return euler_maruyama(sys, t, dt, seed, i)
     if scheme == "magnus_truncated":
-        return scipy.linalg.expm(magnus_exponent(sys, BrownianPath.sample(t, dt, seed, i), t)) @ sys.x
+        return expm_stack(magnus_exponent(sys, BrownianPath.sample(t, dt, seed, i), t)[None])[0] @ sys.x
     return sample_exact_first_order(sys, t, seed, i)
 
 
@@ -274,7 +275,7 @@ class TestEstimator:
         vals = []
         for i in range(n):
             path = BrownianPath.sample(t, dt, seed, i)
-            vals.append(square_norm(scipy.linalg.expm(magnus_exponent(sys, path, t)) @ sys.x))
+            vals.append(square_norm(expm_stack(magnus_exponent(sys, path, t)[None])[0] @ sys.x))
         assert est.value == math.fsum(vals) / n
 
     def test_system_arrays_are_frozen(self):
@@ -463,9 +464,18 @@ def three_workers(monkeypatch):
 class TestSubstreams:
     @pytest.mark.parametrize("rows,split", [(1, [1]), (2, [1, 1]), (7, [2, 2, 3]), (8193, [2731, 2731, 2731])])
     def test_chunked_rows_are_generators_built_afresh(self, three_workers, rows, split):
-        seed, lo, k = 17, 40, 5
+        seed, lo, k = 17, 40, simulate._POOLED_MIN_DRAWS
         z = simulate._normals(seed, lo, lo + rows, k)
         assert sorted(three_workers) == split
+        for i, row in enumerate(z):
+            fresh = Generator(Philox(key=np.array([seed, lo + i], dtype=np.uint64)))
+            assert np.array_equal(row, fresh.standard_normal(k))
+
+    @pytest.mark.parametrize("k", [2, 5, simulate._POOLED_MIN_DRAWS - 1])
+    def test_short_rows_are_drawn_inline(self, three_workers, k):
+        seed, lo, rows = 17, 40, 7
+        z = simulate._normals(seed, lo, lo + rows, k)
+        assert three_workers == [rows]  # one chunk, on the calling thread
         for i, row in enumerate(z):
             fresh = Generator(Philox(key=np.array([seed, lo + i], dtype=np.uint64)))
             assert np.array_equal(row, fresh.standard_normal(k))
@@ -476,11 +486,14 @@ class TestSubstreams:
         + [("dense", "euler_maruyama"), ("dense", "magnus_truncated"), ("dense commuting", "exact_first_order")],
     )
     def test_estimates_do_not_depend_on_the_worker_count(self, monkeypatch, three_workers, name, scheme):
+        # dt = 5e-4 gives 1000 steps at the largest t, enough to split the rows;
+        # the exact schemes' 2 draws per row are drawn inline
         sys = grid_system(name)
-        three = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=0.01, seed=91)]
-        assert sorted(three_workers) == [100, 100, 101]  # one batch, drawn once
+        three = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=5e-4, seed=91)]
+        # one batch, drawn once
+        assert sorted(three_workers) == ([301] if scheme.startswith("exact") else [100, 100, 101])
         monkeypatch.setattr(simulate, "_WORKERS", 1)
-        one = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=0.01, seed=91)]
+        one = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=5e-4, seed=91)]
         assert three == one
 
     def test_distinct_indices_distinct_draws(self):
@@ -607,6 +620,17 @@ class TestNonFiniteEstimates:
             warnings.simplefilter("error")
             with pytest.raises(ToolkitError) as err:
                 estimate_mean_square(sys, t, "euler_maruyama", 100, dt=dt)
+        assert err.value.code == "report_not_finite"
+
+
+    @pytest.mark.parametrize("scheme", ["exact_first_order", "magnus_truncated"])
+    def test_overflowing_exponentials_refused_with_a_code(self, scheme):
+        # exp(800 I) overflows on every path: a code, not a LinAlgError or a warning
+        sys = GBMSystem(A=400.0 * np.eye(3), B=elementary(1, 2), x=np.array([0.0, 0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToolkitError) as err:
+                estimate_mean_square(sys, 2.0, scheme, 100, dt=0.01)
         assert err.value.code == "report_not_finite"
 
 
