@@ -18,13 +18,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .commutative_cutoff import cutoff_time_from_rate, drift_mean_square, effective_drift
+from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
-from .hypothesis_checks import check_pair
+from .hypothesis_checks import check_hypotheses
 from .linalg_core import as_vector, matrix_from_rows, matrix_to_rows
 from .mixing import mixing_time
 from .noncommutative_cutoff import (
@@ -108,11 +110,11 @@ _FIELDS = {
     "eps_list": ("config_eps_range", "a nonempty list of reals in (0, e^-1)", lambda v: 0.0 < v < _EPS_MAX),
     "delta": ("config_delta_range", "a real in (0, 1)", lambda v: 0.0 < v < 1.0),
     "rho_grid": ("config_bad_rho_grid", "a nonempty list of finite reals", math.isfinite),
-    "w": ("config_w_range", "a positive real", lambda v: v > 0.0),
+    "w": ("config_w_range", "a positive finite real", lambda v: 0.0 < v < math.inf),
     "t_grid": ("config_bad_t_grid", "a nonempty list of nonnegative finite reals",
                lambda v: math.isfinite(v) and v >= 0.0),
     "n_paths": ("config_mc_paths", "an integer >= 100", lambda v: v >= 100),
-    "dt": ("config_mc_dt", "a positive real", lambda v: v > 0.0),
+    "dt": ("config_mc_dt", "a positive finite real", lambda v: 0.0 < v < math.inf),
     "seed": ("config_mc_seed", "an integer in [0, 2^64)", lambda v: 0 <= v < SEED_END),
     "tol": ("config_tol_range", "a real in (0, 1)", lambda v: 0.0 < v < 1.0),
 }
@@ -214,27 +216,35 @@ def _system(cfg: RunConfig) -> Optional[GBMSystem]:
     return GBMSystem(A=cfg.A, B=cfg.B, x=cfg.x, tol=cfg.tol)
 
 
-def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]):
-    """The report's closed form, built once: the checked effective drift Q
-    (commutative) or the mode decomposition, and t -> E|X_t|^2 from it."""
+class ClosedForm(NamedTuple):
+    """A report's closed form: t -> E|X_t|^2, eps -> schedule, () -> analyze fields."""
+
+    msq: Callable[[float], float]
+    schedule: Callable[[float], CutoffSchedule]
+    fields: Callable[[], dict]
+
+
+def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]) -> ClosedForm:
+    """The report's closed form, built once from the checked drift Q (commutative)
+    or the mode decomposition.  The asymptotics of exp(tQ)x are extracted at
+    most once, when a schedule or the fields first need them."""
     if cfg.mode == "commutative":
         Q = effective_drift(sys_)
-        return Q, lambda t: drift_mean_square(Q, cfg.x, t)
+        asym = cache(lambda: extract_asymptotics(Q, cfg.x))
+        return ClosedForm(
+            lambda t: drift_mean_square(Q, cfg.x, t),
+            lambda eps: cutoff_time_from_rate(asym().q, asym().ell, eps, cfg.w),
+            lambda: {"Q": matrix_to_rows(Q), "q": asym().q, "ell": asym().ell},
+        )
     if cfg.mode == "synthetic":
-        dec = synthetic_mode_decomposition(cfg.alpha, cfg.beta, cfg.Gamma, cfg.A, cfg.x, cfg.tol)
-    else:
-        dec = mode_decomposition(sys_)
-    return dec, lambda t: mean_square_first_order(dec, cfg.x, t)
-
-
-def _scheduler(cfg: RunConfig, form):
-    """eps -> cutoff schedule of a built closed form.  The commutative
-    asymptotics of exp(tQ)x do not depend on eps; they are extracted here,
-    once, and returned for the report (None in the first-order regimes)."""
-    if cfg.mode == "commutative":
-        asym = extract_asymptotics(form, cfg.x)
-        return asym, lambda eps: cutoff_time_from_rate(asym.q, asym.ell, eps, cfg.w)
-    return None, lambda eps: cutoff_schedule_first_order(form, cfg.x, eps)
+        dec, extra = synthetic_mode_decomposition(cfg.alpha, cfg.beta, cfg.Gamma, cfg.A, cfg.x, cfg.tol), {}
+    else:  # first_order prints the report its gate read
+        dec, extra = mode_decomposition(sys_), {"hypotheses": sys_.hypotheses.to_dict()}
+    return ClosedForm(
+        lambda t: mean_square_first_order(dec, cfg.x, t),
+        lambda eps: cutoff_schedule_first_order(dec, cfg.x, eps),
+        lambda: {"decomposition": dec.to_dict(), **extra},
+    )
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -256,30 +266,18 @@ def _json(report: dict) -> str:
 def cmd_hypotheses(cfg: RunConfig) -> tuple[str, str]:
     if cfg.mode == "synthetic":
         raise ToolkitError("config_bad_mode", "hypotheses requires matrices A and B")
-    rep = check_pair(cfg.A, cfg.B, cfg.tol)
-    return _json(rep.to_dict()), "json"
+    return _json(check_hypotheses(_system(cfg)).to_dict()), "json"
 
 
 def cmd_analyze(cfg: RunConfig) -> tuple[str, str]:
-    out: dict = {"mode": cfg.mode}
-    form, _ = _closed_form(cfg, _system(cfg))
-    asym, schedule = _scheduler(cfg, form)
-    if cfg.mode == "commutative":
-        out["Q"] = matrix_to_rows(form)
-        out["q"] = asym.q
-        out["ell"] = asym.ell
-    else:
-        out["decomposition"] = form.to_dict()
-        if cfg.mode == "first_order":
-            out["hypotheses"] = form.hypotheses.to_dict()
-    out["schedules"] = [schedule(eps).to_dict() for eps in cfg.eps_list]
-    return _json(out), "json"
+    form = _closed_form(cfg, _system(cfg))
+    schedules = [form.schedule(eps).to_dict() for eps in cfg.eps_list]
+    return _json({"mode": cfg.mode, **form.fields(), "schedules": schedules}), "json"
 
 
 def cmd_mean_square(cfg: RunConfig) -> tuple[str, str]:
     sys_ = _system(cfg)
-    _, msq = _closed_form(cfg, sys_)
-    closed = [msq(t) for t in cfg.t_grid]
+    closed = list(map(_closed_form(cfg, sys_).msq, cfg.t_grid))
     if sys_ is None:
         rows = [[t, c, "", ""] for t, c in zip(cfg.t_grid, closed)]
     else:
@@ -296,27 +294,25 @@ def _decaying(schedule, eps):
 
 
 def cmd_mixing(cfg: RunConfig) -> tuple[str, str]:
-    form, msq = _closed_form(cfg, _system(cfg))
-    _, schedule = _scheduler(cfg, form)
+    form = _closed_form(cfg, _system(cfg))
     rows = []
     for eps in cfg.eps_list:
-        sched = _decaying(schedule, eps)
-        res = mixing_time(msq, eps, cfg.delta, t_ref=sched.t_eps)
+        sched = _decaying(form.schedule, eps)
+        res = mixing_time(form.msq, eps, cfg.delta, t_ref=sched.t_eps)
         rows.append([eps, cfg.delta, res.tau, res.tau_over_t_ref, res.tau_ratio])
     return _csv(["eps", "delta", "tau", "tau_over_t_eps", "tau_ratio"], rows), "csv"
 
 
 def cmd_profile(cfg: RunConfig) -> tuple[str, str]:
-    form, msq = _closed_form(cfg, _system(cfg))
-    _, schedule = _scheduler(cfg, form)
-    schedules = [(eps, _decaying(schedule, eps)) for eps in cfg.eps_list]
+    form = _closed_form(cfg, _system(cfg))
+    schedules = [(eps, _decaying(form.schedule, eps)) for eps in cfg.eps_list]
     header = ["rho"] + [f"eps={_fmt(eps)}" for eps, _ in schedules]
     rows = []
     for rho in cfg.rho_grid:
         row = [rho]
         for eps, sched in schedules:
             t = sched.t_eps + rho * sched.w_eps
-            row.append(msq(max(t, 0.0)) / eps**2)
+            row.append(form.msq(max(t, 0.0)) / eps**2)
         rows.append(row)
     return _csv(header, rows), "csv"
 
@@ -326,7 +322,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, str]:
         raise ToolkitError("config_bad_mode", "verify needs a simulable pair (A, B)")
     sys_ = _system(cfg)
     if cfg.mode == "commutative":
-        _, msq = _closed_form(cfg, sys_)
+        msq = _closed_form(cfg, sys_).msq
     else:
         _first_order_matrix(sys_)  # representation_invalid before any code of the grid
     # the estimates are checked and drawn before the first-order reference, so
@@ -396,6 +392,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     for key, value in (("seed", args.seed), ("n_paths", args.paths), ("dt", args.dt)):
         if value is not None:
             setattr(cfg, key, _validated(key, value))
+    if args.out == "":
+        raise ToolkitError("config_bad_format", "--out must be a nonempty path")
     if args.out is not None:
         cfg.out_path = args.out
     return cfg

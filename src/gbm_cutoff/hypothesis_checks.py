@@ -27,7 +27,7 @@ from .system import GBMSystem
 NONZERO_MARGIN = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypothesisReport:
     normal_B: bool
     commutative: bool
@@ -105,8 +105,8 @@ def check_pair(A, B, tol: float = DEFAULT_TOL) -> HypothesisReport:
 
 
 def check_hypotheses(sys: GBMSystem) -> HypothesisReport:
-    """Hypothesis report for a system (the pair plus its tolerance)."""
-    return check_pair(sys.A, sys.B, sys.tol)
+    """The report of a system's pair at its tolerance, built once and held by the system."""
+    return sys.hypotheses
 
 
 def power_traces(A, B) -> list[float]:

@@ -36,7 +36,7 @@ from .cubic_solver import (
     solve_log_cubic,
 )
 from .errors import ToolkitError
-from .hypothesis_checks import HypothesisReport, check_hypotheses
+from .hypothesis_checks import check_hypotheses
 from .linalg_core import (
     DEFAULT_TOL,
     as_matrix,
@@ -66,8 +66,7 @@ class ModeDecomposition:
     b_j = eig_j(beta), g_j = -eig_j(Gamma) (signs chosen so decaying modes
     carry positive coefficients),
     (lambda_j, ell_j) the decay rate and chain height of exp(t Atilde) v_j,
-    and overlap_j = <x, v_j>.  C and the pair's hypothesis report are None
-    for synthetic modes; the report is not part of ``to_dict``.
+    and overlap_j = <x, v_j>.  C is None for synthetic modes.
     """
 
     A: np.ndarray
@@ -87,7 +86,6 @@ class ModeDecomposition:
     x: np.ndarray
     synthetic: bool
     step3_residuals: dict
-    hypotheses: Optional[HypothesisReport] = None
 
     @property
     def dim(self) -> int:
@@ -231,15 +229,14 @@ def mode_decomposition(sys: GBMSystem) -> ModeDecomposition:
     """Full mode analysis of a coefficient pair (A, B).
 
     After the checks of the decomposition, the pair's hypothesis report,
-    kept on the decomposition, gates the closed form: a B that is not normal,
-    or a pair neither commutative nor first order, is ``hypotheses_violated``.
+    held by the system, gates the closed form: a B that is not normal, or a
+    pair neither commutative nor first order, is ``hypotheses_violated``.
     """
     C, _, _, alpha, beta, Gamma = _brackets(sys)
     dec = _decompose(sys.A, alpha, beta, Gamma, sys.x, sys.tol, C=C)
     rep = check_hypotheses(sys)
     if not (rep.normal_B and (rep.commutative or rep.first_order)):
         raise ToolkitError("hypotheses_violated", "the closed form needs a normal B and a commutative or first-order pair")
-    dec.hypotheses = rep
     return dec
 
 

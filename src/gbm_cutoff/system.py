@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from .errors import ToolkitError
 from .linalg_core import DEFAULT_TOL, as_matrix, as_vector
 
 
-@dataclass
+@dataclass(frozen=True)
 class GBMSystem:
     """Drift matrix A, diffusion matrix B, initial state x and a tolerance.
 
@@ -24,16 +25,12 @@ class GBMSystem:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, "A").copy()
-        self.B = as_matrix(self.B, "B").copy()
-        self.x = as_vector(self.x, "x").copy()
-        for arr in (self.A, self.B, self.x):
+        for name, read in (("A", as_matrix), ("B", as_matrix), ("x", as_vector)):
+            arr = read(getattr(self, name), name).copy()
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.A.shape != self.B.shape or self.A.shape[0] != self.x.size:
-            raise ToolkitError(
-                "dim_mismatch",
-                f"A {self.A.shape}, B {self.B.shape}, x length {self.x.size}",
-            )
+            raise ToolkitError("dim_mismatch", f"A {self.A.shape}, B {self.B.shape}, x length {self.x.size}")
         if not np.any(self.x != 0.0):
             raise ToolkitError("zero_vector", "initial state x must be nonzero")
         if not (self.tol > 0):
@@ -42,3 +39,10 @@ class GBMSystem:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def hypotheses(self):
+        """The pair's ``HypothesisReport``, every gate's input; built on first use, as a system is immutable."""
+        from .hypothesis_checks import check_pair  # that module imports this one
+
+        return check_pair(self.A, self.B, self.tol)

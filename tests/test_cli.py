@@ -91,6 +91,9 @@ class TestConfigValidation:
             ({"A": [[10**400]]}, "config_entries_not_finite"),
             ({"B": [[-(10**400)]]}, "config_entries_not_finite"),
             ({"x": [10**400]}, "config_entries_not_finite"),
+            # a positive real is a finite one: 1e999 reads as an infinity
+            ({"w": float("inf")}, "config_w_range"),
+            ({"mc": {"dt": float("inf")}}, "config_mc_dt"),
         ],
     )
     def test_each_violation_has_distinct_code(self, tmp_path, overrides, code):
@@ -384,6 +387,7 @@ class TestOverridesAndUsage:
         [
             ("--paths", "50", {"mc": {"n_paths": 50}}, "config_mc_paths"),
             ("--dt", "0", {"mc": {"dt": 0.0}}, "config_mc_dt"),
+            ("--dt", "inf", {"mc": {"dt": float("inf")}}, "config_mc_dt"),
             ("--eps", "0.5", {"eps_list": [0.5]}, "config_eps_range"),
             ("--eps", ",", {"eps_list": []}, "config_eps_range"),
             ("--seed", "-1", {"mc": {"seed": -1}}, "config_mc_seed"),
@@ -413,6 +417,13 @@ class TestOverridesAndUsage:
         assert main([cfg if arg == "CFG" else arg for arg in argv]) == 1
         assert capsys.readouterr() == ("", "usage_error\n")
 
+    def test_empty_out_is_refused_like_an_empty_output_path(self, tmp_path, capsys, monkeypatch):
+        # it used to write gbm_cutoff_analyze.json to the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--config", write_config(tmp_path), "--out", ""]) == 1
+        assert capsys.readouterr().err == "config_bad_format\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -439,7 +450,7 @@ def count_calls(monkeypatch, fn) -> list:
 class TestOncePerReport:
     @pytest.mark.parametrize("mode,command", [
         (mode, command) for mode in ("commutative", "synthetic") for command in ("analyze", "mixing", "profile")
-    ] + [("first_order", "analyze")])
+    ] + [("first_order", "analyze"), ("commutative", "mean-square"), ("commutative", "verify")])
     def test_closed_form_is_built_once(self, tmp_path, monkeypatch, mode, command):
         if mode == "synthetic":
             path = synthetic_config(tmp_path)
@@ -457,7 +468,8 @@ class TestOncePerReport:
         # one report per pair: first-order analyze prints the one its gate read
         assert len(reports) == (mode != "synthetic")
         if mode == "commutative":
-            assert (len(decompositions), len(asymptotics)) == (0, 1)
+            # only a schedule or the analyze fields need the asymptotics
+            assert (len(decompositions), len(asymptotics)) == (0, command in ("analyze", "mixing", "profile"))
         else:
             assert len(decompositions) == 1
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,17 @@ HEISENBERG = (elementary(2, 3), elementary(1, 2))
 
 
 class TestCheckHypotheses:
+    def test_system_holds_its_report(self):
+        sys = GBMSystem(A=np.diag([-2.0, -3.0]), B=np.diag([1.0, 0.5]), x=np.ones(2))
+        rep = check_hypotheses(sys)
+        assert rep is check_hypotheses(sys) is sys.hypotheses
+        assert rep == check_pair(sys.A, sys.B, sys.tol)
+        # a system and its report are immutable, so the held report stays the pair's
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.B = np.eye(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.commutative = False
+
     def test_commuting_diagonal_pair(self):
         rep = check_pair(np.diag([-2.0, -3.0]), np.diag([1.0, 0.5]))
         assert rep.normal_B and rep.commutative

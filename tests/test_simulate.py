@@ -175,6 +175,21 @@ class TestExactFirstOrder:
         assert len(reports) == 1
 
 
+    def test_single_path_calls_read_the_system_report(self, monkeypatch):
+        # the system builds its pair's report once; each call reads it
+        reports, check = [], hypothesis_checks.check_pair
+
+        def counted(*args):
+            reports.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(hypothesis_checks, "check_pair", counted)
+        sys = heisenberg_system()
+        for i in range(100):
+            sample_exact_first_order(sys, 1.0, seed=65, index=i)
+        assert len(reports) == 1
+
+
 class TestEulerMaruyama:
     def test_deterministic_when_noise_free(self):
         A = np.array([[-1.0, 0.3], [0.0, -2.0]])
