@@ -20,12 +20,9 @@ from .cubic_solver import (
 from .errors import ToolkitError
 from .hypothesis_checks import HypothesisReport, check_hypotheses, check_pair
 from .linalg_core import (
-    EigDecomposition,
     commutator,
     expm_stack,
     is_hurwitz,
-    matrix_exp,
-    sym_eig,
     simultaneous_diagonalize,
 )
 from .mixing import MixingTimeResult, mixing_ratio_check, mixing_time
@@ -59,7 +56,6 @@ __all__ = [
     "BrownianPath",
     "CubicCoefficients",
     "CutoffSchedule",
-    "EigDecomposition",
     "GBMSystem",
     "GammaMatrices",
     "HypothesisReport",
@@ -88,7 +84,6 @@ __all__ = [
     "gamma_matrices",
     "is_hurwitz",
     "magnus_exponent",
-    "matrix_exp",
     "mean_square_commutative",
     "mean_square_first_order",
     "mixing_ratio_check",
@@ -100,7 +95,6 @@ __all__ = [
     "sample_gaussian_pairs",
     "select_dominant_mode",
     "solve_log_cubic",
-    "sym_eig",
     "simultaneous_diagonalize",
     "synthetic_mode_decomposition",
 ]

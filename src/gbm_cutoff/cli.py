@@ -27,7 +27,7 @@ from .commutative_cutoff import cutoff_time_from_rate, drift_mean_square, effect
 from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
-from .linalg_core import as_vector, matrix_from_rows, matrix_to_rows
+from .linalg_core import matrix_to_rows
 from .mixing import mixing_time
 from .noncommutative_cutoff import (
     cutoff_schedule_first_order,
@@ -90,13 +90,19 @@ def _numbers(raw, name: str, code: str):
         return math.inf if raw > 0 else -math.inf
 
 
-def _load_matrix(raw, name: str) -> np.ndarray:
-    rows = _numbers(raw, name, "config_matrix_not_square")
+def _array(raw, name: str, ndim: int, code: str) -> np.ndarray:
+    """raw as a nonempty ndim-d float array, square when ndim = 2: `code` for
+    an entry that is not a JSON number or for any other shape, and
+    config_entries_not_finite for a NaN or infinite entry."""
     try:
-        return matrix_from_rows(rows, name)
-    except ToolkitError as exc:
-        mapping = {"not_square": "config_matrix_not_square", "not_finite": "config_entries_not_finite"}
-        raise ToolkitError(mapping.get(exc.code, "config_matrix_not_square"), str(exc)) from exc
+        a = np.array(_numbers(raw, name, code), dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise ToolkitError(code, f"{name}: {exc}") from exc
+    if a.ndim != ndim or a.size < 1 or len(set(a.shape)) != 1:
+        raise ToolkitError(code, f"{name} must be a nonempty {ndim}-d array, square if 2-d, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ToolkitError("config_entries_not_finite", f"{name} contains NaN/Inf entries")
+    return a
 
 
 # One validator per range-checked field, shared by load_config and the
@@ -152,31 +158,19 @@ def load_config(path: str) -> RunConfig:
 
     cfg = RunConfig(mode=mode)
 
-    if mode == "synthetic":
-        needed = ("alpha", "beta", "Gamma", "A", "x")
-    else:
-        needed = ("A", "B", "x")
-    for key in needed:
+    names = ("A", "alpha", "beta", "Gamma") if mode == "synthetic" else ("A", "B")
+    for key in (*names, "x"):
         if key not in raw:
             raise ToolkitError("config_missing_field", f"mode {mode} requires {key!r}")
 
-    cfg.A = _load_matrix(raw["A"], "A")
-    if mode == "synthetic":
-        cfg.alpha = _load_matrix(raw["alpha"], "alpha")
-        cfg.beta = _load_matrix(raw["beta"], "beta")
-        cfg.Gamma = _load_matrix(raw["Gamma"], "Gamma")
-        mats = {"alpha": cfg.alpha, "beta": cfg.beta, "Gamma": cfg.Gamma}
-    else:
-        cfg.B = _load_matrix(raw["B"], "B")
-        mats = {"B": cfg.B}
-    for name, M in mats.items():
+    for name in names:
+        setattr(cfg, name, _array(raw[name], name, 2, "config_matrix_not_square"))
+    for name in names[1:]:
+        M = getattr(cfg, name)
         if M.shape != cfg.A.shape:
             raise ToolkitError("config_dim_mismatch", f"{name} shape {M.shape} != A shape {cfg.A.shape}")
 
-    try:
-        cfg.x = as_vector(_numbers(raw["x"], "x", "config_entries_not_finite"), "x")
-    except ToolkitError as exc:
-        raise ToolkitError("config_entries_not_finite", str(exc)) from exc
+    cfg.x = _array(raw["x"], "x", 1, "config_entries_not_finite")
     if cfg.x.size != cfg.A.shape[0]:
         raise ToolkitError("config_dim_mismatch", f"x length {cfg.x.size} != A dim {cfg.A.shape[0]}")
     if not np.any(cfg.x != 0.0):

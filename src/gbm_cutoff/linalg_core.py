@@ -1,16 +1,13 @@
 """Dense real square-matrix primitives.
 
-Brackets, exponentials, stability tests and (joint) symmetric
-eigendecompositions used by every analysis module.  All operations are
-pure; inputs are validated once and never mutated.
+Brackets, the batched exponential, stability tests and the joint
+eigenbasis of a commuting symmetric family, used by every analysis module.
+All operations are pure; inputs are validated once and never mutated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 from .errors import ToolkitError
 
@@ -66,11 +63,6 @@ def commutator(U, V) -> np.ndarray:
     if U.shape != V.shape:
         raise ToolkitError("dim_mismatch", f"{U.shape} vs {V.shape}")
     return U @ V - V @ U
-
-
-def matrix_exp(U) -> np.ndarray:
-    """Matrix exponential exp(U) (scaling-and-squaring via scipy.linalg.expm)."""
-    return scipy.linalg.expm(as_matrix(U, "U"))
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, over b_0,
@@ -195,23 +187,6 @@ def cluster_values(values: np.ndarray) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-@dataclass
-class EigDecomposition:
-    """Eigenstructure container shared by sym_eig and simultaneous_diagonalize.
-
-    ``basis`` holds the eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    orthonormal: bool = False
-
-    def eigenvalues_of(self, M) -> np.ndarray:
-        """Diagonal of basis* M basis: per-matrix eigenvalues by congruence."""
-        V = self.basis
-        return np.real(np.diag(V.conj().T @ as_matrix(M) @ V))
-
-
 def _require_symmetric(U: np.ndarray, tol: float) -> np.ndarray:
     res = fro(U - U.T)
     if res > tol * (1.0 + fro(U)):
@@ -219,26 +194,9 @@ def _require_symmetric(U: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (U + U.T)
 
 
-def sym_eig(U, tol: float = DEFAULT_TOL) -> EigDecomposition:
-    """Eigendecomposition of a (numerically) symmetric matrix.
-
-    Returns real eigenvalues and an orthonormal basis such that
-    U = sum_j lambda_j v_j v_j* up to roundoff.
-    """
-    U = _require_symmetric(as_matrix(U, "U"), tol)
-    try:
-        w, V = np.linalg.eigh(U)
-    except np.linalg.LinAlgError as exc:
-        raise ToolkitError("eig_failure", str(exc)) from exc
-    return EigDecomposition(
-        eigenvalues=w.astype(complex),
-        basis=V.astype(float),
-        orthonormal=True,
-    )
-
-
-def simultaneous_diagonalize(family, tol: float = DEFAULT_TOL) -> EigDecomposition:
-    """Joint orthonormal eigenbasis of a commuting family of symmetric matrices.
+def simultaneous_diagonalize(family, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Joint orthonormal eigenbasis of a commuting family of symmetric
+    matrices, as the columns of V.
 
     Proceeds by sequential block refinement: each family member is
     diagonalized inside the eigenspaces the previous members left
@@ -281,22 +239,9 @@ def simultaneous_diagonalize(family, tol: float = DEFAULT_TOL) -> EigDecompositi
         if off > 1e-8 * (1.0 + fro(M)):
             raise ToolkitError("joint_diag_failure", f"member {k} off-diagonal {off:.3e}")
 
-    return EigDecomposition(
-        eigenvalues=np.diag(V.T @ mats[0] @ V).astype(complex),
-        basis=V,
-        orthonormal=True,
-    )
+    return V
 
 
 def matrix_to_rows(M) -> list[list[float]]:
-    """JSON-friendly arrays-of-rows form (shared with the CLI config)."""
+    """A report matrix as JSON rows of floats."""
     return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
-
-
-def matrix_from_rows(rows, name: str = "matrix") -> np.ndarray:
-    """Inverse of matrix_to_rows with full validation."""
-    try:
-        A = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ToolkitError("not_square", f"{name}: {exc}") from exc
-    return as_matrix(A, name)

@@ -192,8 +192,7 @@ def _decompose(A, alpha, beta, Gamma, x, tol, *, C=None) -> ModeDecomposition:
     if worst > tol * scale:
         raise ToolkitError("not_commuting", f"step III commutator residual {worst:.3e}")
 
-    joint = simultaneous_diagonalize([alpha, beta, Gamma], tol)
-    V = joint.basis
+    V = simultaneous_diagonalize([alpha, beta, Gamma], tol)
 
     p = _stabilizing_p(A, Gamma)
     A_tilde = A + 0.5 * p * Gamma
@@ -213,9 +212,9 @@ def _decompose(A, alpha, beta, Gamma, x, tol, *, C=None) -> ModeDecomposition:
         A_tilde=A_tilde,
         C=C,
         basis=V,
-        a_coeffs=-joint.eigenvalues_of(alpha),
-        b_coeffs=joint.eigenvalues_of(beta),
-        g_coeffs=-joint.eigenvalues_of(Gamma),
+        a_coeffs=-np.diag(V.T @ alpha @ V),
+        b_coeffs=np.diag(V.T @ beta @ V),
+        g_coeffs=-np.diag(V.T @ Gamma @ V),
         lambdas=lambdas,
         ells=ells,
         overlaps=V.T @ x,

@@ -79,6 +79,16 @@ def _fill(z: np.ndarray, seed: int, lo: int) -> None:
         gen.standard_normal(out=z[i])
 
 
+def _check_key(seed: int, lo: int = 0, hi: int = 0) -> None:
+    """A substream key is two 64-bit words, (seed, path index): ``bad_seed``
+    for a seed outside [0, 2^64), ``bad_path_index`` for a path index of
+    lo..hi-1 outside [0, 2^64) or for hi < lo."""
+    if not 0 <= seed < SEED_END:
+        raise ToolkitError("bad_seed", f"seed must lie in [0, 2^64), got {seed}")
+    if not 0 <= lo <= hi <= SEED_END:
+        raise ToolkitError("bad_path_index", f"path indices {lo}..{hi - 1} must lie in [0, 2^64)")
+
+
 def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
     """(hi - lo, k) standard normals; row i is the first k draws of path lo + i.
 
@@ -86,6 +96,7 @@ def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
     chunk per worker.  Each row's draws depend only on its key, so the split
     changes no bit.
     """
+    _check_key(seed, lo, hi)
     rows = hi - lo
     z = np.empty((rows, k))
     n = min(_WORKERS, rows) if k >= _POOLED_MIN_DRAWS else 1
@@ -104,6 +115,8 @@ def _nsteps(t: float, dt: float) -> int:
     n = int(round(t / dt))
     if n < 1 or abs(n * dt - t) > 1e-9 * max(t, 1.0):
         raise ToolkitError("bad_timestep", f"t/dt = {t / dt} is not an integer")
+    if n > _MAX_BATCH_DOUBLES:
+        raise ToolkitError("too_many_steps", f"t/dt = {n} exceeds {_MAX_BATCH_DOUBLES} steps per path")
     return n
 
 
@@ -355,8 +368,7 @@ def _grid_steps(
         if t < 0:
             raise ToolkitError("bad_time", "t must be nonnegative")
         if not steps:  # the checks that do not depend on t, at the first t
-            if not 0 <= seed < SEED_END:
-                raise ToolkitError("bad_seed", f"seed must lie in [0, 2^64), got {seed}")
+            _check_key(seed)
             if scheme == "exact_commutative":
                 rep = check_hypotheses(sys)
                 if rep.residuals["commute_A_B"] > rep.threshold:
@@ -370,10 +382,7 @@ def _grid_steps(
         # caller checking two schemes' grids meets it first in either order
         if sys.dim**2 > _MAX_BATCH_DOUBLES:
             raise ToolkitError("too_large", f"one {sys.dim}x{sys.dim} path exceeds {_MAX_BATCH_DOUBLES} doubles per batch")
-        k = _nsteps(t, dt) if scheme in ("euler_maruyama", "magnus_truncated") else 1
-        if k > _MAX_BATCH_DOUBLES:
-            raise ToolkitError("too_many_steps", f"t/dt = {k} exceeds {_MAX_BATCH_DOUBLES} steps per path")
-        steps.append(k)
+        steps.append(_nsteps(t, dt) if scheme in ("euler_maruyama", "magnus_truncated") else 1)
     return steps, C
 
 

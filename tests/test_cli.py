@@ -94,6 +94,22 @@ class TestConfigValidation:
             # a positive real is a finite one: 1e999 reads as an infinity
             ({"w": float("inf")}, "config_w_range"),
             ({"mc": {"dt": float("inf")}}, "config_mc_dt"),
+            # a matrix is a nonempty square array of rows
+            ({"A": [[1.0], [2.0, 3.0]]}, "config_matrix_not_square"),
+            ({"A": []}, "config_matrix_not_square"),
+            ({"A": [[]]}, "config_matrix_not_square"),
+            ({"A": 5}, "config_matrix_not_square"),
+            ({"A": [[[1.0]]]}, "config_matrix_not_square"),
+            ({"A": None}, "config_matrix_not_square"),
+            ({"B": [[0.5], [1.0, 2.0]]}, "config_matrix_not_square"),
+            # x is a nonempty flat list; null reads as NaN, in a matrix as in x
+            ({"x": [[1.0]]}, "config_entries_not_finite"),
+            ({"x": []}, "config_entries_not_finite"),
+            ({"x": [[1.0], [2.0, 3.0]]}, "config_entries_not_finite"),
+            ({"x": 1.0}, "config_entries_not_finite"),
+            ({"x": None}, "config_entries_not_finite"),
+            ({"A": [[None]]}, "config_entries_not_finite"),
+            ({"x": [None]}, "config_entries_not_finite"),
         ],
     )
     def test_each_violation_has_distinct_code(self, tmp_path, overrides, code):

@@ -9,10 +9,7 @@ from gbm_cutoff.linalg_core import (
     commutator,
     expm_stack,
     is_hurwitz,
-    matrix_exp,
-    matrix_from_rows,
     matrix_to_rows,
-    sym_eig,
     simultaneous_diagonalize,
 )
 from gbm_cutoff.simulate import sample_gaussian_pairs
@@ -77,62 +74,6 @@ class TestCommutator:
             )
             scale = 1.0 + np.prod([np.linalg.norm(M, "fro") for M in (U, V, W)])
             assert np.linalg.norm(resid, "fro") <= 1e-10 * scale
-
-
-class TestMatrixExp:
-    def test_zero_gives_identity(self):
-        assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_diagonal(self):
-        E = matrix_exp(np.diag([-1.0, -2.0]))
-        assert np.allclose(E, np.diag([np.exp(-1.0), np.exp(-2.0)]), rtol=1e-14)
-
-    def test_nilpotent(self):
-        N = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(matrix_exp(N), np.eye(2) + N, atol=1e-15)
-
-    def test_rotation_generator(self):
-        theta = np.pi / 2
-        G = np.array([[0.0, theta], [-theta, 0.0]])
-        assert np.allclose(matrix_exp(G), np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-14)
-
-    def test_against_series_oracle_small_norm(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            M = rng.standard_normal((4, 4))
-            M *= 0.9 / np.linalg.norm(M, "fro")
-            assert rel_fro(matrix_exp(M), series_expm(M)) <= 1e-11
-
-    def test_against_series_oracle_larger_norm(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            M = rng.standard_normal((5, 5)) * 2.0
-            assert rel_fro(matrix_exp(M), series_expm(M)) <= 1e-10
-
-    def test_exp_inverse_property(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            M = rng.standard_normal((4, 4))
-            M *= 5.0 / np.linalg.norm(M, "fro")
-            P = matrix_exp(M) @ matrix_exp(-M)
-            assert rel_fro(P, np.eye(4)) <= 1e-9
-
-    def test_bchd_degenerate_case_commuting(self):
-        # commuting exponents built as polynomials in one matrix
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            P = rng.standard_normal((4, 4))
-            P *= 1.5 / np.linalg.norm(P, "fro")
-            U = 0.3 * P + 0.1 * P @ P
-            V = -0.2 * P + 0.05 * P @ P @ P
-            lhs = matrix_exp(U) @ matrix_exp(V)
-            rhs = matrix_exp(U + V)
-            assert rel_fro(lhs, rhs) <= 1e-8
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ToolkitError) as err:
-            matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-        assert err.value.code == "not_finite"
 
 
 def nilpotent(a, b, c):
@@ -243,6 +184,47 @@ class TestExpmStack:
         assert np.isnan(R[:3]).all() and R[3] == math.exp(1.0)
 
 
+def expm(M):
+    """exp(M) of one matrix, as a one-matrix expm_stack."""
+    return expm_stack(M[None])[0]
+
+
+class TestExpmStackDense:
+    # dense non-normal exponents, against the Taylor-series oracle
+    def test_against_series_oracle_small_norm(self):
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            M = rng.standard_normal((4, 4))
+            M *= 0.9 / np.linalg.norm(M, "fro")
+            assert rel_fro(expm(M), series_expm(M)) <= 1e-11
+
+    def test_against_series_oracle_larger_norm(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            M = rng.standard_normal((5, 5)) * 2.0
+            assert rel_fro(expm(M), series_expm(M)) <= 1e-10
+
+    def test_exp_inverse_property(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            M = rng.standard_normal((4, 4))
+            M *= 5.0 / np.linalg.norm(M, "fro")
+            P = expm(M) @ expm(-M)
+            assert rel_fro(P, np.eye(4)) <= 1e-9
+
+    def test_bchd_degenerate_case_commuting(self):
+        # commuting exponents built as polynomials in one matrix
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            P = rng.standard_normal((4, 4))
+            P *= 1.5 / np.linalg.norm(P, "fro")
+            U = 0.3 * P + 0.1 * P @ P
+            V = -0.2 * P + 0.05 * P @ P @ P
+            lhs = expm(U) @ expm(V)
+            rhs = expm(U + V)
+            assert rel_fro(lhs, rhs) <= 1e-8
+
+
 class TestIsHurwitz:
     def test_stable_diagonal(self):
         assert is_hurwitz(np.diag([-1.0, -2.0]), 0.0)
@@ -254,51 +236,24 @@ class TestIsHurwitz:
         assert is_hurwitz(np.array([[-1.0, 2.0], [-2.0, -1.0]]), 0.0)
 
 
-class TestSymEig:
-    def test_diagonal(self):
-        dec = sym_eig(np.diag([3.0, 1.0]))
-        assert sorted(dec.eigenvalues.real) == [1.0, 3.0]
-        assert dec.orthonormal
-
-    def test_swap_matrix(self):
-        dec = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(sorted(dec.eigenvalues.real), [-1.0, 1.0])
-        for j in range(2):
-            v = dec.basis[:, j]
-            assert np.allclose(np.abs(v), [1.0 / np.sqrt(2.0)] * 2)
-
-    def test_reconstruction_residual_random_6x6(self):
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((6, 6))
-        M = 0.5 * (M + M.T)
-        dec = sym_eig(M)
-        R = dec.basis @ np.diag(dec.eigenvalues.real) @ dec.basis.T
-        assert rel_fro(R, M) < 1e-10
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ToolkitError) as err:
-            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert err.value.code == "not_symmetric"
-
-
 class TestSimultaneousDiagonalize:
     def test_diagonal_family(self):
-        dec = simultaneous_diagonalize([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
-        assert np.allclose(np.abs(dec.basis), np.eye(2))
+        V = simultaneous_diagonalize([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
+        assert np.allclose(np.abs(V), np.eye(2))
 
     def test_identity_commutes_with_everything(self):
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
-        dec = simultaneous_diagonalize([S, np.eye(2)])
-        assert np.allclose(np.abs(dec.basis), np.full((2, 2), 1.0 / np.sqrt(2.0)))
+        V = simultaneous_diagonalize([S, np.eye(2)])
+        assert np.allclose(np.abs(V), np.full((2, 2), 1.0 / np.sqrt(2.0)))
 
-    def test_power_family_matches_sym_eig(self):
+    def test_power_family_matches_eigh(self):
         rng = np.random.default_rng(9)
         P = rng.standard_normal((5, 5))
         P = 0.5 * (P + P.T)
-        dec = simultaneous_diagonalize([P, P @ P])
-        ref = sym_eig(P)
+        V = simultaneous_diagonalize([P, P @ P])
+        _, ref = np.linalg.eigh(P)
         # columns agree up to sign and ordering: match by maximal overlap
-        overlap = np.abs(dec.basis.T @ ref.basis)
+        overlap = np.abs(V.T @ ref)
         matched = set()
         for j in range(5):
             k = int(np.argmax(overlap[j]))
@@ -311,12 +266,16 @@ class TestSimultaneousDiagonalize:
         P = rng.standard_normal((6, 6))
         P = 0.5 * (P + P.T)
         family = [0.7 * P - 0.1 * P @ P, P @ P @ P, np.eye(6) + 0.2 * P]
-        dec = simultaneous_diagonalize(family)
-        V = dec.basis
+        V = simultaneous_diagonalize(family)
         for M in family:
             D = V.T @ M @ V
             off = D - np.diag(np.diag(D))
             assert np.linalg.norm(off, "fro") < 1e-8 * (1.0 + np.linalg.norm(M, "fro"))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ToolkitError) as err:
+            simultaneous_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
+        assert err.value.code == "not_symmetric"
 
     def test_rejects_noncommuting(self):
         U = np.diag([1.0, 2.0])
@@ -328,8 +287,8 @@ class TestSimultaneousDiagonalize:
     def test_degenerate_member_first(self):
         # a fully degenerate first member must not freeze the basis
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
-        dec = simultaneous_diagonalize([np.eye(2), S])
-        D = dec.basis.T @ S @ dec.basis
+        V = simultaneous_diagonalize([np.eye(2), S])
+        D = V.T @ S @ V
         assert abs(D[0, 1]) < 1e-10 and abs(D[1, 0]) < 1e-10
 
     def test_progressive_splitting_chain(self):
@@ -338,9 +297,9 @@ class TestSimultaneousDiagonalize:
         M2 = np.diag([3.0, 4.0, 4.0])
         c, s = np.cos(0.3), np.sin(0.3)
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        dec = simultaneous_diagonalize([R @ M1 @ R.T, R @ M2 @ R.T])
+        V = simultaneous_diagonalize([R @ M1 @ R.T, R @ M2 @ R.T])
         for M in (M1, M2):
-            D = dec.basis.T @ (R @ M @ R.T) @ dec.basis
+            D = V.T @ (R @ M @ R.T) @ V
             off = D - np.diag(np.diag(D))
             assert np.linalg.norm(off, "fro") < 1e-10
 
@@ -355,12 +314,12 @@ class TestSimultaneousDiagonalize:
         # the basis of a single block
         w = np.cumsum([1.0] + [s * 2.0 * CLUSTER_GAP for s in steps])
         n = len(w)
-        dec = simultaneous_diagonalize([np.diag(w), np.diag(np.arange(n, 0, -1.0))])
+        V = simultaneous_diagonalize([np.diag(w), np.diag(np.arange(n, 0, -1.0))])
         expected = np.eye(n)[::-1] if blocks == 1 else np.eye(n)
-        assert np.array_equal(np.abs(dec.basis), expected)
+        assert np.array_equal(np.abs(V), expected)
 
 
 class TestSerialization:
     def test_round_trip(self):
         M = np.array([[1.5, -2.0], [0.25, 1e-9]])
-        assert np.array_equal(matrix_from_rows(matrix_to_rows(M)), M)
+        assert np.array_equal(np.array(matrix_to_rows(M)), M)

@@ -358,6 +358,33 @@ class TestEstimator:
         b = estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200, dt=1e-2, seed=(1 << 63) + 2)
         assert a.value != b.value
 
+    @pytest.mark.parametrize(
+        "seed,index,code",
+        [
+            (-1, 0, "bad_seed"),
+            (1 << 64, 0, "bad_seed"),
+            (0, -1, "bad_path_index"),
+            (0, 1 << 64, "bad_path_index"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed, i: euler_maruyama(scalar_system(), 1.0, 1e-3, seed, i),
+            lambda seed, i: sample_exact_first_order(heisenberg_system(), 1.0, seed, i),
+            lambda seed, i: sample_gaussian_pair(1.0, seed, i),
+            lambda seed, i: BrownianPath.sample(1.0, 1e-3, seed, i),
+            # the count whose last path is i; a negative index is a negative count
+            lambda seed, i: sample_gaussian_pairs(1.0, seed, i + 1 if i >= 0 else i),
+        ],
+        ids=["euler_maruyama", "sample_exact_first_order", "sample_gaussian_pair", "BrownianPath.sample",
+             "sample_gaussian_pairs"],
+    )
+    def test_single_path_key_outside_64_bits_rejected(self, draw, seed, index, code):
+        with pytest.raises(ToolkitError) as err:
+            draw(seed, index)
+        assert err.value.code == code
+
 
 class TestBatchRows:
     @pytest.mark.parametrize(
@@ -406,6 +433,20 @@ class TestBatchMemory:
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 100)
         with pytest.raises(ToolkitError) as err:
             estimate_mean_square(scalar_system(), 2.0, "euler_maruyama", 200, dt=1e-2, seed=1)
+        assert err.value.code == "too_many_steps"
+
+    @pytest.mark.parametrize("entry", ["BrownianPath.sample", "BrownianPath.functionals", "euler_maruyama"])
+    def test_single_path_longer_than_the_cap_rejected(self, monkeypatch, entry):
+        path = BrownianPath.sample(1.0, 1e-2, 1, 0)  # 100 steps, drawn under the default cap
+        monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 50)
+        monkeypatch.setattr(simulate, "_normals", lambda *args: pytest.fail("drew normals"))
+        run = {
+            "BrownianPath.sample": lambda: BrownianPath.sample(1.0, 1e-2, 1, 0),
+            "BrownianPath.functionals": lambda: path.functionals(1.0),
+            "euler_maruyama": lambda: euler_maruyama(scalar_system(), 1.0, 1e-2, 1, 0),
+        }[entry]
+        with pytest.raises(ToolkitError) as err:
+            run()
         assert err.value.code == "too_many_steps"
 
     def test_exponent_stacks_count_against_the_cap(self, monkeypatch):
