@@ -27,7 +27,6 @@ dec = synthetic_mode_decomposition(
     A=np.diag([-1.0, -2.0]),
     x=np.array([1.0, 1.0]),
 )
-x = np.array([1.0, 1.0])
 
 print("per-mode exponent data (a_j, b_j, gamma_j, lambda_j, ell_j, overlap):")
 for j in range(2):
@@ -40,7 +39,7 @@ for j in range(2):
 print("\nselection cascade picks the slowest cubic mode; schedules per eps:")
 print(f"{'eps':>8} {'t_eps':>9} {'w_eps':>10} {'T_eps':>9} {'tau_eps':>9}")
 for n in (5, 10, 20, 40):
-    sched = cutoff_schedule_first_order(dec, x, math.exp(-n))
+    sched = cutoff_schedule_first_order(dec, math.exp(-n))
     print(
         f"  e^-{n:<3} {sched.t_eps:9.4f} {sched.w_eps:10.5f} "
         f"{sched.T_eps:9.4f} {sched.tau_eps:9.4f}"
@@ -48,12 +47,12 @@ for n in (5, 10, 20, 40):
 
 print("\ncube-root scaling: t_eps * gamma^(1/3) / |ln eps|^(1/3) -> 1")
 for n in (10, 20, 40, 80):
-    sched = cutoff_schedule_first_order(dec, x, math.exp(-n))
+    sched = cutoff_schedule_first_order(dec, math.exp(-n))
     print(f"  eps = e^-{n:<3}: ratio = {sched.t_eps * sched.gamma ** (1 / 3) / n ** (1 / 3):.4f}")
 
 print("\nthe window shrinks like t_eps^{-2}; the threshold is razor thin:")
 eps = math.exp(-15.0)
-sched = cutoff_schedule_first_order(dec, x, eps)
+sched = cutoff_schedule_first_order(dec, eps)
 for rho in (-5.0, -1.0, 0.0, 1.0, 5.0):
     t = sched.t_eps + rho * sched.w_eps
-    print(f"  rho = {rho:+.0f}:  E|X|^2 / eps^2 = {mean_square_first_order(dec, x, t) / eps**2:10.4e}")
+    print(f"  rho = {rho:+.0f}:  E|X|^2 / eps^2 = {mean_square_first_order(dec, t) / eps**2:10.4e}")

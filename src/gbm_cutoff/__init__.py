@@ -27,11 +27,9 @@ from .linalg_core import (
 )
 from .mixing import MixingTimeResult, mixing_ratio_check, mixing_time
 from .noncommutative_cutoff import (
-    GammaMatrices,
     ModeDecomposition,
     cutoff_schedule_first_order,
     example35_check,
-    gamma_matrices,
     mean_square_first_order,
     mode_decomposition,
     select_dominant_mode,
@@ -57,7 +55,6 @@ __all__ = [
     "CubicCoefficients",
     "CutoffSchedule",
     "GBMSystem",
-    "GammaMatrices",
     "HypothesisReport",
     "MCEstimate",
     "MixingTimeResult",
@@ -81,7 +78,6 @@ __all__ = [
     "example35_check",
     "expm_stack",
     "extract_asymptotics",
-    "gamma_matrices",
     "is_hurwitz",
     "magnus_exponent",
     "mean_square_commutative",

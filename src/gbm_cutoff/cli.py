@@ -235,8 +235,8 @@ def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]) -> ClosedForm:
     else:  # first_order prints the report its gate read
         dec, extra = mode_decomposition(sys_), {"hypotheses": sys_.hypotheses.to_dict()}
     return ClosedForm(
-        lambda t: mean_square_first_order(dec, cfg.x, t),
-        lambda eps: cutoff_schedule_first_order(dec, cfg.x, eps),
+        lambda t: mean_square_first_order(dec, t),
+        lambda eps: cutoff_schedule_first_order(dec, eps),
         lambda: {"decomposition": dec.to_dict(), **extra},
     )
 

@@ -29,7 +29,7 @@ DISCRIMINANT_TOL = 1e-12
 
 @dataclass
 class CubicCoefficients:
-    """c3 t^3 + c2 t^2 + c1 t + c0.  c3 = 0 falls back to quadratic/linear."""
+    """c3 t^3 + c2 t^2 + c1 t + c0."""
 
     c3: float
     c2: float
@@ -112,10 +112,10 @@ def cardano_unique_real(c: CubicCoefficients) -> float:
     Raises ``ambiguous_roots`` when the cubic has more than one distinct
     real root (negative depressed discriminant, or a double root next to a
     simple one): the cutoff setting guarantees uniqueness, so a silent
-    choice would mask a modeling error.
+    choice would mask a modeling error.  c3 = 0 is ``bad_coefficients``.
     """
     if c.c3 == 0.0:
-        return _degenerate_root(c)
+        raise ToolkitError("bad_coefficients", "cubic requires c3 != 0")
 
     shift = -c.c2 / (3.0 * c.c3)
     p = (3.0 * c.c3 * c.c1 - c.c2**2) / (3.0 * c.c3**2)
@@ -140,23 +140,6 @@ def cardano_unique_real(c: CubicCoefficients) -> float:
     if abs(c(t)) > target:
         t = _bracketed_refine(c, t, target)
     return t
-
-
-def _degenerate_root(c: CubicCoefficients) -> float:
-    """Quadratic/linear fallback for c3 = 0."""
-    target = RESIDUAL_TOL * (1.0 + abs(c.c0))
-    if c.c2 == 0.0:
-        if c.c1 == 0.0:
-            raise ToolkitError("ambiguous_roots", "constant polynomial has no isolated root")
-        return -c.c0 / c.c1
-    disc = c.c1**2 - 4.0 * c.c2 * c.c0
-    scale = c.c1**2 + abs(4.0 * c.c2 * c.c0)
-    if disc > DISCRIMINANT_TOL * scale:
-        raise ToolkitError("ambiguous_roots", "quadratic has two distinct real roots")
-    if disc < -DISCRIMINANT_TOL * scale:
-        raise ToolkitError("no_real_root", "quadratic has no real root")
-    t = -c.c1 / (2.0 * c.c2)
-    return _polish(c, c.derivative, t, target)
 
 
 def _bracketed_refine(f, t0: float, target: float) -> float:

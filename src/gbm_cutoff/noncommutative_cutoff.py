@@ -84,7 +84,6 @@ class ModeDecomposition:
     ells: np.ndarray
     overlaps: np.ndarray
     x: np.ndarray
-    synthetic: bool
     step3_residuals: dict
 
     @property
@@ -98,7 +97,7 @@ class ModeDecomposition:
             "beta": matrix_to_rows(self.beta),
             "Gamma": matrix_to_rows(self.Gamma),
             "A": matrix_to_rows(self.A),
-            "synthetic": self.synthetic,
+            "synthetic": self.C is None,
             "step3_residuals": {k: float(v) for k, v in self.step3_residuals.items()},
             "modes": [
                 {
@@ -118,21 +117,6 @@ class ModeDecomposition:
         return out
 
 
-class GammaMatrices(NamedTuple):
-    """C = [B, A], Bhat = B + B*, Chat = C + C*, the Gamma matrices and the
-    stabilized drift; p_Gamma and A_tilde are None when no power of two
-    stabilizes."""
-
-    C: np.ndarray
-    Bhat: np.ndarray
-    Chat: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    Gamma: np.ndarray
-    p_Gamma: Optional[float]
-    A_tilde: Optional[np.ndarray]
-
-
 def _stabilizing_p(A: np.ndarray, Gamma: np.ndarray) -> float:
     """0 when A is already stable, else the smallest power of two p with
     A + (p/2) Gamma Hurwitz at STABILITY_MARGIN."""
@@ -146,26 +130,10 @@ def _stabilizing_p(A: np.ndarray, Gamma: np.ndarray) -> float:
 
 
 def _brackets(sys: GBMSystem) -> tuple:
-    """(C, Bhat, Chat, alpha, beta, Gamma) of the pair."""
+    """(C, alpha, beta, Gamma) of the pair, from Bhat = B + B* and Chat = C + C*."""
     C = commutator(sys.B, sys.A)
     Bhat, Chat = sys.B + sys.B.T, C + C.T
-    return C, Bhat, Chat, Bhat @ Bhat / 2.0, Bhat @ Chat / 2.0, Chat @ Chat / 6.0
-
-
-def gamma_matrices(sys: GBMSystem) -> GammaMatrices:
-    """The Gamma matrices of a pair and its stabilizer, with no mode analysis.
-
-    The matrices are computable for any pair.  When no power of two
-    stabilizes A + (p/2) Gamma (e.g. a nilpotent A with the positive
-    semidefinite Gamma every real pair produces), p_Gamma and A_tilde are
-    None; ``mode_decomposition`` raises ``no_stabilizer`` there.
-    """
-    C, Bhat, Chat, alpha, beta, Gamma = _brackets(sys)
-    try:
-        p = _stabilizing_p(sys.A, Gamma)
-    except ToolkitError:
-        return GammaMatrices(C, Bhat, Chat, alpha, beta, Gamma, None, None)
-    return GammaMatrices(C, Bhat, Chat, alpha, beta, Gamma, p, sys.A + 0.5 * p * Gamma)
+    return C, Bhat @ Bhat / 2.0, Bhat @ Chat / 2.0, Chat @ Chat / 6.0
 
 
 def _step3_residuals(A, alpha, beta, Gamma) -> dict[str, float]:
@@ -219,7 +187,6 @@ def _decompose(A, alpha, beta, Gamma, x, tol, *, C=None) -> ModeDecomposition:
         ells=ells,
         overlaps=V.T @ x,
         x=x,
-        synthetic=C is None,
         step3_residuals=res,
     )
 
@@ -231,7 +198,7 @@ def mode_decomposition(sys: GBMSystem) -> ModeDecomposition:
     held by the system, gates the closed form: a B that is not normal, or a
     pair neither commutative nor first order, is ``hypotheses_violated``.
     """
-    C, _, _, alpha, beta, Gamma = _brackets(sys)
+    C, alpha, beta, Gamma = _brackets(sys)
     dec = _decompose(sys.A, alpha, beta, Gamma, sys.x, sys.tol, C=C)
     rep = check_hypotheses(sys)
     if not (rep.normal_B and (rep.commutative or rep.first_order)):
@@ -249,7 +216,7 @@ def synthetic_mode_decomposition(alpha, beta, Gamma, A, x, tol: float = DEFAULT_
     return _decompose(A, alpha, beta, Gamma, x, tol)
 
 
-def mean_square_first_order(dec: ModeDecomposition, x, t: float) -> float:
+def mean_square_first_order(dec: ModeDecomposition, t: float) -> float:
     """E|X_t(x)|^2 in the first-order regime, evaluated mode by mode.
 
     The admissible p_Gamma cancels algebraically between exp(t Atilde) and
@@ -257,14 +224,11 @@ def mean_square_first_order(dec: ModeDecomposition, x, t: float) -> float:
     """
     if t < 0:
         raise ToolkitError("bad_time", "t must be nonnegative")
-    x = as_vector(x, "x")
-    V = dec.basis
-    ov = V.T @ x
     poly = t**3 - dec.p_Gamma * t
     weights = np.exp(
         -0.5 * dec.a_coeffs * t - 0.5 * dec.b_coeffs * t**2 - 0.5 * dec.g_coeffs * poly
     )
-    vec = scipy.linalg.expm(t * dec.A_tilde) @ (V @ (weights * ov))
+    vec = scipy.linalg.expm(t * dec.A_tilde) @ (dec.basis @ (weights * dec.overlaps))
     return float(vec @ vec)
 
 
@@ -286,12 +250,10 @@ def _tie_set_max(values, idx):
     return [j for j in idx if values[j] >= best - TIE_TOL * (1.0 + abs(best))], best
 
 
-def select_dominant_mode(dec: ModeDecomposition, x) -> CascadeSelection:
+def select_dominant_mode(dec: ModeDecomposition) -> CascadeSelection:
     """The J0 -> J4 argmin/argmax cascade picking the slowest mode's exponents."""
-    x = as_vector(x, "x")
-    ov = dec.basis.T @ x
-    xnorm = float(np.linalg.norm(x))
-    J0 = [j for j in range(dec.dim) if abs(ov[j]) > OVERLAP_TOL * xnorm]
+    xnorm = float(np.linalg.norm(dec.x))
+    J0 = [j for j in range(dec.dim) if abs(dec.overlaps[j]) > OVERLAP_TOL * xnorm]
     if not J0:
         raise ToolkitError("x_orthogonal", "x has no overlap with any mode")
 
@@ -310,13 +272,13 @@ def select_dominant_mode(dec: ModeDecomposition, x) -> CascadeSelection:
     )
 
 
-def cutoff_schedule_first_order(dec: ModeDecomposition, x, eps: float) -> CutoffSchedule:
+def cutoff_schedule_first_order(dec: ModeDecomposition, eps: float) -> CutoffSchedule:
     """Cutoff schedule from the dominant mode's cubic; ``no_decay`` when the
     cubic coefficient is not positive."""
     if not 0.0 < eps < math.exp(-1.0):
         raise ToolkitError("bad_epsilon", "eps must lie in (0, 1/e)")
-    sel = select_dominant_mode(dec, x)
-    regime = "synthetic" if dec.synthetic else "first_order"
+    sel = select_dominant_mode(dec)
+    regime = "synthetic" if dec.C is None else "first_order"
 
     if sel.gamma <= 0.0:
         return CutoffSchedule(

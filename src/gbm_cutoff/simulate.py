@@ -79,13 +79,19 @@ def _fill(z: np.ndarray, seed: int, lo: int) -> None:
         gen.standard_normal(out=z[i])
 
 
+def _is_int(v) -> bool:
+    """v is a Python or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_key(seed: int, lo: int = 0, hi: int = 0) -> None:
     """A substream key is two 64-bit words, (seed, path index): ``bad_seed``
-    for a seed outside [0, 2^64), ``bad_path_index`` for a path index of
-    lo..hi-1 outside [0, 2^64) or for hi < lo."""
-    if not 0 <= seed < SEED_END:
-        raise ToolkitError("bad_seed", f"seed must lie in [0, 2^64), got {seed}")
-    if not 0 <= lo <= hi <= SEED_END:
+    for a seed that is not an integer in [0, 2^64), ``bad_path_index`` for
+    bounds lo, hi that are not integers, for a path index of lo..hi-1
+    outside [0, 2^64) or for hi < lo."""
+    if not (_is_int(seed) and 0 <= seed < SEED_END):
+        raise ToolkitError("bad_seed", f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi <= SEED_END):
         raise ToolkitError("bad_path_index", f"path indices {lo}..{hi - 1} must lie in [0, 2^64)")
 
 
@@ -112,6 +118,8 @@ def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
 def _nsteps(t: float, dt: float) -> int:
     if not (dt > 0.0 and dt <= t):
         raise ToolkitError("bad_timestep", f"need 0 < dt <= t, got dt={dt}, t={t}")
+    if t / dt == math.inf:
+        raise ToolkitError("too_many_steps", f"t/dt overflows for dt={dt}, t={t}")
     n = int(round(t / dt))
     if n < 1 or abs(n * dt - t) > 1e-9 * max(t, 1.0):
         raise ToolkitError("bad_timestep", f"t/dt = {t / dt} is not an integer")
@@ -361,8 +369,8 @@ def _grid_steps(
     them."""
     if scheme not in SCHEMES:
         raise ToolkitError("bad_scheme", f"scheme must be one of {SCHEMES}")
-    if n_paths < 100:
-        raise ToolkitError("bad_path_count", "need at least 100 paths")
+    if not (_is_int(n_paths) and n_paths >= 100):
+        raise ToolkitError("bad_path_count", f"need an integer count of at least 100 paths, got {n_paths!r}")
     steps, C = [], None
     for t in ts:
         if t < 0:

@@ -165,7 +165,7 @@ def test_criterion_6_cubic_time_scale():
         ]
         eps = math.exp(-40.0)
         for dec in suite:
-            sched = cutoff_schedule_first_order(dec, dec.x, eps)
+            sched = cutoff_schedule_first_order(dec, eps)
             ratio = sched.t_eps * sched.gamma ** (1.0 / 3.0) / 40.0 ** (1.0 / 3.0)
             assert 0.9 <= ratio <= 1.1
 
@@ -173,12 +173,11 @@ def test_criterion_6_cubic_time_scale():
 def test_criterion_7_first_order_cutoff_threshold():
     with Budget(1.0):
         dec = synthetic_example()
-        x = np.array([1.0, 1.0])
         eps = math.exp(-15.0)
-        sched = cutoff_schedule_first_order(dec, x, eps)
+        sched = cutoff_schedule_first_order(dec, eps)
         assert sched.w_eps == pytest.approx(sched.t_eps**-2)
-        behind = mean_square_first_order(dec, x, sched.t_eps - 5.0 * sched.w_eps) / eps**2
-        ahead = mean_square_first_order(dec, x, sched.t_eps + 5.0 * sched.w_eps) / eps**2
+        behind = mean_square_first_order(dec, sched.t_eps - 5.0 * sched.w_eps) / eps**2
+        ahead = mean_square_first_order(dec, sched.t_eps + 5.0 * sched.w_eps) / eps**2
         assert behind / ahead >= 1e3
 
 

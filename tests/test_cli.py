@@ -7,6 +7,7 @@ import pytest
 
 from gbm_cutoff import cli, hypothesis_checks, noncommutative_cutoff, simulate, spectral_asymptotics
 from gbm_cutoff.cli import load_config, main
+from gbm_cutoff.cubic_solver import CubicCoefficients, cardano_unique_real, correction_root, solve_log_cubic
 from gbm_cutoff.errors import ToolkitError
 
 
@@ -241,6 +242,29 @@ class TestCommands:
         eps, delta, tau, ratio_t, ratio = map(float, out.read_text().strip().splitlines()[1].split(","))
         assert 0.9 < ratio_t < 1.1
 
+    def test_log_cubic_schedule_of_a_jordan_mode(self, tmp_path, capsys):
+        # A's Jordan block gives the mode x = e2 the chain height 2, so ell_star = 1
+        path = write_config(
+            tmp_path, mode="synthetic", A=[[-1.0, 1.0], [0.0, -1.0]], alpha=[[0.2, 0.0], [0.0, 0.2]],
+            beta=[[0.0, 0.0], [0.0, 0.0]], Gamma=[[-0.6, 0.0], [0.0, -0.6]], x=[0.0, 1.0],
+            eps_list=[6.144212353e-06],
+        )
+        assert main(["analyze", "--config", path, "--out", "-"]) == 0
+        sched = json.loads(capsys.readouterr().out)["schedules"][0]
+        assert sched["ell_star"] == 1
+        assert sched["t_eps"] == pytest.approx(3.1283228702386596, rel=1e-12)
+        assert sched["r_eps"] == pytest.approx(0.11368895368118759, rel=1e-10)
+        assert sched["T_eps"] == pytest.approx(3.245559654740909, rel=1e-12)
+        assert sched["tau_eps"] == sched["t_eps"] + sched["r_eps"]
+        cubic = CubicCoefficients.from_cutoff(sched["gamma"], sched["b"], sched["a"], sched["eps"])
+        assert sched["t_eps"] == cardano_unique_real(cubic)
+        assert sched["T_eps"] == solve_log_cubic(cubic, 1)
+        assert sched["r_eps"] == correction_root(sched["t_eps"], cubic, 1)
+        for command in ("mixing", "profile"):
+            assert main([command, "--config", path, "--out", "-"]) == 0
+            cells = [float(v) for line in capsys.readouterr().out.splitlines()[1:] for v in line.split(",")]
+            assert cells and all(map(math.isfinite, cells))
+
     def test_verify_passes_on_scalar_case(self, tmp_path):
         out = tmp_path / "ver.csv"
         rc = main(
@@ -366,6 +390,16 @@ class TestErrorsAndDeterminism:
                    "--paths", "200", "--seed", str((1 << 64) + 1)])
         assert rc == 1
         assert capsys.readouterr().err == "config_mc_seed\n"
+
+    @pytest.mark.parametrize("command", ["verify", "mean-square"])
+    @pytest.mark.parametrize(
+        "dt,code",
+        [("1e-310", "too_many_steps"), ("1e-12", "too_many_steps"), ("0.03", "bad_timestep")],
+    )
+    def test_step_count_of_every_size_has_its_code(self, tmp_path, capsys, command, dt, code):
+        # at dt = 1e-310, t / dt overflows to infinity
+        rc = main([command, "--config", write_config(tmp_path), "--out", "-", "--paths", "100", "--dt", dt])
+        assert (rc, capsys.readouterr().err) == (1, code + "\n")
 
     def test_non_finite_report_rejected(self, tmp_path, capsys):
         out = tmp_path / "ms.csv"

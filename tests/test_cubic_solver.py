@@ -87,17 +87,12 @@ class TestCardano:
             cardano_unique_real(CubicCoefficients(1.0, -5.0, 7.0, -3.0))
         assert err.value.code == "ambiguous_roots"
 
-    def test_linear_fallback(self):
-        assert cardano_unique_real(CubicCoefficients(0.0, 0.0, 2.0, -5.0)) == pytest.approx(2.5)
-
-    def test_quadratic_two_roots_refused(self):
+    @pytest.mark.parametrize("c2,c1,c0", [(0.0, 2.0, -5.0), (1.0, 0.0, -1.0), (1.0, -2.0, 1.0)])
+    def test_zero_cubic_coefficient_refused(self, c2, c1, c0):
+        # the schedule solves a cubic only for gamma > 0
         with pytest.raises(ToolkitError) as err:
-            cardano_unique_real(CubicCoefficients(0.0, 1.0, 0.0, -1.0))
-        assert err.value.code == "ambiguous_roots"
-
-    def test_quadratic_double_root(self):
-        # (t - 1)^2: single distinct value is acceptable
-        assert cardano_unique_real(CubicCoefficients(0.0, 1.0, -2.0, 1.0)) == pytest.approx(1.0)
+            cardano_unique_real(CubicCoefficients(0.0, c2, c1, c0))
+        assert err.value.code == "bad_coefficients"
 
     def test_extreme_constant_term_precision(self):
         # cube-root cancellation regime: huge |ln eps|

@@ -67,10 +67,9 @@ class TestMixingTime:
             A=np.diag([-1.0, -2.0]),
             x=np.array([1.0, 1.0]),
         )
-        x = np.array([1.0, 1.0])
         eps = math.exp(-15.0)
-        sched = cutoff_schedule_first_order(dec, x, eps)
-        res = mixing_time(lambda t: mean_square_first_order(dec, x, t), eps, 0.5)
+        sched = cutoff_schedule_first_order(dec, eps)
+        res = mixing_time(lambda t: mean_square_first_order(dec, t), eps, 0.5)
         assert abs(res.tau - sched.t_eps) / sched.t_eps < 0.02
 
     def test_no_decay_detected(self):

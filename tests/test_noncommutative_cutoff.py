@@ -10,9 +10,9 @@ from gbm_cutoff.cubic_solver import CubicCoefficients
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.hypothesis_checks import check_hypotheses
 from gbm_cutoff.noncommutative_cutoff import (
+    _brackets,
     cutoff_schedule_first_order,
     example35_check,
-    gamma_matrices,
     mean_square_first_order,
     mode_decomposition,
     select_dominant_mode,
@@ -68,46 +68,41 @@ def rotated_synthetic_example(x=(1.0, 1.0)):
 class TestGammaMatrices:
     def test_commuting_pair(self):
         sys = GBMSystem(A=np.diag([-2.0, -3.0]), B=np.diag([1.0, 0.5]), x=np.ones(2))
-        g = gamma_matrices(sys)
+        dec = mode_decomposition(sys)
         Bhat = np.diag([2.0, 1.0])
-        assert np.array_equal(g.C, np.zeros((2, 2)))
-        assert np.array_equal(g.beta, np.zeros((2, 2)))
-        assert np.array_equal(g.Gamma, np.zeros((2, 2)))
-        assert np.allclose(g.alpha, Bhat @ Bhat / 2.0)
+        assert np.array_equal(dec.C, np.zeros((2, 2)))
+        assert np.array_equal(dec.beta, np.zeros((2, 2)))
+        assert np.array_equal(dec.Gamma, np.zeros((2, 2)))
+        assert np.allclose(dec.alpha, Bhat @ Bhat / 2.0)
 
     def test_heisenberg_pair(self):
+        # the pair fails step III, so its brackets are read directly
         sys = GBMSystem(A=elementary(2, 3), B=elementary(1, 2), x=np.array([0.0, 0.0, 1.0]))
-        g = gamma_matrices(sys)
+        C, alpha, beta, Gamma = _brackets(sys)
         # C = [B, A] = +E13 (the Magnus-expansion bracket order)
-        assert np.array_equal(g.C, elementary(1, 3))
-        assert np.array_equal(g.Chat, elementary(1, 3) + elementary(3, 1))
-        assert np.allclose(g.Gamma, (elementary(1, 1) + elementary(3, 3)) / 6.0)
+        assert np.array_equal(C, elementary(1, 3))
+        Bhat, Chat = elementary(1, 2) + elementary(2, 1), elementary(1, 3) + elementary(3, 1)
+        assert np.array_equal(alpha, Bhat @ Bhat / 2.0)
+        assert np.array_equal(beta, Bhat @ Chat / 2.0)
+        assert np.allclose(Gamma, (elementary(1, 1) + elementary(3, 3)) / 6.0)
 
     def test_skew_symmetric_B(self):
         B = np.array([[0.0, 0.4], [-0.4, 0.0]])
         sys = GBMSystem(A=-np.eye(2), B=B, x=np.ones(2))
-        g = gamma_matrices(sys)
-        assert np.array_equal(g.Bhat, np.zeros((2, 2)))
-        assert np.array_equal(g.alpha, np.zeros((2, 2)))
-        assert np.array_equal(g.beta, np.zeros((2, 2)))
+        dec = mode_decomposition(sys)
+        assert np.array_equal(dec.alpha, np.zeros((2, 2)))
+        assert np.array_equal(dec.beta, np.zeros((2, 2)))
 
     def test_p_gamma_zero_for_stable_A(self):
         sys = GBMSystem(A=np.diag([-1.0, -2.0]), B=np.diag([1.0, 0.5]), x=np.ones(2))
-        assert gamma_matrices(sys).p_Gamma == 0.0
+        assert mode_decomposition(sys).p_Gamma == 0.0
 
     def test_no_stabilizer_for_unstable_commuting_pair(self):
-        # Gamma = 0 cannot stabilize an unstable A: matrices still computed,
-        # the mode analysis raises
+        # Gamma = 0 cannot stabilize an unstable A
         sys = GBMSystem(A=np.diag([1.0, -2.0]), B=np.eye(2), x=np.ones(2))
-        g = gamma_matrices(sys)
-        assert g.p_Gamma is None and g.A_tilde is None
         with pytest.raises(ToolkitError) as err:
             mode_decomposition(sys)
         assert err.value.code == "no_stabilizer"
-
-    def test_heisenberg_has_no_stabilizer_but_returns_matrices(self):
-        sys = GBMSystem(A=elementary(2, 3), B=elementary(1, 2), x=np.array([0.0, 0.0, 1.0]))
-        assert gamma_matrices(sys).p_Gamma is None
 
     def test_stabilizer_power_search(self):
         # unstable A with negative-definite Gamma: smallest power of two wins
@@ -212,11 +207,11 @@ class TestModeDecomposition:
 class TestMeanSquareFirstOrder:
     def test_time_zero(self):
         dec = synthetic_example()
-        assert mean_square_first_order(dec, np.array([1.0, 1.0]), 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert mean_square_first_order(dec, 0.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_synthetic_diagonal_value(self):
         dec = synthetic_example()
-        val = mean_square_first_order(dec, np.array([1.0, 1.0]), 1.0)
+        val = mean_square_first_order(dec, 1.0)
         assert val == pytest.approx(math.exp(-2.7) + math.exp(-4.9), rel=1e-12)
 
     def test_commuting_pair_matches_commutative_formula(self):
@@ -228,30 +223,26 @@ class TestMeanSquareFirstOrder:
         for sys in pairs:
             dec = mode_decomposition(sys)
             for t in (0.5, 1.0, 2.0):
-                a = mean_square_first_order(dec, sys.x, t)
+                a = mean_square_first_order(dec, t)
                 b = mean_square_commutative(sys, t)
                 assert abs(a - b) <= 1e-10 * max(abs(b), 1.0)
 
     def test_p_gamma_independence(self):
         # A is stable, so the search picks p_Gamma = 0; p = 2 is admissible too
-        x = np.array([1.0, 1.0])
         base = synthetic_example()
         assert base.p_Gamma == 0.0
         shifted = dataclasses.replace(base, p_Gamma=2.0, A_tilde=base.A + base.Gamma)
         for t in (0.3, 1.0, 2.2, 4.0):
-            a = mean_square_first_order(base, x, t)
-            b = mean_square_first_order(shifted, x, t)
+            a = mean_square_first_order(base, t)
+            b = mean_square_first_order(shifted, t)
             assert abs(a - b) <= 1e-9 * max(a, b)
 
     def test_rotated_example_matches_diagonal(self):
-        c, s = math.cos(0.7), math.sin(0.7)
-        R = np.array([[c, -s], [s, c]])
         diag = synthetic_example()
-        rot = rotated_synthetic_example()
-        x = np.array([1.0, 1.0])
+        rot = rotated_synthetic_example()  # x rotated with the modes
         for t in (0.5, 1.5):
-            a = mean_square_first_order(diag, x, t)
-            b = mean_square_first_order(rot, R @ x, t)
+            a = mean_square_first_order(diag, t)
+            b = mean_square_first_order(rot, t)
             assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -296,7 +287,7 @@ class TestAgainstMomentEquation:
         dec = mode_decomposition(sys)
         for t in (0.3, 1.0, 2.5):
             exact = exact_mean_square(sys, t)
-            assert abs(mean_square_first_order(dec, sys.x, t) - exact) <= 1e-10 * exact
+            assert abs(mean_square_first_order(dec, t) - exact) <= 1e-10 * exact
 
     @pytest.mark.parametrize("seed", range(20))
     def test_normal_pair_is_refused_outside_both_regimes(self, seed):
@@ -312,7 +303,7 @@ class TestAgainstMomentEquation:
         dec = mode_decomposition(sys)
         for t in (0.3, 1.0, 2.5):
             exact = exact_mean_square(sys, t)
-            assert abs(mean_square_first_order(dec, sys.x, t) - exact) <= 1e-10 * exact
+            assert abs(mean_square_first_order(dec, t) - exact) <= 1e-10 * exact
 
     @pytest.mark.parametrize("seed", range(20))
     def test_commuting_pair_with_non_normal_B_is_refused(self, seed):
@@ -326,7 +317,7 @@ class TestAgainstMomentEquation:
 class TestSelectionCascade:
     def test_reference_example_mode_one(self):
         dec = synthetic_example()
-        sel = select_dominant_mode(dec, np.array([1.0, 1.0]))
+        sel = select_dominant_mode(dec)
         assert sel.mode == 0
         assert sel.gamma == pytest.approx(0.3)
         assert sel.b == pytest.approx(0.15)
@@ -334,8 +325,8 @@ class TestSelectionCascade:
         assert sel.ell_star == 0
 
     def test_orthogonal_initial_state_excludes_mode(self):
-        dec = synthetic_example()
-        sel = select_dominant_mode(dec, np.array([0.0, 1.0]))
+        dec = synthetic_example(x=(0.0, 1.0))
+        sel = select_dominant_mode(dec)
         assert sel.mode == 1
         assert sel.gamma == pytest.approx(0.6)
 
@@ -347,15 +338,15 @@ class TestSelectionCascade:
             A=np.diag([-1.0, -2.0]),
             x=np.array([1.0, 1.0]),
         )
-        sel = select_dominant_mode(dec, np.array([1.0, 1.0]))
+        sel = select_dominant_mode(dec)
         assert sel.gamma == pytest.approx(0.4)
         assert sel.b == pytest.approx(0.05)  # argmin b over the gamma tie set
         assert sel.mode == 1
 
     def test_zero_state_orthogonal(self):
-        dec = synthetic_example()
+        dec = synthetic_example(x=(0.0, 0.0))
         with pytest.raises(ToolkitError) as err:
-            select_dominant_mode(dec, np.array([0.0, 0.0]))
+            select_dominant_mode(dec)
         assert err.value.code == "x_orthogonal"
 
 
@@ -363,7 +354,7 @@ class TestCutoffScheduleFirstOrder:
     def test_reference_example_schedule(self):
         dec = synthetic_example()
         eps = math.exp(-10.0)
-        sched = cutoff_schedule_first_order(dec, np.array([1.0, 1.0]), eps)
+        sched = cutoff_schedule_first_order(dec, eps)
         cubic = CubicCoefficients(0.3, 0.15, 0.9, -10.0)
         ref = bisect_root(cubic, 0.0, 10.0)
         assert sched.regime == "synthetic"
@@ -376,31 +367,29 @@ class TestCutoffScheduleFirstOrder:
     def test_commuting_pair_is_no_decay(self):
         sys = GBMSystem(A=np.diag([-2.0, -3.0]), B=np.diag([1.0, 0.5]), x=np.ones(2))
         dec = mode_decomposition(sys)
-        sched = cutoff_schedule_first_order(dec, sys.x, math.exp(-8.0))
+        sched = cutoff_schedule_first_order(dec, math.exp(-8.0))
         assert sched.regime == "no_decay"
         assert "commutative" in sched.note
 
     def test_eps_domain(self):
         dec = synthetic_example()
         with pytest.raises(ToolkitError) as err:
-            cutoff_schedule_first_order(dec, np.array([1.0, 1.0]), 0.9)
+            cutoff_schedule_first_order(dec, 0.9)
         assert err.value.code == "bad_epsilon"
 
     def test_cutoff_threshold_factor(self):
         dec = synthetic_example()
-        x = np.array([1.0, 1.0])
         eps = math.exp(-15.0)
-        sched = cutoff_schedule_first_order(dec, x, eps)
-        lo = mean_square_first_order(dec, x, sched.t_eps - 5.0 * sched.w_eps) / eps**2
-        hi = mean_square_first_order(dec, x, sched.t_eps + 5.0 * sched.w_eps) / eps**2
+        sched = cutoff_schedule_first_order(dec, eps)
+        lo = mean_square_first_order(dec, sched.t_eps - 5.0 * sched.w_eps) / eps**2
+        hi = mean_square_first_order(dec, sched.t_eps + 5.0 * sched.w_eps) / eps**2
         assert lo / hi >= 1e3
 
     def test_cubic_time_scale_asymptotics(self):
         dec = synthetic_example()
-        x = np.array([1.0, 1.0])
         ratios = []
         for n in range(10, 41, 10):
-            sched = cutoff_schedule_first_order(dec, x, math.exp(-float(n)))
+            sched = cutoff_schedule_first_order(dec, math.exp(-float(n)))
             ratios.append(sched.t_eps * sched.gamma ** (1.0 / 3.0) / n ** (1.0 / 3.0))
         assert 0.9 <= ratios[-1] <= 1.1
         deviations = [abs(r - 1.0) for r in ratios]
@@ -418,7 +407,7 @@ class TestCutoffScheduleFirstOrder:
         )
         assert max(dec.ells) == 2
         eps = math.exp(-12.0)
-        sched = cutoff_schedule_first_order(dec, np.array([0.0, 1.0]), eps)
+        sched = cutoff_schedule_first_order(dec, eps)
         assert sched.ell_star == 1
         assert sched.T_eps is not None and sched.r_eps is not None
         assert sched.tau_eps == pytest.approx(sched.t_eps + sched.r_eps)

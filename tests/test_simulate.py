@@ -250,6 +250,21 @@ class TestMagnusExponent:
         assert np.array_equal(magnus_exponent(sys, path, 0.0), np.zeros((3, 3)))
 
 
+KEY_DRAWS = pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed, i: euler_maruyama(scalar_system(), 1.0, 1e-3, seed, i),
+        lambda seed, i: sample_exact_first_order(heisenberg_system(), 1.0, seed, i),
+        lambda seed, i: sample_gaussian_pair(1.0, seed, i),
+        lambda seed, i: BrownianPath.sample(1.0, 1e-3, seed, i),
+        # the count whose last path is i; a negative index is a negative count
+        lambda seed, i: sample_gaussian_pairs(1.0, seed, i + 1 if i >= 0 else i),
+    ],
+    ids=["euler_maruyama", "sample_exact_first_order", "sample_gaussian_pair", "BrownianPath.sample",
+         "sample_gaussian_pairs"],
+)
+
+
 class TestEstimator:
     def test_time_zero_exact(self):
         est = estimate_mean_square(heisenberg_system(), 0.0, "euler_maruyama", 500, seed=1)
@@ -367,23 +382,43 @@ class TestEstimator:
             (0, 1 << 64, "bad_path_index"),
         ],
     )
-    @pytest.mark.parametrize(
-        "draw",
-        [
-            lambda seed, i: euler_maruyama(scalar_system(), 1.0, 1e-3, seed, i),
-            lambda seed, i: sample_exact_first_order(heisenberg_system(), 1.0, seed, i),
-            lambda seed, i: sample_gaussian_pair(1.0, seed, i),
-            lambda seed, i: BrownianPath.sample(1.0, 1e-3, seed, i),
-            # the count whose last path is i; a negative index is a negative count
-            lambda seed, i: sample_gaussian_pairs(1.0, seed, i + 1 if i >= 0 else i),
-        ],
-        ids=["euler_maruyama", "sample_exact_first_order", "sample_gaussian_pair", "BrownianPath.sample",
-             "sample_gaussian_pairs"],
-    )
+    @KEY_DRAWS
     def test_single_path_key_outside_64_bits_rejected(self, draw, seed, index, code):
         with pytest.raises(ToolkitError) as err:
             draw(seed, index)
         assert err.value.code == code
+
+    @pytest.mark.parametrize(
+        "seed,index,code",
+        [
+            (1.5, 0, "bad_seed"),  # the uint64 key would truncate it to seed 1
+            (1.0, 0, "bad_seed"),
+            (True, 0, "bad_seed"),
+            (0, 2.5, "bad_path_index"),
+            (0, 2.0, "bad_path_index"),
+        ],
+    )
+    @KEY_DRAWS
+    def test_single_path_key_that_is_not_an_integer_rejected(self, draw, seed, index, code):
+        with pytest.raises(ToolkitError) as err:
+            draw(seed, index)
+        assert err.value.code == code
+
+    @pytest.mark.parametrize(
+        "seed,n_paths,code",
+        [(1.5, 200, "bad_seed"), (np.float64(1.0), 200, "bad_seed"), (1, 150.5, "bad_path_count"),
+         (1, 200.0, "bad_path_count"), (1, True, "bad_path_count")],
+    )
+    def test_estimate_key_and_count_that_are_not_integers_rejected(self, seed, n_paths, code):
+        with pytest.raises(ToolkitError) as err:
+            estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", n_paths, dt=1e-2, seed=seed)
+        assert err.value.code == code
+
+    @pytest.mark.parametrize("seed", [np.int64(1), np.uint64(1)])
+    def test_numpy_integer_seed_draws_as_the_python_integer(self, seed):
+        a = estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200, dt=1e-2, seed=seed)
+        b = estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200, dt=1e-2, seed=1)
+        assert a.value == b.value and a.std_error == b.std_error
 
 
 class TestBatchRows:
@@ -444,6 +479,21 @@ class TestBatchMemory:
             "BrownianPath.sample": lambda: BrownianPath.sample(1.0, 1e-2, 1, 0),
             "BrownianPath.functionals": lambda: path.functionals(1.0),
             "euler_maruyama": lambda: euler_maruyama(scalar_system(), 1.0, 1e-2, 1, 0),
+        }[entry]
+        with pytest.raises(ToolkitError) as err:
+            run()
+        assert err.value.code == "too_many_steps"
+
+    @pytest.mark.parametrize("entry", ["BrownianPath.sample", "BrownianPath.functionals", "euler_maruyama",
+                                       "estimate_mean_square"])
+    def test_step_count_beyond_a_double_rejected(self, entry):
+        # t / dt overflows to infinity, which int(round(t / dt)) cannot convert
+        run = {
+            "BrownianPath.sample": lambda: BrownianPath.sample(1e300, 1e-10, 0, 0),
+            "BrownianPath.functionals": lambda: BrownianPath.sample(1e-9, 1e-10, 0, 0).functionals(1e300),
+            "euler_maruyama": lambda: euler_maruyama(scalar_system(), 1e300, 1e-10, 0, 0),
+            "estimate_mean_square": lambda: estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200,
+                                                                 dt=1e-310, seed=1),
         }[entry]
         with pytest.raises(ToolkitError) as err:
             run()
@@ -707,7 +757,7 @@ class TestExactMeanSquare:
         t = float(np.random.default_rng(seed).uniform(0.0, 2.5))
         exact = exact_mean_square(sys, t)
         assert exact == pytest.approx(mean_square_commutative(sys, t), rel=1e-11)
-        assert exact == pytest.approx(mean_square_first_order(mode_decomposition(sys), sys.x, t), rel=1e-11)
+        assert exact == pytest.approx(mean_square_first_order(mode_decomposition(sys), t), rel=1e-11)
 
     def test_agrees_with_euler_maruyama_on_a_dense_pair(self):
         sys = dense_system()
