@@ -4,22 +4,26 @@ mean square of any pair from its linear second-moment equation.
 
 Every path draws from its own counter-based substream, keyed by
 (seed, path index), so estimates are reproducible bit for bit no matter
-how paths are batched.  The rows of a batch are drawn on every usable
-CPU, one contiguous chunk each, when a row holds enough draws to pay for the
-threads, and on the calling thread otherwise; the output does not depend on
-the CPU count.  Each scheme is one batch kernel over a range of
+how paths are batched.  Each scheme is one batch kernel over a range of
 path indices and a grid of times: a path is drawn once, at the largest t,
-and every other t reads a prefix of that draw.  The exact and Magnus
-kernels exponentiate the batch's stack of exponents at once with
-linalg_core.expm_stack, whose rows do not depend on each other.  The public
-single-path functions are its n = 1 views.  The reduction uses exact
-compensated summation over the per-path values in index order.
+and every other t reads a prefix of that draw.  The estimator streams the
+rows through a thread pool in cache-sized chunks of about 2^18 increments,
+one chunk per task, when a row holds enough draws to pay for the threads,
+and on the calling thread otherwise: each task draws, steps and
+exponentiates its rows and reduces them to |X_t|^2.  The d > 1
+Euler-Maruyama kernel steps all rows of a batch at once, time-major, and
+draws its rows in chunks on the pool.  The output does not depend on the
+CPU count.  The exact and Magnus kernels exponentiate a stack of exponents
+at once with linalg_core.expm_stack, whose rows do not depend on each other.
+The public single-path functions are n = 1 views.  The reduction uses
+exact compensated summation over the per-path values in index order.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,9 +43,13 @@ SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_t
 SEED_END = 1 << 64
 _BATCH = 8192
 # Bound on the largest array of one batch, in doubles (2^24, 128 MiB): rows x
-# steps of its increments, rows x d^2 of its exponents.  The d^2 x d^2
-# moment equation of exact_mean_square obeys the same bound.
+# steps of its increments, rows x d^2 of its exponents.  The chunks of rows
+# in flight at once share it, and the d^2 x d^2 moment equation of
+# exact_mean_square obeys it too.
 _MAX_BATCH_DOUBLES = 1 << 24
+# A chunk of rows holds about this many increments (2^18 doubles, 2 MiB), so
+# that one task's arrays stay in a core's cache.
+_CHUNK_DOUBLES = 1 << 18
 
 
 def _usable_cpus() -> int:
@@ -51,16 +59,47 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# One chunk of each batch's rows per usable CPU; the pool's threads fill them
-# in parallel, as Generator.standard_normal releases the GIL while it draws.
+# One thread per usable CPU runs the chunks in parallel, as numpy releases the
+# GIL while it draws, multiplies and reduces.  A task calls private helpers
+# only, and never submits to the pool: a task waiting on tasks queued behind
+# it could deadlock the pool.
 _WORKERS = _usable_cpus()
 _POOL = ThreadPoolExecutor(_WORKERS)
-# Rows of fewer draws are filled on the calling thread: re-keying a row holds
-# the GIL, and below this width it outweighs the draws, so the pool's threads
+# Rows of fewer draws run on the calling thread: re-keying a row holds the
+# GIL, and below this width it outweighs the draws, so the pool's threads
 # only contend.  Pooled over inline time for about 2^20 draws (8192 rows at
 # 2 draws), median of 31, 2 cores, numpy 2.4.6: 1.0-1.4 at 2 draws per row,
 # 1.3-1.4 at 256, 1.1-1.2 at 512, 0.85-0.92 at 640, 0.7-0.8 at 1000 and 2000.
 _POOLED_MIN_DRAWS = 640
+
+
+def _run_chunks(task, n: int, k: int, per_row: int) -> None:
+    """task(a, b) for row ranges (a, b) that cover 0..n-1, for rows of k
+    steps and of per_row doubles in their largest array.  A chunk holds
+    about _CHUNK_DOUBLES increments and at most _BATCH rows, and the chunks
+    in flight at once hold at most _MAX_BATCH_DOUBLES.  Rows of at least
+    _POOLED_MIN_DRAWS steps run on the pool, where each worker takes the
+    next chunk until none is left (one submission per worker, however many
+    chunks); shorter rows run in order on the calling thread.  A task writes
+    its rows' results in place, so the order in which chunks finish changes
+    no bit."""
+    workers = _WORKERS if k >= _POOLED_MIN_DRAWS else 1
+    size = max(1, min(_BATCH, _CHUNK_DOUBLES // k, _MAX_BATCH_DOUBLES // (workers * per_row)))
+    todo = deque((a, min(a + size, n)) for a in range(0, n, size))  # popleft is atomic
+
+    def drain() -> None:
+        while True:
+            try:
+                a, b = todo.popleft()
+            except IndexError:
+                return
+            task(a, b)
+
+    if workers == 1 or len(todo) == 1:
+        drain()
+    else:
+        # list() waits for every worker and re-raises a task's exception
+        list(_POOL.map(lambda _: drain(), range(min(workers, len(todo)))))
 
 
 def _fill(z: np.ndarray, seed: int, lo: int) -> None:
@@ -96,22 +135,12 @@ def _check_key(seed: int, lo: int = 0, hi: int = 0) -> None:
 
 
 def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
-    """(hi - lo, k) standard normals; row i is the first k draws of path lo + i.
-
-    Rows of at least _POOLED_MIN_DRAWS draws are split into one contiguous
-    chunk per worker.  Each row's draws depend only on its key, so the split
-    changes no bit.
-    """
+    """(hi - lo, k) standard normals; row i is the first k draws of path lo + i,
+    drawn on the calling thread.  Each row's draws depend only on its key, so
+    splitting the rows into chunks changes no bit."""
     _check_key(seed, lo, hi)
-    rows = hi - lo
-    z = np.empty((rows, k))
-    n = min(_WORKERS, rows) if k >= _POOLED_MIN_DRAWS else 1
-    if n <= 1:
-        _fill(z, seed, lo)
-        return z
-    cuts = [rows * j // n for j in range(n + 1)]
-    # list() waits for every chunk and re-raises a worker's exception
-    list(_POOL.map(lambda a, b: _fill(z[a:b], seed, lo + a), cuts[:-1], cuts[1:]))
+    z = np.empty((hi - lo, k))
+    _fill(z, seed, lo)
     return z
 
 
@@ -132,6 +161,20 @@ def _increments(n: int, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
     """Brownian increments of n steps of size dt, one row per path lo..hi-1."""
     inc = _normals(seed, lo, hi, n)
     inc *= math.sqrt(dt)
+    return inc
+
+
+def _time_major_increments(n: int, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The increments of _increments transposed, one row per step and one
+    column per path lo..hi-1, drawn in chunks of rows on the pool straight
+    into place.  The chunks in flight hold at most a quarter of
+    _MAX_BATCH_DOUBLES beside this array."""
+    inc = np.empty((n, hi - lo))
+
+    def fill(a: int, b: int) -> None:
+        inc[:, a:b] = _increments(n, dt, seed, lo + a, lo + b).T
+
+    _run_chunks(fill, hi - lo, n, 4 * n)
     return inc
 
 
@@ -270,27 +313,40 @@ def _prefix_products(f: np.ndarray, ks: list[int]) -> list[np.ndarray]:
 
 def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, hi: int) -> list[np.ndarray]:
     """Euler-Maruyama states of the Ito form dX = (A + B^2/2) X dt + B X dW
-    after k steps, for each k of `ks`, from one draw of max(ks) steps."""
-    inc = _increments(max(ks), dt, seed, lo, hi)
+    after k steps, for each k of `ks`, from one draw of max(ks) steps.
+
+    The scalar kernel works on its rows alone.  For d > 1 each step is one
+    (2d x d) @ (d x rows) product [D; B] X over every row of the batch, with
+    the rows' increments of that step contiguous, and the update
+    X + dt (DX) + dW (BX) runs in place in that order."""
     drift = _ito_drift(sys)
     if sys.dim == 1:
         # scalar update collapses to a product of per-step factors
         # 1 + drift dt + B dW, built in place of the increments
+        inc = _increments(max(ks), dt, seed, lo, hi)
         inc *= sys.B[0, 0]
         inc += 1.0 + drift[0, 0] * dt
         return [(sys.x[0] * p)[:, None] for p in _prefix_products(inc, ks)]
-    # numpy multiplies a one-row matrix through gemv, which rounds differently
-    # from gemm; stepping a lone path as two rows keeps its bits batch-independent
-    rows = max(hi - lo, 2)
-    inc = np.broadcast_to(inc, (rows, inc.shape[1]))
-    driftT = drift.T
-    BT = sys.B.T
-    X = np.broadcast_to(sys.x, (rows, sys.dim)).copy()
+    d, n = sys.dim, hi - lo
+    dW = _time_major_increments(max(ks), dt, seed, lo, hi)
+    if n == 1:
+        # numpy multiplies by a one-column matrix through gemv, which rounds
+        # differently from gemm; stepping a lone path as two columns keeps its
+        # bits batch-independent
+        dW = np.repeat(dW, 2, axis=1)
+    DB = np.concatenate((drift, sys.B))
+    X = np.repeat(sys.x[:, None], dW.shape[1], axis=1)
+    Y = np.empty((2 * d, dW.shape[1]))
+    DX, BX = Y[:d], Y[d:]
     wanted, states = set(ks), {}
-    for k in range(1, inc.shape[1] + 1):
-        X = X + dt * (X @ driftT) + inc[:, k - 1, None] * (X @ BT)
+    for k in range(1, len(dW) + 1):
+        np.matmul(DB, X, out=Y)
+        DX *= dt
+        DX += X
+        BX *= dW[k - 1]
+        np.add(DX, BX, out=X)
         if k in wanted:
-            states[k] = X[: hi - lo]
+            states[k] = X[:, :n].T.copy()
     return [states[k] for k in ks]
 
 
@@ -323,6 +379,7 @@ def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) ->
 def euler_maruyama(sys: GBMSystem, t: float, dt: float, seed: int, index: int) -> np.ndarray:
     """One Euler-Maruyama path of the Ito form dX = (A + B^2/2) X dt + B X dW."""
     if t == 0.0:
+        _check_key(seed, index, index + 1)
         return sys.x.copy()
     return _end_states(sys, [t], "euler_maruyama", dt, seed, index, index + 1)[0][0]
 
@@ -420,8 +477,10 @@ def estimate_mean_squares(
     path is drawn and stepped once, to the largest t, and every other t
     reads a prefix of that draw, so each estimate equals the one a draw at
     its own t gives.  Every t is checked, in grid order, before anything is
-    drawn.  A batch holds at most 8192 paths, and at most 2^24 doubles in
-    its increments (rows x steps) and in its exponents (rows x d^2).  A path
+    drawn.  The paths run in chunks of at most 8192, and the chunks in
+    flight hold at most 2^24 doubles in their increments (rows x steps) and
+    in their exponents (rows x d^2); the d > 1 Euler-Maruyama kernel steps
+    batches of at most 8192 paths and 2^24 increments.  A path
     of more than 2^24 steps is rejected with ``too_many_steps``, a pair with
     d^2 > 2^24 with ``too_large``, and an estimate whose value or standard
     error is not finite with ``report_not_finite``.
@@ -429,14 +488,24 @@ def estimate_mean_squares(
     steps, C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
     drawn = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
     values = {t: np.empty(n_paths) for t in drawn}
-    # overflow surfaces as a non-finite estimate, refused below
-    with np.errstate(all="ignore"):
-        if drawn:
-            rows = min(_BATCH, _MAX_BATCH_DOUBLES // max(max(steps), sys.dim**2))
+
+    def run(lo: int, hi: int) -> None:
+        # overflow surfaces as a non-finite estimate, refused below; the error
+        # state is per thread, so each pool task sets its own
+        with np.errstate(all="ignore"):
+            for t, X in zip(drawn, _end_states(sys, drawn, scheme, dt, seed, lo, hi, C)):
+                values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
+
+    if drawn:
+        k, per_row = max(steps), max(max(steps), sys.dim**2)
+        if scheme == "euler_maruyama" and sys.dim > 1:
+            # each step spans every row of a batch; the kernel pools its draws
+            rows = min(_BATCH, _MAX_BATCH_DOUBLES // per_row)
             for lo in range(0, n_paths, rows):
-                hi = min(lo + rows, n_paths)
-                for t, X in zip(drawn, _end_states(sys, drawn, scheme, dt, seed, lo, hi, C)):
-                    values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
+                run(lo, min(lo + rows, n_paths))
+        else:
+            _run_chunks(run, n_paths, k, per_row)
+    with np.errstate(all="ignore"):
         moments = {t: _mean_and_se(v) for t, v in values.items()}
         at_zero = (float(sys.x @ sys.x), 0.0)
     estimates = []

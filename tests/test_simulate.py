@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -222,6 +223,18 @@ class TestEulerMaruyama:
             euler_maruyama(scalar_system(), 1.0, 0.3, 0, 0)
         assert err.value.code == "bad_timestep"
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_noise_free_estimate_is_a_matrix_power(self, d):
+        # with B = 0 every path is (I + dt A)^k x, so the estimate is exact up
+        # to the rounding of k steps
+        rng = np.random.default_rng([90, d])
+        A = -np.eye(d) + 0.5 * rng.standard_normal((d, d))
+        sys = GBMSystem(A=A, B=np.zeros((d, d)), x=rng.standard_normal(d))
+        dt, grid = 1e-2, [0.25 * k for k in range(1, 9)]
+        for t, est in zip(grid, estimate_mean_squares(sys, grid, "euler_maruyama", 300, dt=dt, seed=90)):
+            X = np.linalg.matrix_power(np.eye(d) + dt * A, round(t / dt)) @ sys.x
+            assert est.value == pytest.approx(X @ X, rel=1e-13, abs=0.0)
+
 
 class TestMagnusExponent:
     def test_commuting_reduction(self):
@@ -259,9 +272,15 @@ KEY_DRAWS = pytest.mark.parametrize(
         lambda seed, i: BrownianPath.sample(1.0, 1e-3, seed, i),
         # the count whose last path is i; a negative index is a negative count
         lambda seed, i: sample_gaussian_pairs(1.0, seed, i + 1 if i >= 0 else i),
+        # at t = 0 nothing is drawn, but the key is checked all the same
+        lambda seed, i: euler_maruyama(scalar_system(), 0.0, 1e-3, seed, i),
+        lambda seed, i: euler_maruyama(heisenberg_system(), 0.0, 1e-3, seed, i),
+        lambda seed, i: sample_exact_first_order(heisenberg_system(), 0.0, seed, i),
+        lambda seed, i: sample_gaussian_pair(0.0, seed, i),
     ],
     ids=["euler_maruyama", "sample_exact_first_order", "sample_gaussian_pair", "BrownianPath.sample",
-         "sample_gaussian_pairs"],
+         "sample_gaussian_pairs", "euler_maruyama_t0", "euler_maruyama_3d_t0", "sample_exact_first_order_t0",
+         "sample_gaussian_pair_t0"],
 )
 
 
@@ -451,7 +470,7 @@ class TestBatchMemory:
             capped = estimate_mean_square(sys, t, scheme, n, dt=dt, seed=79)
             assert capped.to_dict() == uncapped.to_dict()
 
-    def test_peak_memory_follows_the_cap(self, monkeypatch):
+    def test_peak_memory_follows_the_cap(self, monkeypatch, three_workers):
         sys = scalar_system()
         cap = 1 << 14
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", cap)
@@ -462,7 +481,21 @@ class TestBatchMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # the 3 chunks in flight share the cap: 2 paths each
+        assert three_workers == [2] * 2000
         assert peak < 8 * cap * 8  # a few (rows x steps) arrays of doubles at once
+
+    def test_verify_batch_streams_in_chunks(self, three_workers):
+        # one 8192 x 2000 increment matrix would take 131 MB; chunks of 131
+        # paths take 2 MB each, and 3 are in flight
+        tracemalloc.start()
+        try:
+            estimate_mean_square(scalar_system(), 2.0, "euler_maruyama", 8192, dt=1e-3, seed=92)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(three_workers) == [70] + [131] * 62
+        assert peak < 16 * 2**20
 
     def test_path_longer_than_the_cap_rejected(self, monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 100)
@@ -524,17 +557,24 @@ class TestBatchMemory:
 
     @pytest.mark.parametrize("scheme,arrays", [("euler_maruyama", 1), ("magnus_truncated", 2)])
     @pytest.mark.parametrize("system", [scalar_system, dense_system])
-    def test_one_pass_holds_one_or_two_batch_arrays(self, monkeypatch, system, scheme, arrays):
-        # EM builds its factors in the increments; Magnus holds the walk and one scratch array
+    def test_one_pass_holds_one_or_two_batch_arrays(self, monkeypatch, three_workers, system, scheme, arrays):
+        # EM builds its factors in the increments; Magnus holds the walk and one
+        # scratch array.  The 3 chunks in flight count within the cap; so do the
+        # d > 1 EM kernel's draws, in a quarter of it beside its time-major batch
         cap = 1 << 18
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", cap)
         tracemalloc.start()
         try:
-            # 131 paths x 2000 steps per batch, read at 8 times
+            # 1000 paths x 2000 steps, read at 8 times
             estimate_mean_squares(system(), [0.25 * k for k in range(9)], scheme, 1000, dt=1e-3, seed=88)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        if system is dense_system and scheme == "euler_maruyama":
+            # 7 batches of 131 paths and one of 83, each drawn in chunks of 10
+            assert sorted(three_workers) == sorted(([10] * 13 + [1]) * 7 + [10] * 8 + [3])
+        else:
+            assert sorted(three_workers) == [11] + [43] * 23
         assert peak < (arrays + 0.5) * cap * 8
 
     @pytest.mark.parametrize("scheme", ["euler_maruyama", "exact_first_order", "magnus_truncated"])
@@ -545,17 +585,32 @@ class TestBatchMemory:
         assert err.value.code == "too_large"
 
 
+class SubmissionSpy(ThreadPoolExecutor):
+    """A pool that counts its submissions and refuses one from any thread but
+    the one that built it: a pool task that submits to the pool and waits
+    could deadlock it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.caller, self.submissions = threading.get_ident(), 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        assert threading.get_ident() == self.caller, "a pool task submitted to the pool"
+        self.submissions += 1
+        return super().submit(fn, *args, **kwargs)
+
+
 @pytest.fixture
 def three_workers(monkeypatch):
-    """Split each batch's draws into 3 chunks on a pool of 3 threads, whatever
-    the CPU count; yields the row count of each chunk filled."""
+    """Run the pooled chunks on a pool of 3 threads, whatever the CPU count;
+    yields the row count of each chunk drawn.  The pool is a SubmissionSpy."""
     chunks, fill = [], simulate._fill
 
     def counted(z, seed, lo):
         chunks.append(len(z))
         fill(z, seed, lo)
 
-    pool, interval = ThreadPoolExecutor(3), getswitchinterval()
+    pool, interval = SubmissionSpy(3), getswitchinterval()
     monkeypatch.setattr(simulate, "_WORKERS", 3)
     monkeypatch.setattr(simulate, "_POOL", pool)
     monkeypatch.setattr(simulate, "_fill", counted)
@@ -567,24 +622,31 @@ def three_workers(monkeypatch):
         pool.shutdown()
 
 
+def time_major_columns_are_fresh_generators(dW, seed, lo):
+    """Column i of a time-major draw at dt = 1 is path lo + i's generator."""
+    for i, column in enumerate(dW.T):
+        fresh = Generator(Philox(key=np.array([seed, lo + i], dtype=np.uint64)))
+        assert np.array_equal(column, fresh.standard_normal(len(dW)))
+
+
 class TestSubstreams:
-    @pytest.mark.parametrize("rows,split", [(1, [1]), (2, [1, 1]), (7, [2, 2, 3]), (8193, [2731, 2731, 2731])])
-    def test_chunked_rows_are_generators_built_afresh(self, three_workers, rows, split):
+    @pytest.mark.parametrize("rows,split", [(1, [1]), (2, [2]), (7, [1, 3, 3]), (8193, [3] * 2731)])
+    def test_chunked_rows_are_generators_built_afresh(self, monkeypatch, three_workers, rows, split):
         seed, lo, k = 17, 40, simulate._POOLED_MIN_DRAWS
-        z = simulate._normals(seed, lo, lo + rows, k)
-        assert sorted(three_workers) == split
-        for i, row in enumerate(z):
-            fresh = Generator(Philox(key=np.array([seed, lo + i], dtype=np.uint64)))
-            assert np.array_equal(row, fresh.standard_normal(k))
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 3 * k)  # chunks of 3 rows
+        dW = simulate._time_major_increments(k, 1.0, seed, lo, lo + rows)
+        assert sorted(three_workers) == sorted(split)
+        assert simulate._POOL.submissions == (0 if rows <= 3 else 3)
+        time_major_columns_are_fresh_generators(dW, seed, lo)
 
     @pytest.mark.parametrize("k", [2, 5, simulate._POOLED_MIN_DRAWS - 1])
-    def test_short_rows_are_drawn_inline(self, three_workers, k):
+    def test_short_rows_are_drawn_inline(self, monkeypatch, three_workers, k):
         seed, lo, rows = 17, 40, 7
-        z = simulate._normals(seed, lo, lo + rows, k)
-        assert three_workers == [rows]  # one chunk, on the calling thread
-        for i, row in enumerate(z):
-            fresh = Generator(Philox(key=np.array([seed, lo + i], dtype=np.uint64)))
-            assert np.array_equal(row, fresh.standard_normal(k))
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 3 * k)
+        dW = simulate._time_major_increments(k, 1.0, seed, lo, lo + rows)
+        assert three_workers == [3, 3, 1]  # in order, on the calling thread
+        assert simulate._POOL.submissions == 0
+        time_major_columns_are_fresh_generators(dW, seed, lo)
 
     @pytest.mark.parametrize(
         "name,scheme",
@@ -592,15 +654,18 @@ class TestSubstreams:
         + [("dense", "euler_maruyama"), ("dense", "magnus_truncated"), ("dense commuting", "exact_first_order")],
     )
     def test_estimates_do_not_depend_on_the_worker_count(self, monkeypatch, three_workers, name, scheme):
-        # dt = 5e-4 gives 1000 steps at the largest t, enough to split the rows;
-        # the exact schemes' 2 draws per row are drawn inline
-        sys = grid_system(name)
+        # dt = 5e-4 gives 1000 steps at the largest t, enough to pool the rows;
+        # an exact scheme takes one step of 2 draws, on the calling thread
+        sys, steps = grid_system(name), 1 if scheme.startswith("exact") else 1000
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 100 * steps)  # chunks of 100 rows
         three = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=5e-4, seed=91)]
         # one batch, drawn once
-        assert sorted(three_workers) == ([301] if scheme.startswith("exact") else [100, 100, 101])
+        assert sorted(three_workers) == [1, 100, 100, 100]
+        assert simulate._POOL.submissions == (0 if steps == 1 else 3)
         monkeypatch.setattr(simulate, "_WORKERS", 1)
         one = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=5e-4, seed=91)]
         assert three == one
+        assert simulate._POOL.submissions == (0 if steps == 1 else 3)  # one worker: the calling thread
 
     def test_distinct_indices_distinct_draws(self):
         a, b = simulate._normals(5, 0, 2, 4)
