@@ -211,31 +211,38 @@ def _system(cfg: RunConfig) -> Optional[GBMSystem]:
 
 
 class ClosedForm(NamedTuple):
-    """A report's closed form: t -> E|X_t|^2, eps -> schedule, () -> analyze fields."""
+    """A report's closed form: t -> E|X_t|^2, eps -> schedule, () -> analyze
+    fields, and whether msq is certified never to increase in t."""
 
     msq: Callable[[float], float]
     schedule: Callable[[float], CutoffSchedule]
     fields: Callable[[], dict]
+    non_increasing: bool = False
 
 
 def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]) -> ClosedForm:
     """The report's closed form, built once from the checked drift Q (commutative)
-    or the mode decomposition.  The asymptotics of exp(tQ)x are extracted at
-    most once, when a schedule or the fields first need them."""
+    or the mode decomposition.  msq is memoized by t.  The asymptotics of
+    exp(tQ)x are extracted at most once, when a schedule or the fields first
+    need them."""
     if cfg.mode == "commutative":
         Q = effective_drift(sys_)
         asym = cache(lambda: extract_asymptotics(Q, cfg.x))
+        # d/dt |exp(tQ)x|^2 <= lambda_max(Q + Q^T) |exp(tQ)x|^2 (the
+        # logarithmic norm); a Q that overflowed certifies nothing
+        S = Q + Q.T
         return ClosedForm(
-            lambda t: drift_mean_square(Q, cfg.x, t),
+            cache(lambda t: drift_mean_square(Q, cfg.x, t)),
             lambda eps: cutoff_time_from_rate(asym().q, asym().ell, eps, cfg.w),
             lambda: {"Q": matrix_to_rows(Q), "q": asym().q, "ell": asym().ell},
+            bool(np.all(np.isfinite(S)) and np.linalg.eigvalsh(S)[-1] <= 0.0),
         )
     if cfg.mode == "synthetic":
         dec, extra = synthetic_mode_decomposition(cfg.alpha, cfg.beta, cfg.Gamma, cfg.A, cfg.x, cfg.tol), {}
     else:  # first_order prints the report its gate read
         dec, extra = mode_decomposition(sys_), {"hypotheses": sys_.hypotheses.to_dict()}
     return ClosedForm(
-        lambda t: mean_square_first_order(dec, t),
+        cache(lambda t: mean_square_first_order(dec, t)),
         lambda eps: cutoff_schedule_first_order(dec, eps),
         lambda: {"decomposition": dec.to_dict(), **extra},
     )
@@ -292,7 +299,7 @@ def cmd_mixing(cfg: RunConfig) -> tuple[str, str]:
     rows = []
     for eps in cfg.eps_list:
         sched = _decaying(form.schedule, eps)
-        res = mixing_time(form.msq, eps, cfg.delta, t_ref=sched.t_eps)
+        res = mixing_time(form.msq, eps, cfg.delta, t_ref=sched.t_eps, non_increasing=form.non_increasing)
         rows.append([eps, cfg.delta, res.tau, res.tau_over_t_ref, res.tau_ratio])
     return _csv(["eps", "delta", "tau", "tau_over_t_eps", "tau_ratio"], rows), "csv"
 
@@ -364,16 +371,15 @@ class _Parser(argparse.ArgumentParser):
         raise ToolkitError("usage_error", message)
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="gbm-cutoff", description=__doc__)
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--config", required=True, help="JSON config file")
-    p.add_argument("--eps", help="comma-separated eps overrides")
-    p.add_argument("--seed", type=int, help="override mc.seed")
-    p.add_argument("--paths", type=int, help="override mc.n_paths")
-    p.add_argument("--dt", type=float, help="override mc.dt")
-    p.add_argument("--out", help="override output path ('-' for stdout)")
-    return p
+# built once per process; each parse_args call fills a fresh namespace
+_PARSER = _Parser(prog="gbm-cutoff", description=__doc__)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="JSON config file")
+_PARSER.add_argument("--eps", help="comma-separated eps overrides")
+_PARSER.add_argument("--seed", type=int, help="override mc.seed")
+_PARSER.add_argument("--paths", type=int, help="override mc.n_paths")
+_PARSER.add_argument("--dt", type=float, help="override mc.dt")
+_PARSER.add_argument("--out", help="override output path ('-' for stdout)")
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -395,7 +401,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         # overflow surfaces as a non-finite report value, which _csv and
         # _json reject; numpy's warnings would only add stderr lines
         with np.errstate(all="ignore"):

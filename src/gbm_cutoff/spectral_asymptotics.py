@@ -4,9 +4,11 @@ For y != 0 the trajectory behaves like (t^(ell-1) / e^(qt)) * S(t) with an
 almost-periodic carrier S(t) = sum_k exp(i theta_k t) v_k.  This module
 extracts (q, ell, theta_k, v_k) from the eigenstructure of Q:
 
-* eigenvalues are clustered (relative gap 1e-7) and a spectral projector
-  per cluster is built from a reordered complex Schur form plus one
-  Sylvester solve;
+* eigenvalues are clustered (relative gap 1e-7) and taken by decreasing
+  real part; a cluster's spectral projector, from a reordered complex
+  Schur form plus one Sylvester solve, is built when a vector is first
+  read off it, and reading stops below the slowest decay rate the vector
+  reaches, so usually only the leading cluster is projected;
 * q is the slowest decay rate among clusters that actually carry a
   component of y, ell the largest Jordan chain height y attains there;
 * only chains of maximal height survive the t^(ell-1) normalization, so
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -105,50 +108,71 @@ def is_diagonalizable(M) -> bool:
     return True
 
 
-def _split_spectrum(Q: np.ndarray) -> list:
-    """The split of Q that every vector is read off: per eigenvalue cluster,
-    its mean rep, its size, its spectral projector and Q - rep I."""
-    lam = np.linalg.eigvals(Q)
-    parts = []
-    for idx in cluster_values(lam):
-        members, others = lam[idx], np.delete(lam, idx)
-        rep = complex(np.mean(members))
+class _Cluster:
+    """One eigenvalue cluster of Q: its position in the eigenvalue order, its
+    mean rep and its size; its spectral projector and Q - rep I are built on
+    first use."""
+
+    def __init__(self, Q: np.ndarray, lam: np.ndarray, index: int, idx: list[int]):
+        self.Q, self.index, self.size = Q, index, len(idx)
+        self.members, self.others = lam[idx], np.delete(lam, idx)
+        self.rep = complex(np.mean(self.members))
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        members, others = self.members, self.others
         radius = 0.5 * float(min(abs(m - o) for m in members for o in others)) if others.size else np.inf
-        N = Q.astype(complex) - rep * np.eye(Q.shape[0])
-        parts.append((rep, len(idx), spectral_projector(Q, members, radius), N))
-    return parts
+        return spectral_projector(self.Q, members, radius)
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        return self.Q.astype(complex) - self.rep * np.eye(self.Q.shape[0])
 
 
-def _read_vector(parts, y: np.ndarray) -> tuple[float, int, list]:
+def _split_spectrum(Q: np.ndarray) -> list[_Cluster]:
+    """The split of Q that every vector is read off: its eigenvalue clusters
+    by decreasing real part."""
+    lam = np.linalg.eigvals(Q)
+    clusters = [_Cluster(Q, lam, k, idx) for k, idx in enumerate(cluster_values(lam))]
+    return sorted(clusters, key=lambda c: -c.rep.real)
+
+
+def _read_vector(parts: list[_Cluster], y: np.ndarray) -> tuple[float, int, list]:
     """(q, ell, kept) of exp(tQ)y off the split of Q: kept lists (rep, top of
-    chain) of the leading clusters of height ell, by decreasing frequency."""
+    chain) of the leading clusters of height ell, by decreasing frequency.
+    Projectors are built only for the clusters down to the leading real part
+    -q - lead_tol, as no cluster below it can carry a leading component."""
     ynorm = float(np.linalg.norm(y))
     yc = y.astype(complex)
-    # component of y, chain height and top-of-chain vector per cluster
-    carriers = []
-    for rep, size, P, N in parts:
-        comp = P @ yc
+    q = None
+    # cluster, chain height and top-of-chain vector of each leading component of y
+    leading = []
+    for c in parts:
+        if q is not None and c.rep.real < -q - lead_tol:
+            break
+        comp = c.projector @ yc
         if np.linalg.norm(comp) <= COMPONENT_TOL * ynorm:
             continue
         height, top = 1, comp
         z = comp
-        for j in range(1, size):
-            z = N @ z
+        for j in range(1, c.size):
+            z = c.N @ z
             if np.linalg.norm(z) > COMPONENT_TOL * ynorm:
                 height, top = j + 1, z
-        carriers.append((rep, height, top))
+        if q is None:
+            q = -c.rep.real
+            lead_tol = CLUSTER_GAP * (1.0 + abs(q))
+        leading.append((c, height, top))
 
-    if not carriers:
+    if q is None:
         raise ToolkitError("eig_failure", "no spectral component of y exceeds threshold")
 
-    q = -max(rep.real for rep, _, _ in carriers)
-    lead_tol = CLUSTER_GAP * (1.0 + abs(q))
-    leading = [c for c in carriers if c[0].real >= -q - lead_tol]
     ell = max(height for _, height, _ in leading)
-    kept = sorted(
-        ((rep, top) for rep, height, top in leading if height == ell),
-        key=lambda c: -c[0].imag,
-    )
+    kept = [
+        (c.rep, top)
+        for c, height, top in sorted(leading, key=lambda e: (-e[0].rep.imag, e[0].index))
+        if height == ell
+    ]
     return q, ell, kept
 
 

@@ -139,6 +139,26 @@ class TestConfigValidation:
         assert err.value.code == "config_invalid_json"
 
 
+# mixing CSVs of the certified search, byte for byte as the bisection alone
+# printed them: Q + Q^T <= 0 for both configs
+MIXING_CSVS = {
+    "readme-2d": (
+        {"A": [[-2.0, 0.0], [0.0, -3.0]], "B": [[1.0, 0.0], [0.0, 0.5]], "x": [1.0, 1.0]},
+        "eps,delta,tau,tau_over_t_eps,tau_ratio\n"
+        "0.018315638888734179,0.5,4.3465737402439117,1.0866434350609779,1\n"
+        "0.0024787521766663585,0.5,6.3465735912322998,1.0577622652053833,1\n"
+        "0.00033546262790251185,0.5,8.3465735912322998,1.0433216989040375,1\n",
+    ),
+    "jordan": (
+        {"A": [[-1.5, 1.0], [0.0, -1.5]], "B": [[0.5, 0.0], [0.0, 0.5]], "x": [0.0, 1.0], "delta": 0.2},
+        "eps,delta,tau,tau_over_t_eps,tau_ratio\n"
+        "0.018315638888734179,0.20000000000000001,5.1732499003410339,1.2005586664746999,1.1459941042115682\n"
+        "0.0024787521766663585,0.20000000000000001,7.0096663236618042,1.124532005791669,1.098399506889661\n"
+        "0.00033546262790251185,0.20000000000000001,8.7875946164131165,1.0897918525638597,1.0747804621151362\n",
+    ),
+}
+
+
 class TestCommands:
     def test_hypotheses_json(self, tmp_path, capsys):
         out = tmp_path / "hyp.json"
@@ -234,6 +254,35 @@ class TestCommands:
         by_rho = {float(l.split(",")[0]): float(l.split(",")[1]) for l in lines[1:]}
         assert by_rho[0.0] == pytest.approx(1.0, rel=1e-6)
         assert by_rho[-3.0] > 1.0 > by_rho[3.0]
+
+    @pytest.mark.parametrize("name", sorted(MIXING_CSVS))
+    def test_certified_mixing_csv_bytes(self, tmp_path, capsys, name):
+        cfg, csv = MIXING_CSVS[name]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "commutative", **cfg}))
+        assert main(["mixing", "--config", str(path), "--out", "-"]) == 0
+        assert capsys.readouterr() == (csv, "")
+
+    @pytest.mark.parametrize("overrides,certified", [
+        ({}, True),  # Q = -0.75
+        (MIXING_CSVS["jordan"][0], True),
+        ({"A": [[-0.5, 0.3], [-30.0, -0.5]], "B": [[0.0, 0.0], [0.0, 0.0]], "x": [1.0, 0.0]}, False),
+        ({"mode": "first_order", "A": [[-2.0, 0.0], [0.0, -3.0]], "B": [[1.0, 0.0], [0.0, 0.5]], "x": [1.0, 1.0]},
+         False),
+    ])
+    def test_closed_form_certificate(self, tmp_path, overrides, certified):
+        cfg = load_config(write_config(tmp_path, **overrides))
+        assert cli._closed_form(cfg, cli._system(cfg)).non_increasing is certified
+
+    def test_overflowed_drift_certifies_nothing(self, tmp_path, capsys):
+        # (B + B^T)^2 / 4 overflows to inf on the diagonal; eigvalsh would not converge
+        path = write_config(tmp_path, A=np.diag([-1.0, -2.0, -3.0]).tolist(), B=np.diag([1e154] * 3).tolist(),
+                            x=[1.0, 1.0, 1.0])
+        assert main(["mean-square", "--config", path, "--out", "-", "--paths", "200"]) == 1
+        assert capsys.readouterr().err == "report_not_finite\n"
+        cfg = load_config(path)
+        with np.errstate(all="ignore"):
+            assert cli._closed_form(cfg, cli._system(cfg)).non_increasing is False
 
     def test_mixing_synthetic(self, tmp_path):
         out = tmp_path / "mix.csv"
@@ -473,6 +522,29 @@ class TestOverridesAndUsage:
         assert main(["analyze", "--config", write_config(tmp_path), "--out", ""]) == 1
         assert capsys.readouterr().err == "config_bad_format\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_parser_keeps_no_values_between_calls(self, tmp_path, monkeypatch):
+        parsed = []
+        apply = cli._apply_overrides
+
+        def spy(cfg, args):
+            parsed.append(args)
+            return apply(cfg, args)
+
+        monkeypatch.setattr(cli, "_apply_overrides", spy)
+        path = write_config(tmp_path)
+        argv = ["mean-square", "--config", path, "--out", str(tmp_path / "ms.csv"), "--paths", "200"]
+        assert main(argv + ["--seed", "7", "--eps", "0.01"]) == 0
+        assert main(argv) == 0
+        assert (parsed[0].seed, parsed[0].eps) == (7, "0.01")
+        assert (parsed[1].seed, parsed[1].eps) == (None, None)
+
+    def test_usage_error_after_a_parsed_call_is_one_line_code(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["analyze", "--config", path, "--out", "-", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--config", path, "--seed", "abc"]) == 1
+        assert capsys.readouterr() == ("", "usage_error\n")
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gbm_cutoff.commutative_cutoff import cutoff_time_commutative, mean_square_commutative
+from gbm_cutoff.commutative_cutoff import cutoff_time_commutative, drift_mean_square, mean_square_commutative
 from gbm_cutoff.errors import ToolkitError
-from gbm_cutoff.mixing import mixing_ratio_check, mixing_time
+from gbm_cutoff.mixing import BRACKET_TOL, T_CAP, _first_crossing, mixing_ratio_check, mixing_time
 from gbm_cutoff.noncommutative_cutoff import (
     cutoff_schedule_first_order,
     mean_square_first_order,
@@ -116,3 +116,101 @@ class TestMixingRatios:
         res = mixing_time(scalar_msq, math.exp(-6.0), 0.5, t_ref=8.0)
         d = res.to_dict()
         assert {"delta", "eps", "tau", "tau_ratio", "t_ref", "tau_over_t_ref"} <= set(d)
+
+
+def reference_crossing(msq, threshold):
+    """The search before the certified shrink: doubling, then bisection."""
+    if msq(0.0) <= threshold:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while msq(hi) > threshold:
+        lo, hi = hi, 2.0 * hi
+        if hi > T_CAP:
+            raise ToolkitError("no_decay", f"mean square stays above target up to t = {T_CAP:g}")
+    while hi - lo > BRACKET_TOL * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if msq(mid) <= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def spied(msq):
+    """msq and the list of the times it is evaluated at."""
+    ts = []
+
+    def spy(t):
+        ts.append(t)
+        return msq(t)
+
+    return spy, ts
+
+
+def _symmetric_q(d, seed):
+    rng = np.random.default_rng(seed)
+    O = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return O @ np.diag(-rng.uniform(0.2, 2.0, d)) @ O.T, rng.standard_normal(d)
+
+
+SYMMETRIC_Q, SYMMETRIC_X = _symmetric_q(8, 16)
+
+
+def jordan_msq(t, mu=-0.8, kappa=1.0, x=(0.3, 1.0)):
+    """|exp(tQ)x|^2 for Q = [[mu, kappa], [0, mu]]."""
+    return math.exp(2.0 * mu * t) * ((x[0] + kappa * t * x[1]) ** 2 + x[1] ** 2)
+
+
+# Q + Q^T < 0 for each: -1.5 for the scalar, lambda_max = 2 mu + |kappa| = -0.6
+# for the Jordan block, and 2 Q for the symmetric Q
+CERTIFIED = {
+    "scalar": scalar_msq,
+    "jordan": jordan_msq,
+    "symmetric-d8": lambda t: drift_mean_square(SYMMETRIC_Q, SYMMETRIC_X, t),
+}
+GRID = [(math.exp(-k), delta) for k in range(3, 31) for delta in (0.1, 0.5, 0.9)]
+
+
+class TestCertifiedSearch:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_same_tau_as_the_bisection(self, name):
+        msq = CERTIFIED[name]
+        for eps, delta in GRID:
+            tau = reference_crossing(msq, delta * eps**2)
+            other = reference_crossing(msq, (1.0 - delta) * eps**2)
+            res = mixing_time(msq, eps, delta, non_increasing=True)
+            assert (res.tau, res.tau_ratio) == (tau, tau / other)
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_evaluation_counts(self, name):
+        counts, ref_counts = [], []
+        for eps, delta in GRID:
+            for threshold in (delta * eps**2, (1.0 - delta) * eps**2):
+                spy, ts = spied(CERTIFIED[name])
+                ref_spy, ref_ts = spied(CERTIFIED[name])
+                assert _first_crossing(spy, threshold, True) == reference_crossing(ref_spy, threshold)
+                assert len(ts) <= len(ref_ts) + 2
+                counts.append(len(ts))
+                ref_counts.append(len(ref_ts))
+        assert sum(counts) <= 0.5 * sum(ref_counts)
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_uncertified_search_evaluates_the_bisection_points(self, name):
+        for eps, delta in GRID[::7]:
+            spy, ts = spied(CERTIFIED[name])
+            ref_spy, ref_ts = spied(CERTIFIED[name])
+            res = mixing_time(spy, eps, delta)
+            tau = reference_crossing(ref_spy, delta * eps**2)
+            reference_crossing(ref_spy, (1.0 - delta) * eps**2)
+            assert res.tau == tau
+            assert ts == ref_ts
+
+    def test_uncertified_non_monotone_evaluator_keeps_the_bisection(self):
+        # a non-normal Q whose mean square rises and falls: lambda_max(Q + Q^T) = 28.7
+        Q, x = np.array([[-0.5, 0.3], [-30.0, -0.5]]), np.array([1.0, 0.0])
+        spy, ts = spied(lambda t: drift_mean_square(Q, x, t))
+        ref_spy, ref_ts = spied(lambda t: drift_mean_square(Q, x, t))
+        eps = math.exp(-4.0)
+        assert mixing_time(spy, eps, 0.5).tau == reference_crossing(ref_spy, 0.5 * eps**2) == 13.196157336235046
+        reference_crossing(ref_spy, 0.5 * eps**2)
+        assert ts == ref_ts

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gbm_cutoff import spectral_asymptotics
 from gbm_cutoff.errors import ToolkitError
+from gbm_cutoff.linalg_core import CLUSTER_GAP, cluster_values
 from gbm_cutoff.spectral_asymptotics import (
+    COMPONENT_TOL,
     extract_asymptotics,
     is_diagonalizable,
     normalized_state,
@@ -186,6 +189,85 @@ class TestExtractAsymptotics:
         assert asym.q == pytest.approx(1.0, abs=1e-9)
         assert asym.m == 1
         assert np.allclose(asym.vs[0], [1.0, 0.0], atol=1e-9)
+
+
+def eager_split(Q):
+    """Every cluster's (rep, size, projector, Q - rep I), in cluster order."""
+    lam = np.linalg.eigvals(Q)
+    parts = []
+    for idx in cluster_values(lam):
+        members, others = lam[idx], np.delete(lam, idx)
+        rep = complex(np.mean(members))
+        radius = 0.5 * float(min(abs(m - o) for m in members for o in others)) if others.size else np.inf
+        N = Q.astype(complex) - rep * np.eye(Q.shape[0])
+        parts.append((rep, len(idx), spectral_projector(Q, members, radius), N))
+    return parts
+
+
+def eager_read(parts, y):
+    """(q, ell, kept) of y off every cluster of the eager split."""
+    ynorm = float(np.linalg.norm(y))
+    carriers = []
+    for rep, size, P, N in parts:
+        comp = P @ y.astype(complex)
+        if np.linalg.norm(comp) <= COMPONENT_TOL * ynorm:
+            continue
+        height, top, z = 1, comp, comp
+        for j in range(1, size):
+            z = N @ z
+            if np.linalg.norm(z) > COMPONENT_TOL * ynorm:
+                height, top = j + 1, z
+        carriers.append((rep, height, top))
+    q = -max(rep.real for rep, _, _ in carriers)
+    leading = [c for c in carriers if c[0].real >= -q - CLUSTER_GAP * (1.0 + abs(q))]
+    ell = max(height for _, height, _ in leading)
+    kept = sorted(((rep, top) for rep, height, top in leading if height == ell), key=lambda c: -c[0].imag)
+    return q, ell, kept
+
+
+def _stable(M, margin):
+    return M - (np.max(np.linalg.eigvals(M).real) + margin) * np.eye(M.shape[0])
+
+
+_RNG = np.random.default_rng(36)
+_O = np.linalg.qr(_RNG.standard_normal((8, 8)))[0]
+SYMMETRIC8 = (_O @ np.diag(-np.linspace(0.5, 4.0, 8)) @ _O.T, _RNG.standard_normal(8))
+LAZY_CASES = {
+    "symmetric": SYMMETRIC8,
+    "jordan": JORDAN,
+    "triple-jordan": (np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]]), np.array([0.0, 0.0, 1.0])),
+    "complex-pair": ROTATION,
+    "two-complex-pairs": (np.block([[ROTATION[0], np.eye(2)], [np.zeros((2, 2)), ROTATION[0] - np.eye(2)]]),
+                          np.array([1.0, 0.5, -0.2, 1.0])),
+    "random": (_stable(_RNG.standard_normal((5, 5)), 0.3), _RNG.standard_normal(5)),
+    "no-slowest-component": (np.diag([-1.0, -2.0, -2.0, -3.0]), np.array([0.0, 1.0, -1.0, 1.0])),
+    "no-slowest-symmetric": (SYMMETRIC8[0], np.linalg.eigh(SYMMETRIC8[0])[1][:, 1]),
+}
+
+
+class TestLazyRead:
+    @pytest.mark.parametrize("name", sorted(LAZY_CASES))
+    def test_same_asymptotics_as_the_eager_read(self, monkeypatch, name):
+        Q, y = LAZY_CASES[name]
+        lazy = extract_asymptotics(Q, y)
+        monkeypatch.setattr(spectral_asymptotics, "_split_spectrum", eager_split)
+        monkeypatch.setattr(spectral_asymptotics, "_read_vector", eager_read)
+        eager = extract_asymptotics(Q, y)
+        assert (lazy.q, lazy.ell, lazy.m, lazy.thetas, lazy.K0, lazy.K1) == (
+            eager.q, eager.ell, eager.m, eager.thetas, eager.K0, eager.K1)
+        assert all(np.array_equal(a, b) for a, b in zip(lazy.vs, eager.vs, strict=True))
+
+    def test_generic_vector_builds_one_projector(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(None)
+            return spectral_projector(*args)
+
+        monkeypatch.setattr(spectral_asymptotics, "spectral_projector", counted)
+        Q, y = SYMMETRIC8
+        assert extract_asymptotics(Q, y).q == pytest.approx(0.5, rel=1e-12)
+        assert len(built) == 1
 
 
 class TestIsDiagonalizable:
