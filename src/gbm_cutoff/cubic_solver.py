@@ -2,12 +2,14 @@
 
 The cutoff time scale in the first-order regime solves
 ``c3 t^3 + c2 t^2 + c1 t + c0 = 0`` (with c0 = ln(eps)), possibly with an
-extra ``-ell_star ln(t)`` term.  The solvers here return the unique real
-root via the classical depressed-cubic radicals, then polish with Newton
-steps: the radical form loses digits to cube-root cancellation when the
-constant term dominates, while the polished root carries an explicit
-residual certificate.  A cubic with three distinct real roots is refused
-rather than silently tie-broken.
+extra ``-ell_star ln(t)`` term.  The solvers here seed the unique real root
+by the classical depressed-cubic radicals (the log-cubic bisects a bracket
+around that seed), and every root ends in one step, `_certify`: a few Newton
+steps polish it, and a root that still misses the residual contract is
+``bracket_failure`` rather than a number.  The radical form loses digits to
+cube-root cancellation when the constant term dominates; the polish wins
+them back.  A cubic with three distinct real roots is refused rather than
+silently tie-broken.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .errors import ToolkitError
 
@@ -106,6 +107,14 @@ def _polish(f, fprime, t: float, target: float) -> float:
     return best
 
 
+def _certify(f, fprime, t: float, target: float) -> float:
+    """The polished root, or ``bracket_failure`` if it misses |f| <= target."""
+    t = _polish(f, fprime, t, target)
+    if not abs(f(t)) <= target:
+        raise ToolkitError("bracket_failure", "residual contract not met")
+    return t
+
+
 def cardano_unique_real(c: CubicCoefficients) -> float:
     """The unique real root of the cubic, by Cardano radicals plus polishing.
 
@@ -123,7 +132,6 @@ def cardano_unique_real(c: CubicCoefficients) -> float:
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
     disc_scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
 
-    target = RESIDUAL_TOL * (1.0 + abs(c.c0))
     if disc > DISCRIMINANT_TOL * disc_scale:
         root = math.sqrt(disc)
         s = np.cbrt(-q / 2.0 + root) + np.cbrt(-q / 2.0 - root)
@@ -136,32 +144,15 @@ def cardano_unique_real(c: CubicCoefficients) -> float:
     else:
         raise ToolkitError("ambiguous_roots", "cubic has three distinct real roots")
 
-    t = _polish(c, c.derivative, t, target)
-    if abs(c(t)) > target:
-        t = _bracketed_refine(c, t, target)
-    return t
-
-
-def _bracketed_refine(f, t0: float, target: float) -> float:
-    """Brent fallback around an approximate root when Newton stalls."""
-    step = max(1.0, abs(t0))
-    for _ in range(64):
-        lo, hi = t0 - step, t0 + step
-        if f(lo) * f(hi) < 0:
-            t = float(scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
-            if abs(f(t)) <= target:
-                return t
-            break
-        step *= 2.0
-    raise ToolkitError("bracket_failure", "could not certify the residual contract")
+    return _certify(c, c.derivative, t, RESIDUAL_TOL * (1.0 + abs(c.c0)))
 
 
 def solve_log_cubic(c: CubicCoefficients, ell_star: int) -> float:
     """Unique root of c3 T^3 + c2 T^2 + c1 T - ell_star ln(T) + c0 = 0.
 
-    Starts from the Cardano root of the ell_star = 0 cubic and refines by
-    bracketing; the log term is a small perturbation beyond the turning
-    region.
+    Bisects [t0/2, 4 t0] around the Cardano root t0 of the ell_star = 0
+    cubic down to adjacent doubles, then certifies the closer end; the log
+    term is a small perturbation beyond the turning region.
     """
     if ell_star < 0:
         raise ToolkitError("bad_coefficients", "ell_star must be nonnegative")
@@ -180,13 +171,19 @@ def solve_log_cubic(c: CubicCoefficients, ell_star: int) -> float:
     if t0 <= 0.0:
         raise ToolkitError("bracket_failure", "cubic seed root is not positive")
     lo, hi = t0 / 2.0, 4.0 * t0
-    if g(lo) * g(hi) > 0:
+    g_lo = g(lo)
+    if g_lo * g(hi) > 0:
         raise ToolkitError("bracket_failure", f"no sign change on [{lo:.6g}, {hi:.6g}]")
-    t = float(scipy.optimize.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
-    t = _polish(g, gprime, t, RESIDUAL_TOL * (1.0 + abs(c.c0)))
-    if abs(g(t)) > RESIDUAL_TOL * (1.0 + abs(c.c0)):
-        raise ToolkitError("bracket_failure", "log-cubic residual contract not met")
-    return t
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        g_mid = g(mid)
+        if g_mid * g_lo > 0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    t = min(lo, hi, key=lambda s: abs(g(s)))
+    return _certify(g, gprime, t, RESIDUAL_TOL * (1.0 + abs(c.c0)))
 
 
 def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
@@ -227,8 +224,4 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
     else:
         r = 0.0
 
-    target = RESIDUAL_TOL * (1.0 + abs(a0))
-    r = _polish(corr, corr.derivative, r, target)
-    if abs(corr(r)) > target:
-        r = _bracketed_refine(corr, r, target)
-    return r
+    return _certify(corr, corr.derivative, r, RESIDUAL_TOL * (1.0 + abs(a0)))

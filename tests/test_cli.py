@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -108,6 +110,10 @@ class TestConfigValidation:
             ({"x": []}, "config_entries_not_finite"),
             ({"x": [[1.0], [2.0, 3.0]]}, "config_entries_not_finite"),
             ({"x": 1.0}, "config_entries_not_finite"),
+            ({"mc": 5}, "config_mc_invalid"),
+            ({"output": 5}, "config_bad_format"),
+            ({"output": {"path": 5}}, "config_bad_format"),
+            ({"output": {"path": ""}}, "config_bad_format"),
             ({"x": None}, "config_entries_not_finite"),
             ({"A": [[None]]}, "config_entries_not_finite"),
             ({"x": [None]}, "config_entries_not_finite"),
@@ -131,9 +137,10 @@ class TestConfigValidation:
             load_config("/nonexistent/cfg.json")
         assert err.value.code == "config_unreadable"
 
-    def test_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", '[{"mode": "commutative"}]'])
+    def test_invalid_json(self, tmp_path, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text(text)
         with pytest.raises(ToolkitError) as err:
             load_config(str(path))
         assert err.value.code == "config_invalid_json"
@@ -334,6 +341,13 @@ class TestCommands:
         worst = max(float(line.split(",")[4]) for line in lines[1:])
         assert worst < 1e-8
 
+    def test_config_output_path_is_written_without_out(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        path = write_config(tmp_path, output={"path": str(report)})
+        assert main(["analyze", "--config", path]) == 0
+        assert main(["analyze", "--config", path, "--out", "-"]) == 0
+        assert report.read_text() == capsys.readouterr().out
+
     def test_stdout_output(self, tmp_path, capsys):
         rc = main(["hypotheses", "--config", write_config(tmp_path), "--out", "-"])
         assert rc == 0
@@ -364,10 +378,20 @@ class TestErrorsAndDeterminism:
         assert rc == 1
         assert not out.exists()
 
-    def test_synthetic_verify_rejected(self, tmp_path, capsys):
-        rc = main(["verify", "--config", synthetic_config(tmp_path), "--out", "-"])
+    @pytest.mark.parametrize("command", ["verify", "hypotheses"])
+    def test_pair_command_on_synthetic_config_rejected(self, tmp_path, capsys, command):
+        rc = main([command, "--config", synthetic_config(tmp_path), "--out", "-"])
         assert rc == 1
         assert capsys.readouterr().err.strip() == "config_bad_mode"
+
+    @pytest.mark.parametrize("command", ["mixing", "profile"])
+    def test_commuting_pair_in_first_order_mode_has_no_decay(self, tmp_path, capsys, command):
+        # the dominant mode of a commuting pair has cubic coefficient 0, so its
+        # schedule has no decaying time scale; commutative mode gives a tau
+        path = write_config(tmp_path, mode="first_order", A=[[-2.0, 0.0], [0.0, -3.0]],
+                            B=[[1.0, 0.0], [0.0, 0.5]], x=[1.0, 1.0], eps_list=[1e-3])
+        assert main([command, "--config", path, "--out", "-"]) == 1
+        assert capsys.readouterr().err == "no_decay\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, t_grid=[0.5, 1.0])
@@ -489,6 +513,7 @@ class TestOverridesAndUsage:
             ("--dt", "inf", {"mc": {"dt": float("inf")}}, "config_mc_dt"),
             ("--eps", "0.5", {"eps_list": [0.5]}, "config_eps_range"),
             ("--eps", ",", {"eps_list": []}, "config_eps_range"),
+            ("--eps", "a,0.01", {"eps_list": ["a", 0.01]}, "config_eps_range"),
             ("--seed", "-1", {"mc": {"seed": -1}}, "config_mc_seed"),
         ],
     )
@@ -551,6 +576,15 @@ class TestOverridesAndUsage:
             main(["--help"])
         assert exc.value.code == 0
         assert "gbm-cutoff" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # a fresh interpreter: this suite's own oracles import scipy.optimize
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, gbm_cutoff.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def count_calls(monkeypatch, fn) -> list:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from gbm_cutoff import cubic_solver
 from gbm_cutoff.cubic_solver import (
@@ -25,6 +26,27 @@ def bisect_root(f, lo, hi, iters=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def outcome(solve, *args):
+    """The solver's root, or the code of the ToolkitError it raises."""
+    try:
+        return solve(*args)
+    except ToolkitError as exc:
+        return exc.code
+
+
+def brentq_log_cubic(c, ell):
+    """Oracle: Brent's method on the log-cubic's bracket [t0/2, 4 t0] about the
+    Cardano root t0, with the same residual contract and error codes."""
+    g = lambda t: c(t) - ell * math.log(t)
+    t0 = cardano_unique_real(c)
+    if t0 <= 0.0 or g(t0 / 2.0) * g(4.0 * t0) > 0:
+        raise ToolkitError("bracket_failure", "no bracket")
+    t = scipy.optimize.brentq(g, t0 / 2.0, 4.0 * t0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    if not abs(g(t)) <= 1e-9 * (1.0 + abs(c.c0)):
+        raise ToolkitError("bracket_failure", "residual")
+    return t
 
 
 def random_cutoff_cubics(n, seed):
@@ -126,6 +148,33 @@ class TestLogCubic:
             solve_log_cubic(CubicCoefficients(-1.0, 0.0, 0.0, -8.0), 1)
         assert err.value.code == "bad_coefficients"
 
+    def test_bisection_agrees_with_brentq(self):
+        # brentq stops within its relative tolerance of 4 eps, so the two
+        # roots agree to that, not to the last bit
+        for seed in (47, 48):
+            for c in random_cutoff_cubics(100, seed):
+                for ell in (1, 2, 3):
+                    T, ref = outcome(solve_log_cubic, c, ell), outcome(brentq_log_cubic, c, ell)
+                    if isinstance(ref, str):
+                        assert T == ref
+                    else:
+                        assert abs(T - ref) <= 4 * np.finfo(float).eps * ref
+
+
+@pytest.mark.parametrize(
+    "solve,args",
+    [
+        (cardano_unique_real, (CubicCoefficients(1.0, 0.0, 0.0, -8.0),)),
+        (solve_log_cubic, (CubicCoefficients(1.0, 0.0, 0.0, -8.0), 1)),
+        (correction_root, (2.0, CubicCoefficients(1.0, 0.0, 0.0, -8.0), 1)),
+    ],
+)
+def test_root_that_misses_the_residual_contract_is_refused(monkeypatch, solve, args):
+    monkeypatch.setattr(cubic_solver, "_polish", lambda f, fprime, t, target: t + 1.0)
+    with pytest.raises(ToolkitError) as err:
+        solve(*args)
+    assert err.value.code == "bracket_failure"
+
 
 class TestCorrectionRoot:
     def test_ell_zero_gives_zero(self):
@@ -158,7 +207,7 @@ class TestCorrectionRoot:
     def test_newton_starts_at_the_root_of_the_correction_cubic(self, monkeypatch):
         # the radicals solve the correction cubic itself, so Newton starts
         # next to its root (cube-root cancellation costs a few digits) and
-        # meets the residual contract with no bracketing
+        # meets the residual contract, else correction_root would raise
         cases = []
         for seed in (44, 45, 46):
             for k, c in enumerate(random_cutoff_cubics(100, seed)):
@@ -176,11 +225,7 @@ class TestCorrectionRoot:
             starts.append(t)
             return polish(f, fprime, t, target)
 
-        def no_bracketing(*args):
-            raise AssertionError("Newton did not meet the residual contract")
-
         monkeypatch.setattr(cubic_solver, "_polish", recorded)
-        monkeypatch.setattr(cubic_solver, "_bracketed_refine", no_bracketing)
         for t_eps, c, ell in cases:
             r = correction_root(t_eps, c, ell)
             assert abs(starts[-1] - r) <= 1e-3 * abs(r)
