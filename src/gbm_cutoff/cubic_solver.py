@@ -9,7 +9,8 @@ steps polish it, and a root that still misses the residual contract is
 ``bracket_failure`` rather than a number.  The radical form loses digits to
 cube-root cancellation when the constant term dominates; the polish wins
 them back.  A cubic with three distinct real roots is refused rather than
-silently tie-broken.
+silently tie-broken, and a cubic whose radicals overflow (or divide by a
+power of c3 that underflows to zero) is ``bad_coefficients``.
 """
 
 from __future__ import annotations
@@ -115,22 +116,35 @@ def _certify(f, fprime, t: float, target: float) -> float:
     return t
 
 
+def _require_finite(*values: float) -> None:
+    """``bad_coefficients`` unless every radical intermediate is finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise ToolkitError("bad_coefficients", "cubic radicals are not finite")
+
+
 def cardano_unique_real(c: CubicCoefficients) -> float:
     """The unique real root of the cubic, by Cardano radicals plus polishing.
 
     Raises ``ambiguous_roots`` when the cubic has more than one distinct
     real root (negative depressed discriminant, or a double root next to a
     simple one): the cutoff setting guarantees uniqueness, so a silent
-    choice would mask a modeling error.  c3 = 0 is ``bad_coefficients``.
+    choice would mask a modeling error.  c3 = 0, or radicals that are not
+    finite, are ``bad_coefficients``.
     """
     if c.c3 == 0.0:
         raise ToolkitError("bad_coefficients", "cubic requires c3 != 0")
 
-    shift = -c.c2 / (3.0 * c.c3)
-    p = (3.0 * c.c3 * c.c1 - c.c2**2) / (3.0 * c.c3**2)
-    q = (2.0 * c.c2**3 - 9.0 * c.c3 * c.c2 * c.c1 + 27.0 * c.c3**2 * c.c0) / (27.0 * c.c3**3)
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    disc_scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
+    # Python floats raise on overflow or on division by a power of c3 that
+    # underflowed to zero, where numpy floats give inf or nan
+    try:
+        shift = -c.c2 / (3.0 * c.c3)
+        p = (3.0 * c.c3 * c.c1 - c.c2**2) / (3.0 * c.c3**2)
+        q = (2.0 * c.c2**3 - 9.0 * c.c3 * c.c2 * c.c1 + 27.0 * c.c3**2 * c.c0) / (27.0 * c.c3**3)
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+        disc_scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
+    except (ZeroDivisionError, OverflowError):
+        raise ToolkitError("bad_coefficients", "cubic radicals are not finite") from None
+    _require_finite(shift, p, q, disc, disc_scale)
 
     if disc > DISCRIMINANT_TOL * disc_scale:
         root = math.sqrt(disc)
@@ -211,13 +225,17 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
     corr = CubicCoefficients(gamma, a2, a1, a0)
 
     # closed-form radicals as the initial guess
-    p_t = a1 / gamma - a2**2 / (3.0 * gamma**2)
-    q_t = (
-        2.0 * a2**3 / (27.0 * gamma**3)
-        - a1 * a2 / (3.0 * gamma**2)
-        + a0 / gamma
-    )
-    disc = (q_t / 2.0) ** 2 + (p_t / 3.0) ** 3
+    try:
+        p_t = a1 / gamma - a2**2 / (3.0 * gamma**2)
+        q_t = (
+            2.0 * a2**3 / (27.0 * gamma**3)
+            - a1 * a2 / (3.0 * gamma**2)
+            + a0 / gamma
+        )
+        disc = (q_t / 2.0) ** 2 + (p_t / 3.0) ** 3
+    except (ZeroDivisionError, OverflowError):
+        raise ToolkitError("bad_coefficients", "cubic radicals are not finite") from None
+    _require_finite(p_t, q_t, disc)
     if disc >= 0.0:
         root = math.sqrt(disc)
         r = float(np.cbrt(-q_t / 2.0 + root) + np.cbrt(-q_t / 2.0 - root) - a2 / (3.0 * gamma))

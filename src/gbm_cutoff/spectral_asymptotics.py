@@ -5,10 +5,13 @@ almost-periodic carrier S(t) = sum_k exp(i theta_k t) v_k.  This module
 extracts (q, ell, theta_k, v_k) from the eigenstructure of Q:
 
 * eigenvalues are clustered (relative gap 1e-7) and taken by decreasing
-  real part; a cluster's spectral projector, from a reordered complex
-  Schur form plus one Sylvester solve, is built when a vector is first
-  read off it, and reading stops below the slowest decay rate the vector
-  reaches, so usually only the leading cluster is projected;
+  real part; a cluster's spectral projector is built when a vector is
+  first read off it, and reading stops below the slowest decay rate the
+  vector reaches, so usually only the leading cluster is projected;
+* a split factors one complex Schur form of Q, when its first projector
+  is built, and every cluster shares it: a cluster's projector reorders
+  that form so the cluster leads (LAPACK ztrsen) and decouples it with
+  one triangular Sylvester solve (ztrsyl);
 * q is the slowest decay rate among clusters that actually carry a
   component of y, ell the largest Jordan chain height y attains there;
 * only chains of maximal height survive the t^(ell-1) normalization, so
@@ -22,8 +25,9 @@ in closed form for incommensurate frequencies.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -71,26 +75,48 @@ def spectral_projector(Q, members, radius: float) -> np.ndarray:
     """Projector onto the joint generalized eigenspace of the eigenvalues
     in `members`, along the complementary one.
 
-    Built from the complex Schur form reordered so the selected eigenvalues
-    lead, then decoupled with a Sylvester solve.
+    Built as a split builds each cluster's projector: the complex Schur
+    form of Q, reordered so the selected eigenvalues lead, then decoupled
+    with one triangular Sylvester solve.  A split factors Q once for all
+    its clusters; this one-shot view factors it for one cluster.
     """
-    Qc = as_matrix(Q, "Q").astype(complex)
-    n = Qc.shape[0]
-    members = np.asarray(members, dtype=complex)
+    T, Z = _schur_form(as_matrix(Q, "Q"))
+    return _cluster_projector(T, Z, np.asarray(members, dtype=complex), radius)
 
-    def selected(lam):
-        return bool(np.min(np.abs(lam - members)) <= radius)
 
-    T, Z, sdim = scipy.linalg.schur(Qc, output="complex", sort=selected)
-    k = int(sdim)
-    if k == 0 or k > n:
+def _schur_form(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form Q = Z T Z^H, unsorted."""
+    return scipy.linalg.schur(Q.astype(complex), output="complex")
+
+
+def _cluster_projector(T: np.ndarray, Z: np.ndarray, members: np.ndarray, radius: float) -> np.ndarray:
+    """Spectral projector of the eigenvalues of T within `radius` of `members`.
+
+    ztrsen moves them to the front of the Schur form (the reordering that a
+    sorted `schur` runs inside zgees), and ztrsyl decouples the leading block
+    from the trailing one on the triangular blocks themselves.
+    """
+    n = T.shape[0]
+
+    def selected(w: np.ndarray) -> np.ndarray:
+        return (np.abs(w[:, None] - members) <= radius).any(axis=1)
+
+    select = selected(np.diag(T))
+    k = int(np.count_nonzero(select))
+    if k == 0:
         raise ToolkitError("eig_failure", "Schur reordering selected no eigenvalues")
     if k == n:
         return np.eye(n, dtype=complex)
-    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    X = scipy.linalg.solve_sylvester(T11, -T22, -T12)
-    top = np.hstack([np.eye(k, dtype=complex), -X])
-    M = np.vstack([top, np.zeros((n - k, n), dtype=complex)])
+    T, Z, _, k, _, _, info = scipy.linalg.lapack.ztrsen(select.astype(np.intc), T, Z, job="N")
+    if info != 0 or not np.all(selected(np.diag(T)[:k])):
+        raise ToolkitError("eig_failure", "Schur reordering failed to lead with the selected eigenvalues")
+    # ztrsyl solves T11 X - X T22 = scale * (-T12), scale <= 1 only to keep X
+    # from overflowing, so X / scale solves the unscaled equation; info = 1
+    # only flags close eigenvalues, which the solve perturbs, and is not fatal
+    X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:k, :k], T[k:, k:], -T[:k, k:], isgn=-1)
+    M = np.zeros((n, n), dtype=complex)
+    M[:k, :k] = np.eye(k)
+    M[:k, k:] = -X / scale
     return Z @ M @ Z.conj().T
 
 
@@ -110,11 +136,12 @@ def is_diagonalizable(M) -> bool:
 
 class _Cluster:
     """One eigenvalue cluster of Q: its position in the eigenvalue order, its
-    mean rep and its size; its spectral projector and Q - rep I are built on
-    first use."""
+    mean rep and its size; its spectral projector, read off the split's
+    shared Schur form, and Q - rep I are built on first use."""
 
-    def __init__(self, Q: np.ndarray, lam: np.ndarray, index: int, idx: list[int]):
-        self.Q, self.index, self.size = Q, index, len(idx)
+    def __init__(self, Q: np.ndarray, lam: np.ndarray, index: int, idx: list[int],
+                 schur: Callable[[], tuple[np.ndarray, np.ndarray]]):
+        self.Q, self.index, self.size, self.schur = Q, index, len(idx), schur
         self.members, self.others = lam[idx], np.delete(lam, idx)
         self.rep = complex(np.mean(self.members))
 
@@ -122,7 +149,7 @@ class _Cluster:
     def projector(self) -> np.ndarray:
         members, others = self.members, self.others
         radius = 0.5 * float(min(abs(m - o) for m in members for o in others)) if others.size else np.inf
-        return spectral_projector(self.Q, members, radius)
+        return _cluster_projector(*self.schur(), members, radius)
 
     @cached_property
     def N(self) -> np.ndarray:
@@ -131,9 +158,11 @@ class _Cluster:
 
 def _split_spectrum(Q: np.ndarray) -> list[_Cluster]:
     """The split of Q that every vector is read off: its eigenvalue clusters
-    by decreasing real part."""
+    by decreasing real part, sharing one Schur form of Q that is factored
+    when the first projector is built."""
     lam = np.linalg.eigvals(Q)
-    clusters = [_Cluster(Q, lam, k, idx) for k, idx in enumerate(cluster_values(lam))]
+    schur = cache(lambda: _schur_form(Q))
+    clusters = [_Cluster(Q, lam, k, idx, schur) for k, idx in enumerate(cluster_values(lam))]
     return sorted(clusters, key=lambda c: -c.rep.real)
 
 

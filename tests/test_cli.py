@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -321,6 +322,14 @@ class TestCommands:
             cells = [float(v) for line in capsys.readouterr().out.splitlines()[1:] for v in line.split(",")]
             assert cells and all(map(math.isfinite, cells))
 
+    def test_cubic_whose_radicals_underflow_is_refused_with_a_code(self, tmp_path, capsys):
+        # 5e-171 t^3 + 0.9 t + ln(0.01) has one real root, but (c3)^2 underflows
+        # in its radicals, which read it as ambiguous_roots before
+        path = write_config(tmp_path, mode="synthetic", A=[[-1.0]], alpha=[[0.2]], beta=[[0.0]],
+                            Gamma=[[-1e-170]], x=[1.0], eps_list=[0.01])
+        assert main(["analyze", "--config", path, "--out", "-"]) == 1
+        assert capsys.readouterr() == ("", "bad_coefficients\n")
+
     def test_verify_passes_on_scalar_case(self, tmp_path):
         out = tmp_path / "ver.csv"
         rc = main(
@@ -587,6 +596,41 @@ def test_cli_import_loads_no_scipy_optimize():
     assert proc.stdout == "False\n"
 
 
+def multi_cluster_config(name: str) -> dict:
+    """Configs whose reports read vectors off several eigenvalue clusters."""
+    eps_list = [math.exp(-4), math.exp(-6)]
+    if name == "synthetic-d5":
+        # mode data diagonal in a dense orthonormal basis: five clusters
+        V = np.eye(5)
+        for i, (c, s) in enumerate([(0.6, 0.8), (0.8, 0.6), (0.6, 0.8), (0.8, 0.6)]):
+            G = np.eye(5)
+            G[i, i] = G[i + 1, i + 1] = c
+            G[i, i + 1], G[i + 1, i] = -s, s
+            V = V @ G
+        return {"mode": "synthetic", "A": rotated(V, np.diag([-1.0, -1.5, -2.0, -2.5, -3.0])),
+                "alpha": rotated(V, np.diag([0.2, 0.3, 0.1, 0.4, 0.25])),
+                "beta": rotated(V, np.diag([0.3, 0.1, 0.2, 0.05, 0.15])),
+                "Gamma": rotated(V, np.diag([-0.6, -0.9, -0.5, -1.2, -0.8])),
+                "x": [1.0, 0.5, -0.5, 0.25, 1.0], "eps_list": eps_list}
+    if name == "first-order-repeated":
+        # A's eigenvalue -1 is repeated: two clusters for three modes
+        return {"mode": "first_order", "A": np.diag([-1.0, -1.0, -2.0]).tolist(),
+                "B": np.diag([0.5, 0.5, 0.3]).tolist(), "x": [1.0, 1.0, 1.0], "eps_list": eps_list}
+    # Q has the complex pairs -0.75 +- 2i and -1.75 +- 2i, coupled
+    return {"mode": "commutative", "A": [[-1.0, 2.0, 1.0, 0.0], [-2.0, -1.0, 0.0, 1.0],
+                                         [0.0, 0.0, -2.0, 2.0], [0.0, 0.0, -2.0, -2.0]],
+            "B": (0.5 * np.eye(4)).tolist(), "x": [1.0, 0.5, -0.2, 1.0], "eps_list": eps_list}
+
+
+# sha256 of the reports' stdout as the sorted-Schur projector printed them
+MULTI_CLUSTER_REPORTS = {
+    ("synthetic-d5", "analyze"): "4599d827c2049d9526e836ca03c21105717fe89df15f3b0cf2c17d9c9e242368",
+    ("synthetic-d5", "profile"): "bf1d4df013b47e85496fc41dd0a4cfed448a0118860ad8344c3196829766fe2b",
+    ("first-order-repeated", "analyze"): "e333257206358e4c74d57b1254e4c1d9c27efe65d4a2643ce0d76722a003aa5c",
+    ("commutative-two-pairs", "analyze"): "6259f226af71e03dce95489b0ceb6701da9f858bd2ebab7121cc358c30934b1b",
+}
+
+
 def count_calls(monkeypatch, fn) -> list:
     """Wrap `fn` at every gbm_cutoff module attribute that refers to it."""
     calls = []
@@ -638,13 +682,20 @@ class TestOncePerReport:
         else:
             path = write_config(tmp_path, mode="first_order", A=np.diag([-1.0, -1.0, -2.0]).tolist(),
                                 B=np.diag([0.5, 0.5, 0.3]).tolist(), x=[1.0, 1.0, 1.0])
-        projectors = count_calls(monkeypatch, spectral_asymptotics.spectral_projector)
+        projectors = count_calls(monkeypatch, spectral_asymptotics._cluster_projector)
         asymptotics = count_calls(monkeypatch, spectral_asymptotics.extract_asymptotics)
         searches = count_calls(monkeypatch, noncommutative_cutoff._stabilizing_p)
         assert main(["analyze", "--config", path, "--out", str(tmp_path / "report")]) == 0
         assert (len(projectors), len(asymptotics)) == (2, 0)
         if mode == "first_order":
             assert len(searches) == 1
+
+    @pytest.mark.parametrize("name,command", sorted(MULTI_CLUSTER_REPORTS))
+    def test_multi_cluster_report_bytes(self, tmp_path, capsys, name, command):
+        path = write_config(tmp_path, **multi_cluster_config(name))
+        assert main([command, "--config", path, "--out", "-"]) == 0
+        out, err = capsys.readouterr()
+        assert (hashlib.sha256(out.encode()).hexdigest(), err) == (MULTI_CLUSTER_REPORTS[name, command], "")
 
     def test_failed_stabilizer_search_runs_once(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, mode="first_order", A=[[0.5]], B=[[0.1]])

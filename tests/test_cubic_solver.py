@@ -176,6 +176,25 @@ def test_root_that_misses_the_residual_contract_is_refused(monkeypatch, solve, a
     assert err.value.code == "bracket_failure"
 
 
+@pytest.mark.parametrize(
+    "solve,args",
+    [
+        # c3**3 underflows to zero: a bare ZeroDivisionError before
+        (cardano_unique_real, (CubicCoefficients(1e-160, 1.0, 1.0, -30.0),)),
+        # c2**3 overflows: a bare OverflowError before
+        (cardano_unique_real, (CubicCoefficients(1e-150, 1e150, 1.0, -5.0),)),
+        # numpy floats divide by zero into inf and nan, read as ambiguous_roots before
+        (cardano_unique_real, (CubicCoefficients(np.float64(5e-171), np.float64(0.0), 0.9, math.log(0.01)),)),
+        (solve_log_cubic, (CubicCoefficients(1e-170, 1.0, 1.0, -30.0), 1)),
+        (correction_root, (5.0, CubicCoefficients(1e-170, 1.0, 1.0, -30.0), 1)),
+    ],
+)
+def test_radicals_that_are_not_finite_are_refused(solve, args):
+    with pytest.raises(ToolkitError) as err, np.errstate(all="ignore"):
+        solve(*args)
+    assert err.value.code == "bad_coefficients"
+
+
 class TestCorrectionRoot:
     def test_ell_zero_gives_zero(self):
         c = CubicCoefficients(1.0, 0.0, 0.0, -8.0)

@@ -191,16 +191,23 @@ class TestExtractAsymptotics:
         assert np.allclose(asym.vs[0], [1.0, 0.0], atol=1e-9)
 
 
-def eager_split(Q):
-    """Every cluster's (rep, size, projector, Q - rep I), in cluster order."""
+def cluster_args(Q):
+    """(members, radius) of every eigenvalue cluster of Q, in cluster order."""
     lam = np.linalg.eigvals(Q)
-    parts = []
+    out = []
     for idx in cluster_values(lam):
         members, others = lam[idx], np.delete(lam, idx)
+        out.append((members, 0.5 * float(min(abs(m - o) for m in members for o in others)) if others.size else np.inf))
+    return out
+
+
+def eager_split(Q):
+    """Every cluster's (rep, size, projector, Q - rep I), in cluster order."""
+    parts = []
+    for members, radius in cluster_args(Q):
         rep = complex(np.mean(members))
-        radius = 0.5 * float(min(abs(m - o) for m in members for o in others)) if others.size else np.inf
         N = Q.astype(complex) - rep * np.eye(Q.shape[0])
-        parts.append((rep, len(idx), spectral_projector(Q, members, radius), N))
+        parts.append((rep, len(members), spectral_projector(Q, members, radius), N))
     return parts
 
 
@@ -262,12 +269,95 @@ class TestLazyRead:
 
         def counted(*args):
             built.append(None)
-            return spectral_projector(*args)
+            return cluster_projector(*args)
 
-        monkeypatch.setattr(spectral_asymptotics, "spectral_projector", counted)
+        cluster_projector = spectral_asymptotics._cluster_projector
+        monkeypatch.setattr(spectral_asymptotics, "_cluster_projector", counted)
         Q, y = SYMMETRIC8
         assert extract_asymptotics(Q, y).q == pytest.approx(0.5, rel=1e-12)
         assert len(built) == 1
+
+
+def reference_projector(Q, members, radius):
+    """The projector as a sorted Schur form and a general Sylvester solve
+    build it: three Schur factorizations per cluster."""
+    Qc = np.asarray(Q, dtype=complex)
+    n = Qc.shape[0]
+    members = np.asarray(members, dtype=complex)
+    T, Z, k = scipy.linalg.schur(Qc, output="complex", sort=lambda lam: bool(np.min(np.abs(lam - members)) <= radius))
+    if k == n:
+        return np.eye(n, dtype=complex)
+    X = scipy.linalg.solve_sylvester(T[:k, :k], -T[k:, k:], -T[:k, k:])
+    M = np.vstack([np.hstack([np.eye(k, dtype=complex), -X]), np.zeros((n - k, n), dtype=complex)])
+    return Z @ M @ Z.conj().T
+
+
+def jordan(lam, size):
+    return lam * np.eye(size) + np.eye(size, k=1)
+
+
+_RNG_P = np.random.default_rng(37)
+PROJECTOR_CASES = {
+    **{f"lazy-{name}": Q for name, (Q, _) in LAZY_CASES.items()},
+    "jordan-3-beside-simple": scipy.linalg.block_diag(jordan(-1.0, 3), [[-2.0]]),
+    "two-jordan-chains": scipy.linalg.block_diag(jordan(-1.0, 2), jordan(-1.5, 3)),
+    "rotation-plus-jordan": np.block([[ROTATION[0], np.ones((2, 2))], [np.zeros((2, 2)), jordan(-0.5, 2)]]),
+    "rotation-plus-jordan-same-rate": np.block([[ROTATION[0], np.eye(2)], [np.zeros((2, 2)), jordan(-1.0, 2)]]),
+    **{f"random-d{d}-{k}": _RNG_P.standard_normal((d, d)) for d in range(2, 9) for k in range(3)},
+}
+
+
+class TestSharedSchurForm:
+    @pytest.mark.parametrize("name", sorted(PROJECTOR_CASES))
+    def test_matches_the_sorted_schur_and_sylvester_construction(self, name):
+        Q = PROJECTOR_CASES[name]
+        for members, radius in cluster_args(Q):
+            ref = reference_projector(Q, members, radius)
+            P = spectral_projector(Q, members, radius)
+            assert np.linalg.norm(P - ref) <= 1e-15 * (1.0 + np.linalg.norm(ref))
+
+    def test_one_schur_factorization_per_split(self, monkeypatch):
+        factored, built = [], []
+        schur_form, cluster_projector = spectral_asymptotics._schur_form, spectral_asymptotics._cluster_projector
+
+        def counted_schur(*args):
+            factored.append(None)
+            return schur_form(*args)
+
+        def counted_build(*args):
+            built.append(None)
+            return cluster_projector(*args)
+
+        monkeypatch.setattr(spectral_asymptotics, "_schur_form", counted_schur)
+        monkeypatch.setattr(spectral_asymptotics, "_cluster_projector", counted_build)
+        Q = SYMMETRIC8[0]
+        parts = spectral_asymptotics._split_spectrum(Q)
+        assert not factored  # the form waits for the first projector
+        vectors = np.linalg.eigh(Q)[1]
+        rates = sorted(spectral_asymptotics._read_vector(parts, v)[0] for v in vectors.T)
+        assert rates == pytest.approx(np.linspace(0.5, 4.0, 8), rel=1e-12)
+        assert (len(factored), len(built)) == (1, 8)
+
+    def test_failed_reordering_is_an_eig_failure(self, monkeypatch):
+        ztrsen = scipy.linalg.lapack.ztrsen
+
+        def failing(*args, **kwargs):
+            return ztrsen(*args, **kwargs)[:-1] + (1,)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", failing)
+        with pytest.raises(ToolkitError) as err:
+            extract_asymptotics(*DIAG)
+        assert err.value.code == "eig_failure"
+
+    def test_reordering_that_leaves_the_selection_behind_is_an_eig_failure(self, monkeypatch):
+        # a reorder that keeps the unselected -1 in front, with info 0
+        def unmoved(select, T, Z, job):
+            return T, Z, np.diag(T), int(np.count_nonzero(select)), 0.0, 0.0, 0
+
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", unmoved)
+        with pytest.raises(ToolkitError) as err:
+            spectral_projector(np.diag([-1.0, -2.0]), [-2.0], 0.5)
+        assert err.value.code == "eig_failure"
 
 
 class TestIsDiagonalizable:
