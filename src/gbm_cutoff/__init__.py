@@ -5,6 +5,7 @@ coefficient matrices."""
 from .commutative_cutoff import (
     cutoff_time_commutative,
     cutoff_time_from_rate,
+    drift_evaluator,
     drift_mean_square,
     effective_drift,
     mean_square_commutative,
@@ -69,6 +70,7 @@ __all__ = [
     "cutoff_schedule_first_order",
     "cutoff_time_commutative",
     "cutoff_time_from_rate",
+    "drift_evaluator",
     "drift_mean_square",
     "effective_drift",
     "estimate_mean_square",

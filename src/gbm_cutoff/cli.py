@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .commutative_cutoff import cutoff_time_from_rate, drift_mean_square, effective_drift
+from .commutative_cutoff import cutoff_time_from_rate, drift_evaluator, effective_drift
 from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
@@ -222,17 +222,19 @@ class ClosedForm(NamedTuple):
 
 def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]) -> ClosedForm:
     """The report's closed form, built once from the checked drift Q (commutative)
-    or the mode decomposition.  msq is memoized by t.  The asymptotics of
+    or the mode decomposition.  msq is memoized by t; Q (or A_tilde) is
+    factored once for every t, when msq is first called.  The asymptotics of
     exp(tQ)x are extracted at most once, when a schedule or the fields first
     need them."""
     if cfg.mode == "commutative":
         Q = effective_drift(sys_)
         asym = cache(lambda: extract_asymptotics(Q, cfg.x))
+        evaluator = cache(lambda: drift_evaluator(Q, cfg.x))
         # d/dt |exp(tQ)x|^2 <= lambda_max(Q + Q^T) |exp(tQ)x|^2 (the
         # logarithmic norm); a Q that overflowed certifies nothing
         S = Q + Q.T
         return ClosedForm(
-            cache(lambda t: drift_mean_square(Q, cfg.x, t)),
+            cache(lambda t: evaluator()(t)),
             lambda eps: cutoff_time_from_rate(asym().q, asym().ell, eps, cfg.w),
             lambda: {"Q": matrix_to_rows(Q), "q": asym().q, "ell": asym().ell},
             bool(np.all(np.isfinite(S)) and np.linalg.eigvalsh(S)[-1] <= 0.0),

@@ -10,19 +10,21 @@ The cutoff time scale follows from the spectral asymptotics of exp(tQ)x.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
+from .linalg_core import _exp_action
 from .spectral_asymptotics import extract_asymptotics, is_diagonalizable
 from .system import GBMSystem
 
 __all__ = [
     "GBMSystem",
     "effective_drift",
+    "drift_evaluator",
     "drift_mean_square",
     "mean_square_commutative",
     "cutoff_time_from_rate",
@@ -36,7 +38,7 @@ def effective_drift(sys: GBMSystem) -> np.ndarray:
     and commutes with A.
 
     This is the regime's one hypothesis check.  Q depends on the pair
-    alone, so the mean square at every t (``drift_mean_square``) and the
+    alone, so the mean square at every t (``drift_evaluator``) and the
     schedule at every eps (``cutoff_time_from_rate`` on the asymptotics of
     exp(tQ)x) come from one checked drift.  Callers test stability
     separately.
@@ -51,12 +53,29 @@ def effective_drift(sys: GBMSystem) -> np.ndarray:
     return sys.A + 0.25 * (S @ S)
 
 
+def drift_evaluator(Q: np.ndarray, x) -> Callable[[float], float]:
+    """t -> |exp(tQ)x|^2 for an effective drift Q from ``effective_drift``.
+
+    Q is factored once, here (``linalg_core._exp_action``: one
+    eigendecomposition, or scipy.linalg.expm per t when the eigenbasis is
+    ill conditioned), so build the evaluator once and call it at every t.
+    """
+    act = _exp_action(Q, np.asarray(x, dtype=float)[:, None])
+    one = np.ones(1)
+
+    def msq(t: float) -> float:
+        if t < 0:
+            raise ToolkitError("bad_time", "t must be nonnegative")
+        v = act(t, one)
+        return float(v @ v)
+
+    return msq
+
+
 def drift_mean_square(Q: np.ndarray, x: np.ndarray, t: float) -> float:
-    """|exp(tQ)x|^2 for an effective drift Q from ``effective_drift``."""
-    if t < 0:
-        raise ToolkitError("bad_time", "t must be nonnegative")
-    v = scipy.linalg.expm(t * Q) @ x
-    return float(v @ v)
+    """|exp(tQ)x|^2 at one t: the one-shot view of ``drift_evaluator``, with
+    the same bits."""
+    return drift_evaluator(Q, x)(t)
 
 
 def mean_square_commutative(sys: GBMSystem, t: float) -> float:

@@ -9,8 +9,10 @@ steps polish it, and a root that still misses the residual contract is
 ``bracket_failure`` rather than a number.  The radical form loses digits to
 cube-root cancellation when the constant term dominates; the polish wins
 them back.  A cubic with three distinct real roots is refused rather than
-silently tie-broken, and a cubic whose radicals overflow (or divide by a
-power of c3 that underflows to zero) is ``bad_coefficients``.
+silently tie-broken.  Radicals that overflow (or divide by a power of c3
+that underflows to zero) are taken again for the cubic rescaled by a power
+of two, and a cubic whose radicals are not finite either way is
+``bad_coefficients``.
 """
 
 from __future__ import annotations
@@ -122,6 +124,25 @@ def _require_finite(*values: float) -> None:
         raise ToolkitError("bad_coefficients", "cubic radicals are not finite")
 
 
+def _radicals(c: CubicCoefficients, k: int) -> Optional[tuple[float, ...]]:
+    """(shift, p, q, disc, disc_scale) of the depressed form of the cubic in
+    u = t / 2^k, or None if one is not finite.  Python floats raise on
+    overflow or on division by a power of c3 that underflowed to zero, where
+    numpy floats give inf or nan."""
+    try:
+        c3, c2, c1 = (math.ldexp(float(v), j * k) for v, j in ((c.c3, 3), (c.c2, 2), (c.c1, 1)))
+        c0 = float(c.c0)
+        shift = -c2 / (3.0 * c3)
+        p = (3.0 * c3 * c1 - c2**2) / (3.0 * c3**2)
+        q = (2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3**2 * c0) / (27.0 * c3**3)
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+        disc_scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
+    except (ZeroDivisionError, OverflowError):
+        return None
+    out = (shift, p, q, disc, disc_scale)
+    return out if all(map(math.isfinite, out)) else None
+
+
 def cardano_unique_real(c: CubicCoefficients) -> float:
     """The unique real root of the cubic, by Cardano radicals plus polishing.
 
@@ -129,36 +150,38 @@ def cardano_unique_real(c: CubicCoefficients) -> float:
     real root (negative depressed discriminant, or a double root next to a
     simple one): the cutoff setting guarantees uniqueness, so a silent
     choice would mask a modeling error.  c3 = 0, or radicals that are not
-    finite, are ``bad_coefficients``.
+    finite even for the rescaled cubic, are ``bad_coefficients``.
     """
     if c.c3 == 0.0:
         raise ToolkitError("bad_coefficients", "cubic requires c3 != 0")
 
-    # Python floats raise on overflow or on division by a power of c3 that
-    # underflowed to zero, where numpy floats give inf or nan
-    try:
-        shift = -c.c2 / (3.0 * c.c3)
-        p = (3.0 * c.c3 * c.c1 - c.c2**2) / (3.0 * c.c3**2)
-        q = (2.0 * c.c2**3 - 9.0 * c.c3 * c.c2 * c.c1 + 27.0 * c.c3**2 * c.c0) / (27.0 * c.c3**3)
-        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-        disc_scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
-    except (ZeroDivisionError, OverflowError):
-        raise ToolkitError("bad_coefficients", "cubic radicals are not finite") from None
-    _require_finite(shift, p, q, disc, disc_scale)
+    # the radicals of the cubic as given; where they are not finite (a tiny
+    # or huge c3), those of the cubic in u = t / 2^k, whose leading
+    # coefficient c3 8^k lies in [1/8, 4), so every cubic solved as given
+    # keeps its bits
+    k = 0
+    rad = _radicals(c, k)
+    if rad is None:
+        k = -int(math.frexp(float(c.c3))[1] / 3)
+        rad = _radicals(c, k)
+    if rad is None:
+        raise ToolkitError("bad_coefficients", "cubic radicals are not finite")
+    shift, p, q, disc, disc_scale = rad
 
     if disc > DISCRIMINANT_TOL * disc_scale:
         root = math.sqrt(disc)
         s = np.cbrt(-q / 2.0 + root) + np.cbrt(-q / 2.0 - root)
-        t = float(s + shift)
+        u = float(s + shift)
     elif disc >= -DISCRIMINANT_TOL * disc_scale:
         if abs(p) > DISCRIMINANT_TOL * (1.0 + p**2) or abs(q) > DISCRIMINANT_TOL * (1.0 + q**2):
             # double root beside a simple one: two distinct real values
             raise ToolkitError("ambiguous_roots", "repeated real root is not unique")
-        t = shift  # triple root
+        u = shift  # triple root
     else:
         raise ToolkitError("ambiguous_roots", "cubic has three distinct real roots")
 
-    return _certify(c, c.derivative, t, RESIDUAL_TOL * (1.0 + abs(c.c0)))
+    # a root beyond the double range comes out inf, which _certify refuses
+    return _certify(c, c.derivative, u * 2.0**k, RESIDUAL_TOL * (1.0 + abs(c.c0)))
 
 
 def solve_log_cubic(c: CubicCoefficients, ell_star: int) -> float:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .cubic_solver import (
     CubicCoefficients,
@@ -39,6 +39,7 @@ from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
 from .linalg_core import (
     DEFAULT_TOL,
+    _exp_action,
     as_matrix,
     as_vector,
     commutator,
@@ -66,7 +67,9 @@ class ModeDecomposition:
     b_j = eig_j(beta), g_j = -eig_j(Gamma) (signs chosen so decaying modes
     carry positive coefficients),
     (lambda_j, ell_j) the decay rate and chain height of exp(t Atilde) v_j,
-    and overlap_j = <x, v_j>.  C is None for synthetic modes.
+    and overlap_j = <x, v_j>.  C is None for synthetic modes.  exp_action,
+    t, u -> exp(t Atilde) basis u, factors Atilde on first use, so every
+    mean square read off the decomposition shares one factorization.
     """
 
     A: np.ndarray
@@ -89,6 +92,10 @@ class ModeDecomposition:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def exp_action(self):
+        return _exp_action(self.A_tilde, self.basis)
 
     def to_dict(self) -> dict:
         out = {
@@ -228,7 +235,7 @@ def mean_square_first_order(dec: ModeDecomposition, t: float) -> float:
     weights = np.exp(
         -0.5 * dec.a_coeffs * t - 0.5 * dec.b_coeffs * t**2 - 0.5 * dec.g_coeffs * poly
     )
-    vec = scipy.linalg.expm(t * dec.A_tilde) @ (dec.basis @ (weights * dec.overlaps))
+    vec = dec.exp_action(t, weights * dec.overlaps)
     return float(vec @ vec)
 
 

@@ -183,8 +183,9 @@ def test_root_that_misses_the_residual_contract_is_refused(monkeypatch, solve, a
         (cardano_unique_real, (CubicCoefficients(1e-160, 1.0, 1.0, -30.0),)),
         # c2**3 overflows: a bare OverflowError before
         (cardano_unique_real, (CubicCoefficients(1e-150, 1e150, 1.0, -5.0),)),
-        # numpy floats divide by zero into inf and nan, read as ambiguous_roots before
-        (cardano_unique_real, (CubicCoefficients(np.float64(5e-171), np.float64(0.0), 0.9, math.log(0.01)),)),
+        # numpy floats divide by zero into inf and nan, read as ambiguous_roots
+        # before; the rescaled cubic's c2**3 overflows
+        (cardano_unique_real, (CubicCoefficients(np.float64(1e-160), np.float64(1.0), 1.0, -30.0),)),
         (solve_log_cubic, (CubicCoefficients(1e-170, 1.0, 1.0, -30.0), 1)),
         (correction_root, (5.0, CubicCoefficients(1e-170, 1.0, 1.0, -30.0), 1)),
     ],
@@ -193,6 +194,22 @@ def test_radicals_that_are_not_finite_are_refused(solve, args):
     with pytest.raises(ToolkitError) as err, np.errstate(all="ignore"):
         solve(*args)
     assert err.value.code == "bad_coefficients"
+
+
+@pytest.mark.parametrize("c3,root", [
+    (np.float64(5e-171), math.log(100.0) / 0.9),  # the cubic of Gamma = -1e-170 in a synthetic config
+    (5e-161, math.log(100.0) / 0.9),
+    (1e-300, math.log(100.0) / 0.9),
+    (np.float64(1e250), (math.log(100.0) / 1e250) ** (1.0 / 3.0)),
+])
+def test_cubic_with_an_extreme_c3_is_solved(c3, root):
+    # c3 t^3 + 0.9 t + ln(0.01): the radicals as given divide by a power of
+    # c3 that underflows (or overflows), those of the cubic rescaled by a
+    # power of two do not
+    c = CubicCoefficients(c3, 0.0, 0.9, math.log(0.01))
+    t = cardano_unique_real(c)
+    assert abs(c(t)) <= cubic_solver.RESIDUAL_TOL * (1.0 + abs(c.c0))
+    assert math.isclose(t, root, rel_tol=1e-12)
 
 
 class TestCorrectionRoot:

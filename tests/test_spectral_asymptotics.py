@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -201,13 +203,21 @@ def cluster_args(Q):
     return out
 
 
+class EagerCluster(NamedTuple):
+    rep: complex
+    size: int
+    projector: np.ndarray
+    N: np.ndarray
+    members: np.ndarray  # the eigenvalues extract_asymptotics tests for stability
+
+
 def eager_split(Q):
-    """Every cluster's (rep, size, projector, Q - rep I), in cluster order."""
+    """Every cluster's (rep, size, projector, Q - rep I, members), in cluster order."""
     parts = []
     for members, radius in cluster_args(Q):
         rep = complex(np.mean(members))
         N = Q.astype(complex) - rep * np.eye(Q.shape[0])
-        parts.append((rep, len(members), spectral_projector(Q, members, radius), N))
+        parts.append(EagerCluster(rep, len(members), spectral_projector(Q, members, radius), N, members))
     return parts
 
 
@@ -215,7 +225,7 @@ def eager_read(parts, y):
     """(q, ell, kept) of y off every cluster of the eager split."""
     ynorm = float(np.linalg.norm(y))
     carriers = []
-    for rep, size, P, N in parts:
+    for rep, size, P, N, _ in parts:
         comp = P @ y.astype(complex)
         if np.linalg.norm(comp) <= COMPONENT_TOL * ynorm:
             continue
@@ -263,6 +273,24 @@ class TestLazyRead:
         assert (lazy.q, lazy.ell, lazy.m, lazy.thetas, lazy.K0, lazy.K1) == (
             eager.q, eager.ell, eager.m, eager.thetas, eager.K0, eager.K1)
         assert all(np.array_equal(a, b) for a, b in zip(lazy.vs, eager.vs, strict=True))
+
+    @pytest.mark.parametrize("Q,y,code", [(*DIAG, None), (*ROTATION, None), (-DIAG[0], DIAG[1], "not_stable")])
+    def test_one_eigenvalue_computation_per_extraction(self, monkeypatch, Q, y, code):
+        # the Hurwitz test reads the split's eigenvalues
+        calls, eigvals = [], np.linalg.eigvals
+
+        def counted(M):
+            calls.append(None)
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        try:
+            extract_asymptotics(Q, y)
+        except ToolkitError as exc:
+            assert exc.code == code
+        else:
+            assert code is None
+        assert len(calls) == 1
 
     def test_generic_vector_builds_one_projector(self, monkeypatch):
         built = []
