@@ -23,7 +23,6 @@ from .hypothesis_checks import HypothesisReport, check_hypotheses, check_pair
 from .linalg_core import (
     commutator,
     expm_stack,
-    is_hurwitz,
     simultaneous_diagonalize,
 )
 from .mixing import MixingTimeResult, mixing_ratio_check, mixing_time
@@ -48,7 +47,7 @@ from .simulate import (
     sample_gaussian_pair,
     sample_gaussian_pairs,
 )
-from .spectral_asymptotics import SpectralAsymptotics, extract_asymptotics
+from .spectral_asymptotics import SpectralAsymptotics, extract_asymptotics, is_hurwitz
 from .system import GBMSystem
 
 __all__ = [

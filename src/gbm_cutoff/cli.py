@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .commutative_cutoff import cutoff_time_from_rate, drift_evaluator, effective_drift
+from .commutative_cutoff import _drift_msq, cutoff_time_from_rate, effective_drift
 from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
@@ -37,7 +37,7 @@ from .noncommutative_cutoff import (
     synthetic_mode_decomposition,
 )
 from .simulate import SEED_END, _first_order_matrix, estimate_mean_squares
-from .spectral_asymptotics import extract_asymptotics
+from .spectral_asymptotics import _read_decay, _Spectrum
 from .system import GBMSystem
 
 COMMANDS = ("hypotheses", "analyze", "mean-square", "mixing", "profile", "verify", "example35")
@@ -222,21 +222,22 @@ class ClosedForm(NamedTuple):
 
 def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]) -> ClosedForm:
     """The report's closed form, built once from the checked drift Q (commutative)
-    or the mode decomposition.  msq is memoized by t; Q (or A_tilde) is
-    factored once for every t, when msq is first called.  The asymptotics of
-    exp(tQ)x are extracted at most once, when a schedule or the fields first
-    need them."""
+    or the mode decomposition.  msq is memoized by t.  Q (or A_tilde) is
+    factored once per report; (q, ell) of exp(tQ)x are read off that record
+    when a schedule or the fields first need them, its exp action when msq
+    is first called."""
     if cfg.mode == "commutative":
         Q = effective_drift(sys_)
-        asym = cache(lambda: extract_asymptotics(Q, cfg.x))
-        evaluator = cache(lambda: drift_evaluator(Q, cfg.x))
+        spectrum = _Spectrum(Q)
+        rate = cache(lambda: _read_decay(spectrum, cfg.x)[:2])
+        evaluator = cache(lambda: _drift_msq(spectrum, cfg.x))
         # d/dt |exp(tQ)x|^2 <= lambda_max(Q + Q^T) |exp(tQ)x|^2 (the
         # logarithmic norm); a Q that overflowed certifies nothing
         S = Q + Q.T
         return ClosedForm(
             cache(lambda t: evaluator()(t)),
-            lambda eps: cutoff_time_from_rate(asym().q, asym().ell, eps, cfg.w),
-            lambda: {"Q": matrix_to_rows(Q), "q": asym().q, "ell": asym().ell},
+            lambda eps: cutoff_time_from_rate(*rate(), eps, cfg.w),
+            lambda: {"Q": matrix_to_rows(Q), "q": rate()[0], "ell": rate()[1]},
             bool(np.all(np.isfinite(S)) and np.linalg.eigvalsh(S)[-1] <= 0.0),
         )
     if cfg.mode == "synthetic":

@@ -17,8 +17,7 @@ import numpy as np
 from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
-from .linalg_core import _exp_action
-from .spectral_asymptotics import extract_asymptotics, is_diagonalizable
+from .spectral_asymptotics import _read_decay, _Spectrum, extract_asymptotics, is_diagonalizable
 from .system import GBMSystem
 
 __all__ = [
@@ -56,11 +55,16 @@ def effective_drift(sys: GBMSystem) -> np.ndarray:
 def drift_evaluator(Q: np.ndarray, x) -> Callable[[float], float]:
     """t -> |exp(tQ)x|^2 for an effective drift Q from ``effective_drift``.
 
-    Q is factored once, here (``linalg_core._exp_action``: one
+    Q is factored once, here (``spectral_asymptotics._Spectrum``: one
     eigendecomposition, or scipy.linalg.expm per t when the eigenbasis is
     ill conditioned), so build the evaluator once and call it at every t.
     """
-    act = _exp_action(Q, np.asarray(x, dtype=float)[:, None])
+    return _drift_msq(_Spectrum(Q), x)
+
+
+def _drift_msq(spectrum: _Spectrum, x) -> Callable[[float], float]:
+    """``drift_evaluator`` off a record of Q that the caller also reads."""
+    act = spectrum.exp_action(np.asarray(x, dtype=float)[:, None])
     one = np.ones(1)
 
     def msq(t: float) -> float:
@@ -106,10 +110,10 @@ def cutoff_time_from_rate(q: float, ell: int, eps: float, w: float = 1.0) -> Cut
 
 
 def cutoff_time_commutative(sys: GBMSystem, eps: float, w: float = 1.0) -> CutoffSchedule:
-    """Cutoff schedule of the system from the asymptotics of exp(tQ)x;
-    ``not_stable`` when Q is not Hurwitz."""
-    asym = extract_asymptotics(effective_drift(sys), sys.x)
-    return cutoff_time_from_rate(asym.q, asym.ell, eps, w)
+    """Cutoff schedule of the system from (q, ell) of exp(tQ)x, read off the
+    record of Q as the CLI reads them; ``not_stable`` when Q is not Hurwitz."""
+    q, ell, _ = _read_decay(_Spectrum(effective_drift(sys)), sys.x)
+    return cutoff_time_from_rate(q, ell, eps, w)
 
 
 def profile_limit(sys: GBMSystem, rho: float, w: float = 1.0) -> float:

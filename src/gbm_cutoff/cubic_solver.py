@@ -118,12 +118,6 @@ def _certify(f, fprime, t: float, target: float) -> float:
     return t
 
 
-def _require_finite(*values: float) -> None:
-    """``bad_coefficients`` unless every radical intermediate is finite."""
-    if not all(math.isfinite(v) for v in values):
-        raise ToolkitError("bad_coefficients", "cubic radicals are not finite")
-
-
 def _radicals(c: CubicCoefficients, k: int) -> Optional[tuple[float, ...]]:
     """(shift, p, q, disc, disc_scale) of the depressed form of the cubic in
     u = t / 2^k, or None if one is not finite.  Python floats raise on
@@ -228,9 +222,9 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
 
         c3 r^3 + (3 c3 t + c2) r^2 + (3 c3 t^2 + 2 c2 t + c1) r - ell_star ln(t) = 0.
 
-    Cardano radicals seed a Newton iteration against this cubic; the
-    residual contract is certified on the cubic itself.  The caller
-    exposes tau_eps = t_eps + r.
+    The depressed cubic's radicals (`_radicals`) seed a Newton iteration
+    against this cubic; the residual contract is certified on the cubic
+    itself.  The caller exposes tau_eps = t_eps + r.
     """
     if ell_star < 0:
         raise ToolkitError("bad_coefficients", "ell_star must be nonnegative")
@@ -247,22 +241,15 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
     a0 = -ell_star * math.log(t_eps)
     corr = CubicCoefficients(gamma, a2, a1, a0)
 
-    # closed-form radicals as the initial guess
-    try:
-        p_t = a1 / gamma - a2**2 / (3.0 * gamma**2)
-        q_t = (
-            2.0 * a2**3 / (27.0 * gamma**3)
-            - a1 * a2 / (3.0 * gamma**2)
-            + a0 / gamma
-        )
-        disc = (q_t / 2.0) ** 2 + (p_t / 3.0) ** 3
-    except (ZeroDivisionError, OverflowError):
-        raise ToolkitError("bad_coefficients", "cubic radicals are not finite") from None
-    _require_finite(p_t, q_t, disc)
+    # the radicals of the depressed correction cubic seed the root; a
+    # negative discriminant (three real roots) seeds it at 0
+    rad = _radicals(corr, 0)
+    if rad is None:
+        raise ToolkitError("bad_coefficients", "cubic radicals are not finite")
+    shift, _, q, disc, _ = rad
+    r = 0.0
     if disc >= 0.0:
         root = math.sqrt(disc)
-        r = float(np.cbrt(-q_t / 2.0 + root) + np.cbrt(-q_t / 2.0 - root) - a2 / (3.0 * gamma))
-    else:
-        r = 0.0
+        r = float(np.cbrt(-q / 2.0 + root) + np.cbrt(-q / 2.0 - root) + shift)
 
     return _certify(corr, corr.derivative, r, RESIDUAL_TOL * (1.0 + abs(a0)))

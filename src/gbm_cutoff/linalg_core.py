@@ -1,17 +1,14 @@
 """Dense real square-matrix primitives.
 
-Brackets, the batched exponential, the factored action of one matrix's
-exponential, stability tests and the joint eigenbasis of a commuting
-symmetric family, used by every analysis module.  All operations are pure;
-inputs are validated once and never mutated.
+Brackets, the batched exponential, the eigenvalue clustering rule and the
+joint eigenbasis of a commuting symmetric family, used by every analysis
+module.  All operations are pure; inputs are validated once and never
+mutated.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
-import scipy.linalg
 
 from .errors import ToolkitError
 
@@ -19,19 +16,6 @@ from .errors import ToolkitError
 DEFAULT_TOL = 1e-10
 # Relative gap used to cluster nearly-equal eigenvalues.
 CLUSTER_GAP = 1e-7
-# Largest condition number of the eigenvector matrix W of M at which
-# _exp_action reads exp(tM) off M = W diag(lam) W^-1; the eigenvector
-# method's error grows with cond(W) (Moler & Van Loan 2003, method 14).
-# Worst relative error of |exp(tM)v|^2 against 40-digit mpmath over t in
-# [0.3, 25], eig against scipy.linalg.expm (numpy 2.4.6, scipy 1.17.1):
-# near-Jordan 2 x 2 drifts U [[l, k], [e, l]] U^T, 20 per row:
-#   cond(W) 3e1-9e1: 1.4e-13 against 5.9e-12;  3e2-1e3: 2.9e-13 against 1.5e-12
-#   2e3-9e3: 2.0e-12 against 1.3e-12;  3e4-7e4: 1.6e-11 against 2.0e-12
-#   e = 0 (cond(W) 1e8 and up): 6.7 against 1.6e-12.
-# The benchmark's closed-form drifts: its symmetric and synthetic ones take
-# eig (profile and mean-square cells at seeds 1-5 err at most 2.9e-14,
-# against expm's 1.3e-12); its Jordan drift (cond(W) 4e7-1.2e8) takes expm.
-_EIG_COND_MAX = 1e3
 
 
 def _square(M, name: str) -> np.ndarray:
@@ -160,49 +144,6 @@ def _pade13_squared(Y: np.ndarray, norms: np.ndarray) -> np.ndarray:
         rows = s > j
         R[rows] = R[rows] @ R[rows]
     return R
-
-
-def _exp_action(M: np.ndarray, V: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-    """t, u -> exp(tM) V u for a fixed real d x d matrix M and d x k matrix V.
-
-    M is factored once, M = W diag(lam) W^-1 by `np.linalg.eig`, and every
-    call is O(d^2): Re(W (e^{t lam} * (G u))) with G = W^-1 V.  That path is
-    taken when M is finite, eig succeeds and cond(W) <= _EIG_COND_MAX.  For
-    any other M (defective or nearly defective drifts), and for a t whose
-    value comes out non-finite, the call is scipy.linalg.expm(tM) @ (V u),
-    so an overflow comes out exactly as expm's.
-    """
-
-    def by_expm(t: float, u: np.ndarray) -> np.ndarray:
-        return scipy.linalg.expm(t * M) @ (V @ u)
-
-    if not np.all(np.isfinite(M)):
-        return by_expm
-    try:
-        lam, W = np.linalg.eig(M)
-    except np.linalg.LinAlgError:
-        return by_expm
-    if not np.linalg.cond(W) <= _EIG_COND_MAX:
-        return by_expm
-    G = np.linalg.solve(W, V)
-
-    def by_eig(t: float, u: np.ndarray) -> np.ndarray:
-        v = (W @ (np.exp(t * lam) * (G @ u))).real
-        return v if np.all(np.isfinite(v)) else by_expm(t, u)
-
-    return by_eig
-
-
-def is_hurwitz(U, margin: float = 0.0) -> bool:
-    """True iff every eigenvalue of U has real part <= -margin."""
-    U = as_matrix(U, "U")
-    if margin < 0:
-        raise ToolkitError("bad_margin", "margin must be >= 0")
-    try:
-        lam = np.linalg.eigvals(U)
-    except np.linalg.LinAlgError as exc:
-        raise ToolkitError("eig_failure", str(exc)) from exc
-    return bool(np.max(lam.real) <= -margin)
 
 
 def cluster_values(values: np.ndarray) -> list[list[int]]:

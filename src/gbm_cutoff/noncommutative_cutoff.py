@@ -39,16 +39,14 @@ from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
 from .linalg_core import (
     DEFAULT_TOL,
-    _exp_action,
     as_matrix,
     as_vector,
     commutator,
     fro,
-    is_hurwitz,
     matrix_to_rows,
     simultaneous_diagonalize,
 )
-from .spectral_asymptotics import _read_vector, _split_spectrum
+from .spectral_asymptotics import _read_vector, _Spectrum
 from .system import GBMSystem
 
 # Strictness margin of the p_Gamma search's Hurwitz tests; it certifies Atilde.
@@ -67,9 +65,9 @@ class ModeDecomposition:
     b_j = eig_j(beta), g_j = -eig_j(Gamma) (signs chosen so decaying modes
     carry positive coefficients),
     (lambda_j, ell_j) the decay rate and chain height of exp(t Atilde) v_j,
-    and overlap_j = <x, v_j>.  C is None for synthetic modes.  exp_action,
-    t, u -> exp(t Atilde) basis u, factors Atilde on first use, so every
-    mean square read off the decomposition shares one factorization.
+    and overlap_j = <x, v_j>.  C is None for synthetic modes.  spectrum, the
+    p_Gamma search's record of Atilde, gives every (lambda_j, ell_j) and
+    exp_action, t, u -> exp(t Atilde) basis u, which every mean square shares.
     """
 
     A: np.ndarray
@@ -77,7 +75,7 @@ class ModeDecomposition:
     beta: np.ndarray
     Gamma: np.ndarray
     p_Gamma: float
-    A_tilde: np.ndarray
+    spectrum: _Spectrum
     C: Optional[np.ndarray]
     basis: np.ndarray
     a_coeffs: np.ndarray
@@ -93,9 +91,13 @@ class ModeDecomposition:
     def dim(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def A_tilde(self) -> np.ndarray:
+        return self.spectrum.M
+
     @cached_property
     def exp_action(self):
-        return _exp_action(self.A_tilde, self.basis)
+        return self.spectrum.exp_action(self.basis)
 
     def to_dict(self) -> dict:
         out = {
@@ -124,15 +126,13 @@ class ModeDecomposition:
         return out
 
 
-def _stabilizing_p(A: np.ndarray, Gamma: np.ndarray) -> float:
-    """0 when A is already stable, else the smallest power of two p with
-    A + (p/2) Gamma Hurwitz at STABILITY_MARGIN."""
-    if is_hurwitz(A, STABILITY_MARGIN):
-        return 0.0
-    for k in range(21):
-        p = float(2**k)
-        if is_hurwitz(A + 0.5 * p * Gamma, STABILITY_MARGIN):
-            return p
+def _stabilizing_p(A: np.ndarray, Gamma: np.ndarray) -> tuple[float, _Spectrum]:
+    """The first p of 0, 1, 2, 4, ..., 2^20 with A + (p/2) Gamma Hurwitz at
+    STABILITY_MARGIN, and the spectral record of that A + (p/2) Gamma."""
+    for p in (0.0, *(float(2**k) for k in range(21))):
+        spectrum = _Spectrum(A + 0.5 * p * Gamma)
+        if spectrum.is_hurwitz(STABILITY_MARGIN):
+            return p, spectrum
     raise ToolkitError("no_stabilizer", "no p in {1,2,...,2^20} stabilizes A + (p/2) Gamma")
 
 
@@ -169,14 +169,10 @@ def _decompose(A, alpha, beta, Gamma, x, tol, *, C=None) -> ModeDecomposition:
 
     V = simultaneous_diagonalize([alpha, beta, Gamma], tol)
 
-    p = _stabilizing_p(A, Gamma)
-    A_tilde = A + 0.5 * p * Gamma
-    # one split of A_tilde; every mode's (lambda_j, ell_j) is read off it
-    parts = _split_spectrum(A_tilde)
-    lambdas = np.empty(A.shape[0])
-    ells = np.empty(A.shape[0], dtype=int)
-    for j in range(A.shape[0]):
-        lambdas[j], ells[j], _ = _read_vector(parts, V[:, j])
+    p, spectrum = _stabilizing_p(A, Gamma)
+    # every mode's (lambda_j, ell_j) is read off the split of the accepted A_tilde
+    reads = [_read_vector(spectrum.clusters, v) for v in V.T]
+    lambdas, ells = np.array([r[0] for r in reads]), np.array([r[1] for r in reads])
 
     return ModeDecomposition(
         A=A,
@@ -184,7 +180,7 @@ def _decompose(A, alpha, beta, Gamma, x, tol, *, C=None) -> ModeDecomposition:
         beta=beta,
         Gamma=Gamma,
         p_Gamma=p,
-        A_tilde=A_tilde,
+        spectrum=spectrum,
         C=C,
         basis=V,
         a_coeffs=-np.diag(V.T @ alpha @ V),

@@ -2,7 +2,9 @@
 
 For y != 0 the trajectory behaves like (t^(ell-1) / e^(qt)) * S(t) with an
 almost-periodic carrier S(t) = sum_k exp(i theta_k t) v_k.  This module
-extracts (q, ell, theta_k, v_k) from the eigenstructure of Q:
+extracts (q, ell, theta_k, v_k) from one `np.linalg.eig` of Q (`_Spectrum`,
+the one place a drift is factored), which also gives the Hurwitz test and
+the action t -> exp(tQ)V u that both closed forms evaluate:
 
 * eigenvalues are clustered (relative gap 1e-7) and taken by decreasing
   real part; a cluster's spectral projector is built when a vector is
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -37,6 +39,19 @@ from .linalg_core import CLUSTER_GAP, as_matrix, as_vector, cluster_values
 
 # A generalized-eigenspace component below this fraction of |y| counts as zero.
 COMPONENT_TOL = 1e-9
+# Largest condition number of the eigenvector matrix W of M at which
+# _Spectrum.exp_action reads exp(tM) off M = W diag(lam) W^-1; the eigenvector
+# method's error grows with cond(W) (Moler & Van Loan 2003, method 14).
+# Worst relative error of |exp(tM)v|^2 against 40-digit mpmath over t in
+# [0.3, 25], eig against scipy.linalg.expm (numpy 2.4.6, scipy 1.17.1):
+# near-Jordan 2 x 2 drifts U [[l, k], [e, l]] U^T, 20 per row:
+#   cond(W) 3e1-9e1: 1.4e-13 against 5.9e-12;  3e2-1e3: 2.9e-13 against 1.5e-12
+#   2e3-9e3: 2.0e-12 against 1.3e-12;  3e4-7e4: 1.6e-11 against 2.0e-12
+#   e = 0 (cond(W) 1e8 and up): 6.7 against 1.6e-12.
+# The benchmark's closed-form drifts: its symmetric and synthetic ones take
+# eig (profile and mean-square cells at seeds 1-5 err at most 2.9e-14,
+# against expm's 1.3e-12); its Jordan drift (cond(W) 4e7-1.2e8) takes expm.
+_EIG_COND_MAX = 1e3
 # Envelope grid: 10^4 points spanning 100 beat periods of the slowest gap.
 GRID_POINTS = 10_000
 GRID_PERIODS_X_2PI = 200.0 * math.pi
@@ -75,10 +90,8 @@ def spectral_projector(Q, members, radius: float) -> np.ndarray:
     """Projector onto the joint generalized eigenspace of the eigenvalues
     in `members`, along the complementary one.
 
-    Built as a split builds each cluster's projector: the complex Schur
-    form of Q, reordered so the selected eigenvalues lead, then decoupled
-    with one triangular Sylvester solve.  A split factors Q once for all
-    its clusters; this one-shot view factors it for one cluster.
+    Built as a split builds each cluster's projector, off the complex Schur
+    form of Q, which a split factors once for all its clusters.
     """
     T, Z = _schur_form(as_matrix(Q, "Q"))
     return _cluster_projector(T, Z, np.asarray(members, dtype=complex), radius)
@@ -121,52 +134,95 @@ def _cluster_projector(T: np.ndarray, Z: np.ndarray, members: np.ndarray, radius
 
 
 def is_diagonalizable(M) -> bool:
-    """True when every eigenvalue cluster has full geometric multiplicity."""
-    M = as_matrix(M, "M")
-    lam = np.linalg.eigvals(M)
-    scale = CLUSTER_GAP * (1.0 + float(np.max(np.abs(lam))))
-    for idx in cluster_values(lam):
-        rep = complex(np.mean(lam[idx]))
-        sv = np.linalg.svd(M.astype(complex) - rep * np.eye(M.shape[0]), compute_uv=False)
-        geometric = int(np.sum(sv <= scale * (1.0 + sv[0])))
-        if geometric < len(idx):
+    """True when every eigenvalue cluster of M has full geometric multiplicity:
+    M - rep I has as many zero singular values as the cluster has members."""
+    spectrum = _Spectrum(as_matrix(M, "M"))
+    scale = CLUSTER_GAP * (1.0 + float(np.max(np.abs(spectrum.eigenvalues))))
+    for c in spectrum.clusters:
+        sv = np.linalg.svd(c.N, compute_uv=False)
+        if int(np.sum(sv <= scale * (1.0 + sv[0]))) < c.size:
             return False
     return True
 
 
-class _Cluster:
-    """One eigenvalue cluster of Q: its position in the eigenvalue order, its
-    mean rep and its size; its spectral projector, read off the split's
-    shared Schur form, and Q - rep I are built on first use."""
+class _Spectrum:
+    """One eigendecomposition M = W diag(lam) W^-1 (`np.linalg.eig`) of a real
+    square matrix and its views: the Hurwitz test, the split into eigenvalue
+    clusters and the action of exp(tM).  A non-finite M is never factored;
+    the eigenvalue views of such an M raise ``not_finite``, those of an M
+    whose eig failed ``eig_failure``, and the exp action takes expm per t."""
 
-    def __init__(self, Q: np.ndarray, lam: np.ndarray, index: int, idx: list[int],
-                 schur: Callable[[], tuple[np.ndarray, np.ndarray]]):
-        self.Q, self.index, self.size, self.schur = Q, index, len(idx), schur
-        self.members, self.others = lam[idx], np.delete(lam, idx)
+    def __init__(self, M: np.ndarray):
+        self.M, self.lam, self.W, self.failure = M, None, None, None
+        if not np.all(np.isfinite(M)):
+            self.failure = ("not_finite", "matrix contains NaN/Inf entries")
+        else:
+            try:
+                self.lam, self.W = np.linalg.eig(M)
+            except np.linalg.LinAlgError as exc:
+                self.failure = ("eig_failure", str(exc))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self.failure is not None:
+            raise ToolkitError(*self.failure)
+        return self.lam
+
+    def is_hurwitz(self, margin: float) -> bool:
+        """True iff every eigenvalue of M has real part <= -margin."""
+        return bool(np.max(self.eigenvalues.real) <= -margin)
+
+    @cached_property
+    def clusters(self) -> list[_Cluster]:
+        """The split every vector is read off: the eigenvalue clusters by
+        decreasing real part, sharing the Schur form of the first projector."""
+        parts = [_Cluster(self, k, idx) for k, idx in enumerate(cluster_values(self.eigenvalues))]
+        return sorted(parts, key=lambda c: -c.rep.real)
+
+    @cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        return _schur_form(self.M)
+
+    def exp_action(self, V: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
+        """t, u -> exp(tM) V u for a d x k matrix V: Re(W (e^{t lam} * (G u)))
+        with G = W^-1 V, O(d^2) per call, when cond(W) <= _EIG_COND_MAX.  For
+        any other M (non-finite, defective or nearly defective drifts), and
+        for a t whose value comes out non-finite, scipy.linalg.expm(tM) @ (V u),
+        so an overflow comes out exactly as expm's."""
+        def by_expm(t: float, u: np.ndarray) -> np.ndarray:
+            return scipy.linalg.expm(t * self.M) @ (V @ u)
+
+        if self.W is None or not np.linalg.cond(self.W) <= _EIG_COND_MAX:
+            return by_expm
+        G = np.linalg.solve(self.W, V)
+
+        def by_eig(t: float, u: np.ndarray) -> np.ndarray:
+            v = (self.W @ (np.exp(t * self.lam) * (G @ u))).real
+            return v if np.all(np.isfinite(v)) else by_expm(t, u)
+
+        return by_eig
+
+
+class _Cluster:
+    """One eigenvalue cluster of a split: its position in the eigenvalue
+    order, its mean rep and its size; its spectral projector, read off the
+    split's shared Schur form, and M - rep I are built on first use."""
+
+    def __init__(self, spectrum: _Spectrum, index: int, idx: list[int]):
+        self.spectrum, self.index, self.size = spectrum, index, len(idx)
+        self.members, self.others = spectrum.lam[idx], np.delete(spectrum.lam, idx)
         self.rep = complex(np.mean(self.members))
 
     @cached_property
     def projector(self) -> np.ndarray:
         members, others = self.members, self.others
         radius = 0.5 * float(min(abs(m - o) for m in members for o in others)) if others.size else np.inf
-        return _cluster_projector(*self.schur(), members, radius)
+        return _cluster_projector(*self.spectrum.schur, members, radius)
 
     @cached_property
     def N(self) -> np.ndarray:
-        return self.Q.astype(complex) - self.rep * np.eye(self.Q.shape[0])
-
-
-def _split_spectrum(Q: np.ndarray) -> list[_Cluster]:
-    """The split of Q that every vector is read off: its eigenvalue clusters
-    by decreasing real part, sharing one Schur form of Q that is factored
-    when the first projector is built."""
-    try:
-        lam = np.linalg.eigvals(Q)
-    except np.linalg.LinAlgError as exc:
-        raise ToolkitError("eig_failure", str(exc)) from exc
-    schur = cache(lambda: _schur_form(Q))
-    clusters = [_Cluster(Q, lam, k, idx, schur) for k, idx in enumerate(cluster_values(lam))]
-    return sorted(clusters, key=lambda c: -c.rep.real)
+        M = self.spectrum.M
+        return M.astype(complex) - self.rep * np.eye(M.shape[0])
 
 
 def _read_vector(parts: list[_Cluster], y: np.ndarray) -> tuple[float, int, list]:
@@ -208,6 +264,17 @@ def _read_vector(parts: list[_Cluster], y: np.ndarray) -> tuple[float, int, list
     return q, ell, kept
 
 
+def _read_decay(spectrum: _Spectrum, y: np.ndarray) -> tuple[float, int, list]:
+    """(q, ell, kept) of exp(tQ)y off the record of Q, as `_read_vector`
+    reads them; ``not_stable`` unless Q is Hurwitz and exp(tQ)y decays."""
+    if not spectrum.is_hurwitz(0.0):
+        raise ToolkitError("not_stable", "Q is not Hurwitz stable")
+    q, ell, kept = _read_vector(spectrum.clusters, y)
+    if q <= 0.0:  # a marginal mode of y: |exp(tQ)y| does not decay
+        raise ToolkitError("not_stable", f"slowest component of y decays at rate {q}")
+    return q, ell, kept
+
+
 def extract_asymptotics(Q, y) -> SpectralAsymptotics:
     """Extract (q, ell, m, thetas, vs, K0, K1) for exp(tQ)y.
 
@@ -217,14 +284,7 @@ def extract_asymptotics(Q, y) -> SpectralAsymptotics:
     y = as_vector(y, "y")
     if float(np.linalg.norm(y)) == 0.0:
         raise ToolkitError("zero_vector", "y must be nonzero")
-    parts = _split_spectrum(Q)
-    # the Hurwitz test of linalg_core.is_hurwitz, on the split's eigenvalues
-    if not max(np.max(c.members.real) for c in parts) <= 0.0:
-        raise ToolkitError("not_stable", "Q is not Hurwitz stable")
-
-    q, ell, kept = _read_vector(parts, y)
-    if q <= 0.0:  # a marginal mode of y: |exp(tQ)y| does not decay
-        raise ToolkitError("not_stable", f"slowest component of y decays at rate {q}")
+    q, ell, kept = _read_decay(_Spectrum(Q), y)
     fact = math.factorial(ell - 1)
     thetas = [rep.imag for rep, _ in kept]
     vs = [top / fact for _, top in kept]
@@ -248,8 +308,18 @@ def extract_asymptotics(Q, y) -> SpectralAsymptotics:
 
 
 def normalized_state(Q, y, asym: SpectralAsymptotics, t: float) -> np.ndarray:
-    """(e^(qt) / t^(ell-1)) exp(tQ) y — the quantity that converges to S(t)."""
-    Q = as_matrix(Q, "Q")
+    """(e^(qt) / t^(ell-1)) exp(tQ) y — the quantity that converges to S(t);
+    ``bad_time`` for t < 0, and for t = 0 when ell > 1."""
+    if t < 0.0 or (t == 0.0 and asym.ell > 1):
+        raise ToolkitError("bad_time", f"no normalized state at t = {t} for ell = {asym.ell}")
     y = as_vector(y, "y")
-    state = scipy.linalg.expm(t * Q) @ y
+    state = _Spectrum(as_matrix(Q, "Q")).exp_action(y[:, None])(t, np.ones(1))
     return math.exp(asym.q * t) / t ** (asym.ell - 1) * state
+
+
+def is_hurwitz(U, margin: float = 0.0) -> bool:
+    """True iff every eigenvalue of U has real part <= -margin."""
+    U = as_matrix(U, "U")
+    if margin < 0:
+        raise ToolkitError("bad_margin", "margin must be >= 0")
+    return _Spectrum(U).is_hurwitz(margin)

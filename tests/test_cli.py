@@ -666,14 +666,14 @@ class TestOncePerReport:
         reports = count_calls(monkeypatch, hypothesis_checks.check_pair)
         checks = count_calls(monkeypatch, hypothesis_checks.check_hypotheses)
         decompositions = count_calls(monkeypatch, noncommutative_cutoff._decompose)
-        asymptotics = count_calls(monkeypatch, spectral_asymptotics.extract_asymptotics)
+        rates = count_calls(monkeypatch, spectral_asymptotics._read_decay)
         assert main([command, "--config", path, "--out", str(tmp_path / "report")]) == 0
         assert len(checks) <= 1
         # one report per pair: first-order analyze prints the one its gate read
         assert len(reports) == (mode != "synthetic")
         if mode == "commutative":
-            # only a schedule or the analyze fields need the asymptotics
-            assert (len(decompositions), len(asymptotics)) == (0, command in ("analyze", "mixing", "profile"))
+            # only a schedule or the analyze fields need (q, ell)
+            assert (len(decompositions), len(rates)) == (0, command in ("analyze", "mixing", "profile"))
         else:
             assert len(decompositions) == 1
 
@@ -693,6 +693,38 @@ class TestOncePerReport:
         assert (len(projectors), len(asymptotics)) == (2, 0)
         if mode == "first_order":
             assert len(searches) == 1
+
+    @pytest.mark.parametrize("mode,command", [
+        ("commutative", "analyze"), ("commutative", "mixing"), ("commutative", "profile"),
+        ("commutative", "mean-square"), ("synthetic", "mixing"), ("first_order", "analyze"),
+    ])
+    def test_one_eigendecomposition_per_report(self, tmp_path, monkeypatch, mode, command):
+        # the Hurwitz test, the split and the exp action read one eig of the drift
+        if mode == "synthetic":
+            path = synthetic_config(tmp_path)
+        else:
+            path = write_config(tmp_path, mode=mode, A=[[-2.0, 0.0], [0.0, -3.0]], B=[[1.0, 0.0], [0.0, 0.5]],
+                                x=[1.0, 1.0])
+        calls = []
+        for name in ("eig", "eigvals"):
+            def counted(M, solve=getattr(np.linalg, name), name=name):
+                calls.append(name)
+                return solve(M)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert main([command, "--config", path, "--out", str(tmp_path / "report"), "--paths", "200"]) == 0
+        assert calls == ["eig"]
+
+    @pytest.mark.parametrize("command", ["analyze", "mixing", "profile", "mean-square", "verify"])
+    def test_no_report_evaluates_the_envelope_grid(self, tmp_path, monkeypatch, capsys, command):
+        # no command prints K0 or K1, so none builds their grid; one of -1
+        # points would make any report that did exit internal_error.  The
+        # drift's leading complex pair (m = 2) is what extract_asymptotics
+        # would take the grid for.
+        monkeypatch.setattr(spectral_asymptotics, "GRID_POINTS", -1)
+        path = write_config(tmp_path, A=[[-0.5, 0.3], [-30.0, -0.5]], B=[[0.0, 0.0], [0.0, 0.0]], x=[1.0, 0.0])
+        assert main([command, "--config", path, "--out", "-", "--paths", "200"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("name,command", sorted(MULTI_CLUSTER_REPORTS))
     def test_multi_cluster_report_bytes(self, tmp_path, capsys, name, command):

@@ -1,8 +1,8 @@
 """The closed forms' factored exponential: eig path, expm fallback, accuracy.
 
-`linalg_core._exp_action` factors a drift once and reads exp(tM)V u off its
-eigendecomposition when the eigenbasis is well conditioned, else calls
-scipy.linalg.expm per t.  These tests pin which drifts take which path, that
+`spectral_asymptotics._Spectrum.exp_action` reads exp(tM)V u off the one
+eigendecomposition of a drift when the eigenbasis is well conditioned, else
+calls scipy.linalg.expm per t.  These tests pin which drifts take which path, that
 the library and the CLI print the same bits, and the accuracy of both
 closed forms against a 40-digit reference.
 """
@@ -17,8 +17,9 @@ import scipy.linalg
 from gbm_cutoff import cli
 from gbm_cutoff.cli import load_config, main
 from gbm_cutoff.commutative_cutoff import drift_evaluator, drift_mean_square
-from gbm_cutoff.linalg_core import _exp_action
+from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.noncommutative_cutoff import mean_square_first_order, synthetic_mode_decomposition
+from gbm_cutoff.spectral_asymptotics import _Spectrum
 
 TRIANGULAR_C = (1e2, 1e4, 1e6)
 TRIANGULAR_T = (0.5, 5.0, 20.0)
@@ -125,7 +126,8 @@ class TestPath:
         assert calls == []
 
     def test_first_order_mean_squares_share_one_eig(self, monkeypatch):
-        dec = synthetic_decomposition(4, 11)
+        # the one eig of A_tilde is the p_Gamma search's, which the modes and
+        # every mean square read
         eig, calls = np.linalg.eig, []
 
         def counted(M):
@@ -134,6 +136,7 @@ class TestPath:
 
         monkeypatch.setattr(np.linalg, "eig", counted)
         expms = count_expm(monkeypatch)
+        dec = synthetic_decomposition(4, 11)
         for t in (0.5, 1.0, 3.0):
             mean_square_first_order(dec, t)
         assert (len(calls), expms) == (1, [])
@@ -146,8 +149,21 @@ class TestPath:
         M = np.array([[-1.0, np.inf], [0.0, -2.0]])
         x = np.array([1.0, 1.0])
         with np.errstate(all="ignore"):
-            got = _exp_action(M, x[:, None])(0.5, np.ones(1))
+            got = _Spectrum(M).exp_action(x[:, None])(0.5, np.ones(1))
             np.testing.assert_array_equal(got, scipy.linalg.expm(0.5 * M) @ x)
+
+    def test_failed_eig_fails_the_split_and_leaves_expm_to_the_action(self, monkeypatch):
+        def failing(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        calls = count_expm(monkeypatch)
+        spectrum = _Spectrum(ROTATION)
+        with pytest.raises(ToolkitError) as err:
+            spectrum.clusters
+        assert err.value.code == "eig_failure"
+        spectrum.exp_action(np.array([[1.0], [0.0]]))(0.5, np.ones(1))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("M", [np.diag([1.0, 2.0]), np.array([[1.0, 3.0], [-3.0, 1.0]])])
     def test_overflow_comes_out_as_expm_does(self, M):
@@ -155,7 +171,7 @@ class TestPath:
         # would read as a crossing in a mixing search; expm's inf does not
         x = np.array([1.0, 1.0])
         with np.errstate(all="ignore"):
-            got = _exp_action(M, x[:, None])(800.0, np.ones(1))
+            got = _Spectrum(M).exp_action(x[:, None])(800.0, np.ones(1))
             ref = scipy.linalg.expm(800.0 * M) @ x
             np.testing.assert_array_equal(got, ref)
             assert math.isinf(drift_mean_square(M, x, 800.0)) == math.isinf(float(ref @ ref))

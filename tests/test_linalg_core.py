@@ -8,11 +8,11 @@ from gbm_cutoff.linalg_core import (
     CLUSTER_GAP,
     commutator,
     expm_stack,
-    is_hurwitz,
     matrix_to_rows,
     simultaneous_diagonalize,
 )
 from gbm_cutoff.simulate import sample_gaussian_pairs
+from gbm_cutoff.spectral_asymptotics import is_hurwitz
 
 
 def series_expm(M, terms=60):

@@ -19,7 +19,7 @@ from gbm_cutoff.noncommutative_cutoff import (
     synthetic_mode_decomposition,
 )
 from gbm_cutoff.simulate import exact_mean_square
-from gbm_cutoff.spectral_asymptotics import extract_asymptotics
+from gbm_cutoff.spectral_asymptotics import _Spectrum, extract_asymptotics
 from gbm_cutoff.system import GBMSystem
 
 
@@ -231,7 +231,7 @@ class TestMeanSquareFirstOrder:
         # A is stable, so the search picks p_Gamma = 0; p = 2 is admissible too
         base = synthetic_example()
         assert base.p_Gamma == 0.0
-        shifted = dataclasses.replace(base, p_Gamma=2.0, A_tilde=base.A + base.Gamma)
+        shifted = dataclasses.replace(base, p_Gamma=2.0, spectrum=_Spectrum(base.A + base.Gamma))
         for t in (0.3, 1.0, 2.2, 4.0):
             a = mean_square_first_order(base, t)
             b = mean_square_first_order(shifted, t)

@@ -193,6 +193,33 @@ class TestExtractAsymptotics:
         assert np.allclose(asym.vs[0], [1.0, 0.0], atol=1e-9)
 
 
+class TestNormalizedState:
+    @pytest.mark.parametrize("Q,y,t", [(*JORDAN, 0.0), (*JORDAN, -1.0), (*DIAG, -1.0)])
+    def test_no_state_before_zero_or_at_zero_on_a_chain(self, Q, y, t):
+        asym = extract_asymptotics(Q, y)
+        with pytest.raises(ToolkitError) as err:
+            normalized_state(Q, y, asym, t)
+        assert err.value.code == "bad_time"
+
+    def test_simple_chain_starts_at_y(self):
+        Q, y = DIAG
+        np.testing.assert_allclose(normalized_state(Q, y, extract_asymptotics(Q, y), 0.0), y, rtol=1e-15)
+
+    @pytest.mark.parametrize("Q,y", [DIAG, ROTATION])
+    def test_reads_the_exp_action_of_one_eig(self, monkeypatch, Q, y):
+        asym = extract_asymptotics(Q, y)
+        expm, calls = scipy.linalg.expm, []
+
+        def counted(M):
+            calls.append(None)
+            return expm(M)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        state = normalized_state(Q, y, asym, 3.0)
+        np.testing.assert_allclose(state, np.exp(3.0 * asym.q) * (expm(3.0 * Q) @ y), rtol=1e-12)
+        assert calls == []
+
+
 def cluster_args(Q):
     """(members, radius) of every eigenvalue cluster of Q, in cluster order."""
     lam = np.linalg.eigvals(Q)
@@ -208,16 +235,15 @@ class EagerCluster(NamedTuple):
     size: int
     projector: np.ndarray
     N: np.ndarray
-    members: np.ndarray  # the eigenvalues extract_asymptotics tests for stability
 
 
 def eager_split(Q):
-    """Every cluster's (rep, size, projector, Q - rep I, members), in cluster order."""
+    """Every cluster's (rep, size, projector, Q - rep I), in cluster order."""
     parts = []
     for members, radius in cluster_args(Q):
         rep = complex(np.mean(members))
         N = Q.astype(complex) - rep * np.eye(Q.shape[0])
-        parts.append(EagerCluster(rep, len(members), spectral_projector(Q, members, radius), N, members))
+        parts.append(EagerCluster(rep, len(members), spectral_projector(Q, members, radius), N))
     return parts
 
 
@@ -225,7 +251,7 @@ def eager_read(parts, y):
     """(q, ell, kept) of y off every cluster of the eager split."""
     ynorm = float(np.linalg.norm(y))
     carriers = []
-    for rep, size, P, N, _ in parts:
+    for rep, size, P, N in parts:
         comp = P @ y.astype(complex)
         if np.linalg.norm(comp) <= COMPONENT_TOL * ynorm:
             continue
@@ -267,7 +293,8 @@ class TestLazyRead:
     def test_same_asymptotics_as_the_eager_read(self, monkeypatch, name):
         Q, y = LAZY_CASES[name]
         lazy = extract_asymptotics(Q, y)
-        monkeypatch.setattr(spectral_asymptotics, "_split_spectrum", eager_split)
+        # the record's eigenvalues still decide the Hurwitz test
+        monkeypatch.setattr(spectral_asymptotics._Spectrum, "clusters", property(lambda s: eager_split(s.M)))
         monkeypatch.setattr(spectral_asymptotics, "_read_vector", eager_read)
         eager = extract_asymptotics(Q, y)
         assert (lazy.q, lazy.ell, lazy.m, lazy.thetas, lazy.K0, lazy.K1) == (
@@ -276,21 +303,21 @@ class TestLazyRead:
 
     @pytest.mark.parametrize("Q,y,code", [(*DIAG, None), (*ROTATION, None), (-DIAG[0], DIAG[1], "not_stable")])
     def test_one_eigenvalue_computation_per_extraction(self, monkeypatch, Q, y, code):
-        # the Hurwitz test reads the split's eigenvalues
-        calls, eigvals = [], np.linalg.eigvals
+        # the Hurwitz test and the split read the one eig of the record
+        calls = []
+        for name in ("eig", "eigvals"):
+            def counted(M, solve=getattr(np.linalg, name), name=name):
+                calls.append(name)
+                return solve(M)
 
-        def counted(M):
-            calls.append(None)
-            return eigvals(M)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         try:
             extract_asymptotics(Q, y)
         except ToolkitError as exc:
             assert exc.code == code
         else:
             assert code is None
-        assert len(calls) == 1
+        assert calls == ["eig"]
 
     def test_generic_vector_builds_one_projector(self, monkeypatch):
         built = []
@@ -359,7 +386,7 @@ class TestSharedSchurForm:
         monkeypatch.setattr(spectral_asymptotics, "_schur_form", counted_schur)
         monkeypatch.setattr(spectral_asymptotics, "_cluster_projector", counted_build)
         Q = SYMMETRIC8[0]
-        parts = spectral_asymptotics._split_spectrum(Q)
+        parts = spectral_asymptotics._Spectrum(Q).clusters
         assert not factored  # the form waits for the first projector
         vectors = np.linalg.eigh(Q)[1]
         rates = sorted(spectral_asymptotics._read_vector(parts, v)[0] for v in vectors.T)
