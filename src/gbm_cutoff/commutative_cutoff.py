@@ -56,8 +56,8 @@ def drift_evaluator(Q: np.ndarray, x) -> Callable[[float], float]:
     """t -> |exp(tQ)x|^2 for an effective drift Q from ``effective_drift``.
 
     Q is factored once, here (``spectral_asymptotics._Spectrum``: one
-    eigendecomposition, or scipy.linalg.expm per t when the eigenbasis is
-    ill conditioned), so build the evaluator once and call it at every t.
+    eigendecomposition and its split into blocks), after which each t costs
+    O(d^2), so build the evaluator once and call it at every t.
     """
     return _drift_msq(_Spectrum(Q), x)
 
@@ -70,8 +70,8 @@ def _drift_msq(spectrum: _Spectrum, x) -> Callable[[float], float]:
     def msq(t: float) -> float:
         if t < 0:
             raise ToolkitError("bad_time", "t must be nonnegative")
-        v = act(t, one)
-        return float(v @ v)
+        s, v = act(t, one)
+        return float(np.exp(2.0 * s) * (v @ v))
 
     return msq
 

@@ -222,9 +222,10 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
 
         c3 r^3 + (3 c3 t + c2) r^2 + (3 c3 t^2 + 2 c2 t + c1) r - ell_star ln(t) = 0.
 
-    The depressed cubic's radicals (`_radicals`) seed a Newton iteration
-    against this cubic; the residual contract is certified on the cubic
-    itself.  The caller exposes tau_eps = t_eps + r.
+    The depressed cubic's radicals (`_radicals`) seed Newton steps against
+    this cubic toward a zero residual, as r is printed to 17 digits; the
+    residual contract is certified on the cubic itself.  The
+    caller exposes tau_eps = t_eps + r.
     """
     if ell_star < 0:
         raise ToolkitError("bad_coefficients", "ell_star must be nonnegative")
@@ -251,5 +252,7 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
     if disc >= 0.0:
         root = math.sqrt(disc)
         r = float(np.cbrt(-q / 2.0 + root) + np.cbrt(-q / 2.0 - root) + shift)
-
+    # polishing toward a zero residual takes all of _polish's Newton steps,
+    # which bring the seed to within a few ulps of the root
+    r = _polish(corr, corr.derivative, r, 0.0)
     return _certify(corr, corr.derivative, r, RESIDUAL_TOL * (1.0 + abs(a0)))

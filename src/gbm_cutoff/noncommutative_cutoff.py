@@ -67,7 +67,8 @@ class ModeDecomposition:
     (lambda_j, ell_j) the decay rate and chain height of exp(t Atilde) v_j,
     and overlap_j = <x, v_j>.  C is None for synthetic modes.  spectrum, the
     p_Gamma search's record of Atilde, gives every (lambda_j, ell_j) and
-    exp_action, t, u -> exp(t Atilde) basis u, which every mean square shares.
+    exp_action, t, u -> (s, v) with exp(t Atilde) basis u = e^s v, which every
+    mean square shares; both read the record's one split into blocks.
     """
 
     A: np.ndarray
@@ -171,7 +172,7 @@ def _decompose(A, alpha, beta, Gamma, x, tol, *, C=None) -> ModeDecomposition:
 
     p, spectrum = _stabilizing_p(A, Gamma)
     # every mode's (lambda_j, ell_j) is read off the split of the accepted A_tilde
-    reads = [_read_vector(spectrum.clusters, v) for v in V.T]
+    reads = [_read_vector(spectrum.split, v) for v in V.T]
     lambdas, ells = np.array([r[0] for r in reads]), np.array([r[1] for r in reads])
 
     return ModeDecomposition(
@@ -231,8 +232,8 @@ def mean_square_first_order(dec: ModeDecomposition, t: float) -> float:
     weights = np.exp(
         -0.5 * dec.a_coeffs * t - 0.5 * dec.b_coeffs * t**2 - 0.5 * dec.g_coeffs * poly
     )
-    vec = dec.exp_action(t, weights * dec.overlaps)
-    return float(vec @ vec)
+    s, vec = dec.exp_action(t, weights * dec.overlaps)
+    return float(np.exp(2.0 * s) * (vec @ vec))
 
 
 class CascadeSelection(NamedTuple):

@@ -3,21 +3,28 @@
 For y != 0 the trajectory behaves like (t^(ell-1) / e^(qt)) * S(t) with an
 almost-periodic carrier S(t) = sum_k exp(i theta_k t) v_k.  This module
 extracts (q, ell, theta_k, v_k) from one `np.linalg.eig` of Q (`_Spectrum`,
-the one place a drift is factored), which also gives the Hurwitz test and
-the action t -> exp(tQ)V u that both closed forms evaluate:
+the one place a drift is factored), which gives the Hurwitz test and one
+split of Q into blocks (`_Split`).  Both the reading of (q, ell) and the
+action t -> exp(tQ)V u that both closed forms evaluate read that split:
 
-* eigenvalues are clustered (relative gap 1e-7) and taken by decreasing
-  real part; a cluster's spectral projector is built when a vector is
-  first read off it, and reading stops below the slowest decay rate the
-  vector reaches, so usually only the leading cluster is projected;
-* a split factors one complex Schur form of Q, when its first projector
-  is built, and every cluster shares it: a cluster's projector reorders
-  that form so the cluster leads (LAPACK ztrsen) and decouples it with
-  one triangular Sylvester solve (ztrsyl);
-* q is the slowest decay rate among clusters that actually carry a
-  component of y, ell the largest Jordan chain height y attains there;
+* eigenvalues are clustered (relative gap 1e-7); a block is an invariant
+  subspace of one cluster, on which Q = c I + N with c the cluster's mean
+  eigenvalue and N nearly nilpotent, so exp(tQ) = e^(tc) sum_{j<k} (tN)^j/j!
+  there for a block of k eigenvalues (Schur-Parlett blocking, Davies &
+  Higham 2003);
+* when every cluster is one eigenvalue and the eigenvector matrix W is well
+  conditioned, the blocks are W's columns and W^-1's rows;
+* otherwise one complex Schur form of Q is factored and every cluster's
+  block reorders it so the cluster leads (LAPACK ztrsen) and decouples it
+  with one triangular Sylvester solve (ztrsyl); two clusters closer than
+  rounding of Q's entries can move their mean eigenvalues (a cluster whose
+  reordering fails counts as unbounded) merge, so a rounded Jordan chain
+  is one block while a resolvable pair stays split, however large its
+  projectors;
+* q is the slowest decay rate among blocks that actually carry a component
+  of y, ell the largest Jordan chain height y attains there;
 * only chains of maximal height survive the t^(ell-1) normalization, so
-  clusters of lower height are dropped from the carrier.
+  blocks of lower height are dropped from the carrier.
 
 The liminf/limsup envelope [K0, K1] of |S| is estimated on a deterministic
 grid; the true extrema of an almost-periodic function are not computable
@@ -29,7 +36,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -39,18 +47,16 @@ from .linalg_core import CLUSTER_GAP, as_matrix, as_vector, cluster_values
 
 # A generalized-eigenspace component below this fraction of |y| counts as zero.
 COMPONENT_TOL = 1e-9
-# Largest condition number of the eigenvector matrix W of M at which
-# _Spectrum.exp_action reads exp(tM) off M = W diag(lam) W^-1; the eigenvector
-# method's error grows with cond(W) (Moler & Van Loan 2003, method 14).
-# Worst relative error of |exp(tM)v|^2 against 40-digit mpmath over t in
-# [0.3, 25], eig against scipy.linalg.expm (numpy 2.4.6, scipy 1.17.1):
-# near-Jordan 2 x 2 drifts U [[l, k], [e, l]] U^T, 20 per row:
-#   cond(W) 3e1-9e1: 1.4e-13 against 5.9e-12;  3e2-1e3: 2.9e-13 against 1.5e-12
-#   2e3-9e3: 2.0e-12 against 1.3e-12;  3e4-7e4: 1.6e-11 against 2.0e-12
-#   e = 0 (cond(W) 1e8 and up): 6.7 against 1.6e-12.
-# The benchmark's closed-form drifts: its symmetric and synthetic ones take
-# eig (profile and mean-square cells at seeds 1-5 err at most 2.9e-14,
-# against expm's 1.3e-12); its Jordan drift (cond(W) 4e7-1.2e8) takes expm.
+# Largest condition number of the eigenvector matrix W of M at which a split
+# of simple eigenvalues reads its blocks off M = W diag(lam) W^-1; the
+# eigenvector method's error grows with cond(W) (Moler & Van Loan 2003,
+# method 14).  Worst relative error of |exp(tM)v|^2 against 40-digit mpmath
+# over t in [0.3, 25] (numpy 2.4.6, scipy 1.17.1), near-Jordan 2 x 2 drifts
+# U [[l, k], [e, l]] U^T, 20 per row, read off W:
+#   cond(W) 3e1-9e1: 1.4e-13;  3e2-1e3: 2.9e-13;  2e3-9e3: 2.0e-12;
+#   3e4-7e4: 1.6e-11;  e = 0 (cond(W) 1e8 and up): 6.7.
+# The benchmark's symmetric and synthetic drifts read W; its Jordan drift
+# (one cluster of two eigenvalues) is one block.
 _EIG_COND_MAX = 1e3
 # Envelope grid: 10^4 points spanning 100 beat periods of the slowest gap.
 GRID_POINTS = 10_000
@@ -86,71 +92,144 @@ class SpectralAsymptotics:
         }
 
 
-def spectral_projector(Q, members, radius: float) -> np.ndarray:
-    """Projector onto the joint generalized eigenspace of the eigenvalues
-    in `members`, along the complementary one.
-
-    Built as a split builds each cluster's projector, off the complex Schur
-    form of Q, which a split factors once for all its clusters.
-    """
-    T, Z = _schur_form(as_matrix(Q, "Q"))
-    return _cluster_projector(T, Z, np.asarray(members, dtype=complex), radius)
-
-
 def _schur_form(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form Q = Z T Z^H, unsorted."""
     return scipy.linalg.schur(Q.astype(complex), output="complex")
 
 
-def _cluster_projector(T: np.ndarray, Z: np.ndarray, members: np.ndarray, radius: float) -> np.ndarray:
-    """Spectral projector of the eigenvalues of T within `radius` of `members`.
+class _Block(NamedTuple):
+    """One block of a split: the columns `cols` of the split's basis span an
+    invariant subspace of M on which M acts as c I + N (k x k, in the
+    block's coordinates), c the split's rate of those columns; r, which the
+    decay rate is read off, is the mean of the record's eigenvalues in a
+    block of one cluster and c in a merged one.  Blocks stack in the order
+    of their first eigenvalue."""
 
-    ztrsen moves them to the front of the Schur form (the reordering that a
-    sorted `schur` runs inside zgees), and ztrsyl decouples the leading block
-    from the trailing one on the triangular blocks themselves.
+    cols: slice
+    r: complex
+    N: np.ndarray
+
+
+class _Split(NamedTuple):
+    """M = basis diag_b(c_b I + N_b) basis^-1, with `rates` the c of every
+    column: an eigenvalue of W's, or the mean of a Schur block's diagonal,
+    which the block's basis was computed with.  `inverse` holds basis^-1,
+    the blocks' coordinate rows, or is None for an eigenvector basis, whose
+    coordinates are solved for.  `blocks` are by decreasing real part."""
+
+    basis: np.ndarray
+    inverse: Optional[np.ndarray]
+    rates: np.ndarray
+    blocks: list[_Block]
+
+    def coordinates(self, V: np.ndarray) -> np.ndarray:
+        """basis^-1 V: the blocks' coordinates of V, stacked."""
+        return np.linalg.solve(self.basis, V) if self.inverse is None else self.inverse @ V
+
+
+def _cluster_block(M: np.ndarray, schur: Callable, lam: np.ndarray, members: list[int]):
+    """(basis, coordinate rows, M in the block's coordinates, rounding
+    radius) of the cluster `members`, or None when its block cannot be split
+    off: the Schur form does not hold exactly len(members) eigenvalues within
+    half the gap to the others, or its reordering fails.
+
+    ztrsen moves the cluster to the front of the shared Schur form (the
+    reordering that a sorted `schur` runs inside zgees), and ztrsyl
+    decouples the leading block from the trailing one on the triangular
+    blocks themselves.  The radius bounds, to first order, how far the
+    cluster's mean eigenvalue trace(rows M basis) / k moves when every entry
+    of M moves by n eps of itself, the rounding of an n-term inner product
+    that may have formed it: the componentwise condition of that mean.
     """
-    n = T.shape[0]
+    n, k = M.shape[0], len(members)
+    others = np.delete(lam, members)
+    if not others.size:
+        eye = np.eye(n, dtype=complex)
+        return eye, eye, M.astype(complex), 0.0
+    T, Z = schur()
+    radius = 0.5 * float(np.min(np.abs(lam[members][:, None] - others)))
 
     def selected(w: np.ndarray) -> np.ndarray:
-        return (np.abs(w[:, None] - members) <= radius).any(axis=1)
+        return (np.abs(w[:, None] - lam[members]) <= radius).any(axis=1)
 
     select = selected(np.diag(T))
-    k = int(np.count_nonzero(select))
-    if k == 0:
-        raise ToolkitError("eig_failure", "Schur reordering selected no eigenvalues")
-    if k == n:
-        return np.eye(n, dtype=complex)
-    T, Z, _, k, _, _, info = scipy.linalg.lapack.ztrsen(select.astype(np.intc), T, Z, job="N")
+    if int(np.count_nonzero(select)) != k:
+        return None
+    T, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select.astype(np.intc), T, Z, job="N")
     if info != 0 or not np.all(selected(np.diag(T)[:k])):
-        raise ToolkitError("eig_failure", "Schur reordering failed to lead with the selected eigenvalues")
+        return None
     # ztrsyl solves T11 X - X T22 = scale * (-T12), scale <= 1 only to keep X
     # from overflowing, so X / scale solves the unscaled equation; info = 1
     # only flags close eigenvalues, which the solve perturbs, and is not fatal
     X, scale, _ = scipy.linalg.lapack.ztrsyl(T[:k, :k], T[k:, k:], -T[:k, k:], isgn=-1)
-    M = np.zeros((n, n), dtype=complex)
-    M[:k, :k] = np.eye(k)
-    M[:k, k:] = -X / scale
-    return Z @ M @ Z.conj().T
+    rows, basis = np.hstack([np.eye(k), -X / scale]) @ Z.conj().T, Z[:, :k]
+    rounding = n * np.finfo(float).eps * float(np.sum((np.abs(rows) @ np.abs(M)) * np.abs(basis).T)) / k
+    return basis, rows, T[:k, :k], rounding
+
+
+def _schur_split(M: np.ndarray, lam: np.ndarray) -> _Split:
+    """The split of M into cluster blocks off one shared Schur form.  Two
+    clusters whose distance is within the sum of their rounding radii (a
+    cluster whose block cannot be split off has an infinite one) are one
+    chain to rounding: the nearest such pair merges, until none is left.  A
+    single cluster is the whole space, in M's own basis."""
+    schur = cache(lambda: _schur_form(M))
+    groups = cluster_values(lam)
+    unmerged, built = {tuple(g) for g in groups}, {}
+
+    def rounding(g: list[int]) -> float:
+        block = built[tuple(g)]
+        return math.inf if block is None else block[3]
+
+    while True:
+        for g in groups:
+            if tuple(g) not in built:
+                built[tuple(g)] = _cluster_block(M, schur, lam, g)
+        pairs = [
+            (gap, i, j)
+            for i, g in enumerate(groups)
+            for j, h in enumerate(groups[:i])
+            if (gap := float(np.min(np.abs(lam[g][:, None] - lam[h])))) <= rounding(g) + rounding(h)
+        ]
+        if not pairs:
+            break
+        _, i, j = min(pairs)
+        groups = sorted([g for m, g in enumerate(groups) if m not in (i, j)] + [sorted(groups[i] + groups[j])],
+                        key=lambda g: g[0])
+
+    bases, rows, rates, blocks, col = [], [], [], [], 0
+    for g in groups:
+        basis, coords, Mb, _ = built[tuple(g)]
+        k = len(g)
+        # the exponential is centred on the block's Schur diagonal: on the
+        # singletons of U [[-1, 10], [0, -1 - 1e-4]] U^T it errs 2.9e-12 over
+        # t in [0.3, 25], centred on eig's eigenvalues 4.7e-9
+        center = complex(np.trace(Mb)) / k
+        # a cluster decays at the mean of eig's eigenvalues; a merged chain,
+        # whose eigenvalues eig scattered by rounding, at the centre
+        r = complex(np.mean(lam[g])) if tuple(g) in unmerged else center
+        blocks.append(_Block(slice(col, col + k), r, Mb - center * np.eye(k)))
+        bases.append(basis)
+        rows.append(coords)
+        rates.append(np.full(k, center))
+        col += k
+    return _Split(np.hstack(bases), np.vstack(rows), np.concatenate(rates), sorted(blocks, key=lambda b: -b.r.real))
 
 
 def is_diagonalizable(M) -> bool:
-    """True when every eigenvalue cluster of M has full geometric multiplicity:
-    M - rep I has as many zero singular values as the cluster has members."""
-    spectrum = _Spectrum(as_matrix(M, "M"))
-    scale = CLUSTER_GAP * (1.0 + float(np.max(np.abs(spectrum.eigenvalues))))
-    for c in spectrum.clusters:
-        sv = np.linalg.svd(c.N, compute_uv=False)
-        if int(np.sum(sv <= scale * (1.0 + sv[0]))) < c.size:
-            return False
-    return True
+    """True when every block of the split of M acts as a multiple of the
+    identity: its nilpotent part N is within the clustering gap of |M|."""
+    M = as_matrix(M, "M")
+    scale = CLUSTER_GAP * (1.0 + np.linalg.norm(M, 2))
+    return all(np.linalg.norm(b.N, 2) <= scale for b in _Spectrum(M).split.blocks)
 
 
 class _Spectrum:
     """One eigendecomposition M = W diag(lam) W^-1 (`np.linalg.eig`) of a real
-    square matrix and its views: the Hurwitz test, the split into eigenvalue
-    clusters and the action of exp(tM).  A non-finite M is never factored;
-    the eigenvalue views of such an M raise ``not_finite``, those of an M
-    whose eig failed ``eig_failure``, and the exp action takes expm per t."""
+    square matrix and its views: the Hurwitz test, the split into blocks and
+    the action of exp(tM) on it.  A non-finite M is never factored; the
+    eigenvalue views of such an M raise ``not_finite``, those of an M whose
+    eig failed ``eig_failure``, and the exp action of a non-finite M is NaN."""
 
     def __init__(self, M: np.ndarray):
         self.M, self.lam, self.W, self.failure = M, None, None, None
@@ -173,92 +252,92 @@ class _Spectrum:
         return bool(np.max(self.eigenvalues.real) <= -margin)
 
     @cached_property
-    def clusters(self) -> list[_Cluster]:
-        """The split every vector is read off: the eigenvalue clusters by
-        decreasing real part, sharing the Schur form of the first projector."""
-        parts = [_Cluster(self, k, idx) for k, idx in enumerate(cluster_values(self.eigenvalues))]
-        return sorted(parts, key=lambda c: -c.rep.real)
+    def split(self) -> _Split:
+        """The blocks every vector and the exp action are read off: W's
+        columns when every cluster is one eigenvalue and cond(W) <=
+        _EIG_COND_MAX, else the blocks of the shared Schur form."""
+        lam = self.eigenvalues
+        if len(cluster_values(lam)) == len(lam) and np.linalg.cond(self.W) <= _EIG_COND_MAX:
+            blocks = [_Block(slice(i, i + 1), complex(v), np.zeros((1, 1))) for i, v in enumerate(lam)]
+            return _Split(self.W, None, lam, sorted(blocks, key=lambda b: -b.r.real))
+        return _schur_split(self.M, lam)
 
-    @cached_property
-    def schur(self) -> tuple[np.ndarray, np.ndarray]:
-        return _schur_form(self.M)
+    def exp_action(self, V: np.ndarray) -> Callable[[float, np.ndarray], tuple[float, np.ndarray]]:
+        """t, u -> (s, v) with exp(tM) V u = e^s v for a d x k matrix V, O(d^2)
+        per call, off the coordinates h = G u (G = basis^-1 V) and their images
+        p under sum_{j<k} (tN)^j/j! on each block of k > 1 eigenvalues.  On
+        W's columns, or a single block, v = Re(basis (e^{t rates - s} * p)).
+        Several Schur blocks are summed relative to the rate c0 of largest real
+        part, as basis h = V u:
 
-    def exp_action(self, V: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-        """t, u -> exp(tM) V u for a d x k matrix V: Re(W (e^{t lam} * (G u)))
-        with G = W^-1 V, O(d^2) per call, when cond(W) <= _EIG_COND_MAX.  For
-        any other M (non-finite, defective or nearly defective drifts), and
-        for a t whose value comes out non-finite, scipy.linalg.expm(tM) @ (V u),
-        so an overflow comes out exactly as expm's."""
-        def by_expm(t: float, u: np.ndarray) -> np.ndarray:
-            return scipy.linalg.expm(t * self.M) @ (V @ u)
+            v = Re(e^{t c0 - s} (V u + basis (expm1(t (rates - c0)) * p + p - h))),
 
-        if self.W is None or not np.linalg.cond(self.W) <= _EIG_COND_MAX:
-            return by_expm
-        G = np.linalg.solve(self.W, V)
+        so the large coordinates of a close but resolvable pair are scaled by
+        their small expm1 instead of cancelling each other in the sum.
+        s = t max(0, Re c0) is 0 for a decaying M, so v is then read off the
+        plain exponentials; a growing M's overflow shows as an infinite e^s,
+        not as NaN."""
+        if self.failure is not None and self.failure[0] == "not_finite":
+            nan = np.full(self.M.shape[0], np.nan)
+            return lambda t, u: (0.0, nan)
+        split = self.split
+        G = split.coordinates(V)
+        chains = [b for b in split.blocks if b.N.shape[0] > 1]
+        lead = split.rates[np.argmax(split.rates.real)]
+        growth, shift = max(0.0, float(lead.real)), split.rates - lead
+        relative = split.inverse is not None and len(split.blocks) > 1
 
-        def by_eig(t: float, u: np.ndarray) -> np.ndarray:
-            v = (self.W @ (np.exp(t * self.lam) * (G @ u))).real
-            return v if np.all(np.isfinite(v)) else by_expm(t, u)
+        def act(t: float, u: np.ndarray) -> tuple[float, np.ndarray]:
+            h = G @ u
+            p = h.copy() if relative else h
+            for b in chains:  # Horner: c + tN (c + tN/2 (c + ...))
+                c = z = h[b.cols]
+                for j in range(b.N.shape[0] - 1, 0, -1):
+                    z = c + (t / j) * (b.N @ z)
+                p[b.cols] = z
+            s = t * growth
+            if not relative:
+                return s, (split.basis @ (np.exp(t * split.rates - s) * p)).real
+            d = np.expm1(t * shift) * p + (p - h)
+            return s, (np.exp(t * lead - s) * (V @ u + split.basis @ d)).real
 
-        return by_eig
-
-
-class _Cluster:
-    """One eigenvalue cluster of a split: its position in the eigenvalue
-    order, its mean rep and its size; its spectral projector, read off the
-    split's shared Schur form, and M - rep I are built on first use."""
-
-    def __init__(self, spectrum: _Spectrum, index: int, idx: list[int]):
-        self.spectrum, self.index, self.size = spectrum, index, len(idx)
-        self.members, self.others = spectrum.lam[idx], np.delete(spectrum.lam, idx)
-        self.rep = complex(np.mean(self.members))
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        members, others = self.members, self.others
-        radius = 0.5 * float(min(abs(m - o) for m in members for o in others)) if others.size else np.inf
-        return _cluster_projector(*self.spectrum.schur, members, radius)
-
-    @cached_property
-    def N(self) -> np.ndarray:
-        M = self.spectrum.M
-        return M.astype(complex) - self.rep * np.eye(M.shape[0])
+        return act
 
 
-def _read_vector(parts: list[_Cluster], y: np.ndarray) -> tuple[float, int, list]:
+def _read_vector(split: _Split, y: np.ndarray) -> tuple[float, int, list]:
     """(q, ell, kept) of exp(tQ)y off the split of Q: kept lists (rep, top of
-    chain) of the leading clusters of height ell, by decreasing frequency.
-    Projectors are built only for the clusters down to the leading real part
-    -q - lead_tol, as no cluster below it can carry a leading component."""
+    chain) of the leading blocks of height ell, by decreasing frequency.
+    Every block's basis has unit columns (W's) or orthonormal ones (Schur
+    vectors), so a component's norm is that of its coordinates."""
     ynorm = float(np.linalg.norm(y))
-    yc = y.astype(complex)
+    coords = split.coordinates(y[:, None])[:, 0]
     q = None
-    # cluster, chain height and top-of-chain vector of each leading component of y
+    # block, chain height and top-of-chain vector of each leading component of y
     leading = []
-    for c in parts:
-        if q is not None and c.rep.real < -q - lead_tol:
+    for b in split.blocks:
+        if q is not None and b.r.real < -q - lead_tol:
             break
-        comp = c.projector @ yc
+        comp = coords[b.cols]
         if np.linalg.norm(comp) <= COMPONENT_TOL * ynorm:
             continue
         height, top = 1, comp
         z = comp
-        for j in range(1, c.size):
-            z = c.N @ z
+        for j in range(1, b.N.shape[0]):
+            z = b.N @ z
             if np.linalg.norm(z) > COMPONENT_TOL * ynorm:
                 height, top = j + 1, z
         if q is None:
-            q = -c.rep.real
+            q = -b.r.real
             lead_tol = CLUSTER_GAP * (1.0 + abs(q))
-        leading.append((c, height, top))
+        leading.append((b, height, split.basis[:, b.cols] @ top))
 
     if q is None:
         raise ToolkitError("eig_failure", "no spectral component of y exceeds threshold")
 
     ell = max(height for _, height, _ in leading)
     kept = [
-        (c.rep, top)
-        for c, height, top in sorted(leading, key=lambda e: (-e[0].rep.imag, e[0].index))
+        (b.r, top)
+        for b, height, top in sorted(leading, key=lambda e: (-e[0].r.imag, e[0].cols.start))
         if height == ell
     ]
     return q, ell, kept
@@ -269,7 +348,7 @@ def _read_decay(spectrum: _Spectrum, y: np.ndarray) -> tuple[float, int, list]:
     reads them; ``not_stable`` unless Q is Hurwitz and exp(tQ)y decays."""
     if not spectrum.is_hurwitz(0.0):
         raise ToolkitError("not_stable", "Q is not Hurwitz stable")
-    q, ell, kept = _read_vector(spectrum.clusters, y)
+    q, ell, kept = _read_vector(spectrum.split, y)
     if q <= 0.0:  # a marginal mode of y: |exp(tQ)y| does not decay
         raise ToolkitError("not_stable", f"slowest component of y decays at rate {q}")
     return q, ell, kept
@@ -313,8 +392,8 @@ def normalized_state(Q, y, asym: SpectralAsymptotics, t: float) -> np.ndarray:
     if t < 0.0 or (t == 0.0 and asym.ell > 1):
         raise ToolkitError("bad_time", f"no normalized state at t = {t} for ell = {asym.ell}")
     y = as_vector(y, "y")
-    state = _Spectrum(as_matrix(Q, "Q")).exp_action(y[:, None])(t, np.ones(1))
-    return math.exp(asym.q * t) / t ** (asym.ell - 1) * state
+    s, state = _Spectrum(as_matrix(Q, "Q")).exp_action(y[:, None])(t, np.ones(1))
+    return math.exp(asym.q * t + s) / t ** (asym.ell - 1) * state
 
 
 def is_hurwitz(U, margin: float = 0.0) -> bool:

@@ -679,18 +679,20 @@ class TestOncePerReport:
 
     @pytest.mark.parametrize("mode", ["synthetic", "first_order"])
     def test_one_spectral_split_per_decomposition(self, tmp_path, monkeypatch, mode):
-        # A_tilde = A has 2 eigenvalue clusters in both configs; the first-order
-        # one has 3 modes, as its eigenvalue -1 is repeated
+        # A_tilde = A has 2 eigenvalue clusters in both configs.  The synthetic
+        # one has 2 simple eigenvalues, so its split is W's columns and builds no
+        # Schur block; the first-order one has 3 modes, as its eigenvalue -1 is
+        # repeated, so its split builds one Schur block per cluster
         if mode == "synthetic":
             path = synthetic_config(tmp_path)
         else:
             path = write_config(tmp_path, mode="first_order", A=np.diag([-1.0, -1.0, -2.0]).tolist(),
                                 B=np.diag([0.5, 0.5, 0.3]).tolist(), x=[1.0, 1.0, 1.0])
-        projectors = count_calls(monkeypatch, spectral_asymptotics._cluster_projector)
+        blocks = count_calls(monkeypatch, spectral_asymptotics._cluster_block)
         asymptotics = count_calls(monkeypatch, spectral_asymptotics.extract_asymptotics)
         searches = count_calls(monkeypatch, noncommutative_cutoff._stabilizing_p)
         assert main(["analyze", "--config", path, "--out", str(tmp_path / "report")]) == 0
-        assert (len(projectors), len(asymptotics)) == (2, 0)
+        assert (len(blocks), len(asymptotics)) == (0 if mode == "synthetic" else 2, 0)
         if mode == "first_order":
             assert len(searches) == 1
 

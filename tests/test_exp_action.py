@@ -1,10 +1,11 @@
-"""The closed forms' factored exponential: eig path, expm fallback, accuracy.
+"""The closed forms' factored exponential: one split, no expm, accuracy.
 
-`spectral_asymptotics._Spectrum.exp_action` reads exp(tM)V u off the one
-eigendecomposition of a drift when the eigenbasis is well conditioned, else
-calls scipy.linalg.expm per t.  These tests pin which drifts take which path, that
-the library and the CLI print the same bits, and the accuracy of both
-closed forms against a 40-digit reference.
+`spectral_asymptotics._Spectrum.exp_action` reads exp(tM)V u off the blocks
+of the one split of a drift: W's columns when its eigenbasis is well
+conditioned, else the Schur blocks, rounded Jordan chains merged into one.
+These tests pin that no closed form calls scipy.linalg.expm, how overflow
+and non-finite drifts come out, that the library and the CLI print the same
+bits, and the accuracy of both closed forms against a 40-digit reference.
 """
 
 import json
@@ -50,6 +51,25 @@ def jordan_drift():
     return U @ np.array([[-1.2, 1.0], [0.0, -1.2]]) @ U.T + 0.16 * np.eye(2)
 
 
+ROTATION_U = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+
+def rotated_jordan2(kappa):
+    """U [[-1, kappa], [0, -1]] U^T: eig splits the chain into two eigenvalues
+    more than the clustering gap apart."""
+    return ROTATION_U @ np.array([[-1.0, kappa], [0.0, -1.0]]) @ ROTATION_U.T
+
+
+def _rz(a):
+    return np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]])
+
+
+# R J3 R^T with J3 = -I + E12 + E23 and R = Rz(0.7) [[1, 0, 0], [0, 0.6, -0.8], [0, 0.8, 0.6]]
+_R3 = _rz(0.7) @ np.array([[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]])
+ROTATED_J3 = _R3 @ (-np.eye(3) + np.eye(3, k=1)) @ _R3.T
+X_J3 = np.array([0.3, 0.5, 0.8])
+
+
 def synthetic_decomposition(d, seed):
     """Modes diagonal in U diag U^T (not exactly symmetric), ordered so the
     mode of slowest drift decay also has the smallest cubic coefficients."""
@@ -66,16 +86,11 @@ def synthetic_decomposition(d, seed):
     return synthetic_mode_decomposition(alpha, beta, Gamma, A, rng.standard_normal(d))
 
 
-def count_expm(monkeypatch) -> list:
-    calls = []
-    expm = scipy.linalg.expm
+def refuse_expm(monkeypatch):
+    def refused(M):
+        raise AssertionError("scipy.linalg.expm called")
 
-    def counted(M):
-        calls.append(None)
-        return expm(M)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
-    return calls
+    monkeypatch.setattr(scipy.linalg, "expm", refused)
 
 
 def commutative_config(tmp_path, A, x, **extra) -> str:
@@ -107,25 +122,25 @@ class TestTriangularFamily:
             assert abs(float(closed) - exact) <= 1e-14 * exact
 
 
+def first_order_config(tmp_path) -> str:
+    """A commuting pair in first_order mode: A = diag(-2, -3), B = diag(1, 0.5)."""
+    cfg = {"mode": "first_order", "A": [[-2.0, 0.0], [0.0, -3.0]], "B": [[1.0, 0.0], [0.0, 0.5]], "x": [1.0, 1.0],
+           "t_grid": [0.0, 0.5, 2.0, 9.0]}
+    path = tmp_path / "first_order.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 class TestPath:
     @pytest.mark.parametrize("Q,x", [(triangular(c), [0.0, 1.0]) for c in TRIANGULAR_C]
-                             + [(jordan_drift(), [0.6, 0.8])])
-    def test_defective_drifts_take_expm(self, monkeypatch, Q, x):
-        calls = count_expm(monkeypatch)
-        msq = drift_evaluator(Q, x)
-        for t in TRIANGULAR_T:
-            msq(t)
-        assert len(calls) == len(TRIANGULAR_T)
-
-    @pytest.mark.parametrize("Q,x", [symmetric_drift(8, 5), (ROTATION, [1.0, 0.0])])
-    def test_diagonalizable_drifts_make_no_expm_call(self, monkeypatch, Q, x):
-        calls = count_expm(monkeypatch)
+                             + [(jordan_drift(), [0.6, 0.8]), symmetric_drift(8, 5), (ROTATION, [1.0, 0.0])])
+    def test_commutative_closed_form_calls_no_expm(self, monkeypatch, Q, x):
+        refuse_expm(monkeypatch)
         msq = drift_evaluator(Q, x)
         for t in (0.0, 0.3, 2.0, 9.0, 25.0):
-            msq(t)
-        assert calls == []
+            assert math.isfinite(msq(t))
 
-    def test_first_order_mean_squares_share_one_eig(self, monkeypatch):
+    def test_first_order_mean_squares_share_one_eig_and_call_no_expm(self, monkeypatch):
         # the one eig of A_tilde is the p_Gamma search's, which the modes and
         # every mean square read
         eig, calls = np.linalg.eig, []
@@ -135,46 +150,55 @@ class TestPath:
             return eig(M)
 
         monkeypatch.setattr(np.linalg, "eig", counted)
-        expms = count_expm(monkeypatch)
+        refuse_expm(monkeypatch)
         dec = synthetic_decomposition(4, 11)
         for t in (0.5, 1.0, 3.0):
             mean_square_first_order(dec, t)
-        assert (len(calls), expms) == (1, [])
+        assert len(calls) == 1
 
-    def test_non_finite_drift_never_reaches_eig(self, monkeypatch):
+    # a real first-order pair has no decaying cubic, so mixing and profile are no_decay
+    @pytest.mark.parametrize("command", ["mean-square", "analyze"])
+    def test_first_order_reports_call_no_expm(self, tmp_path, monkeypatch, command):
+        refuse_expm(monkeypatch)
+        assert main([command, "--config", first_order_config(tmp_path), "--out", "-", "--paths", "100"]) == 0
+
+    def test_non_finite_drift_never_reaches_eig_and_acts_as_nan(self, monkeypatch):
         def refused(M):
             raise AssertionError("eig called on a non-finite matrix")
 
         monkeypatch.setattr(np.linalg, "eig", refused)
         M = np.array([[-1.0, np.inf], [0.0, -2.0]])
-        x = np.array([1.0, 1.0])
-        with np.errstate(all="ignore"):
-            got = _Spectrum(M).exp_action(x[:, None])(0.5, np.ones(1))
-            np.testing.assert_array_equal(got, scipy.linalg.expm(0.5 * M) @ x)
+        s, v = _Spectrum(M).exp_action(np.array([[1.0], [1.0]]))(0.5, np.ones(1))
+        assert s == 0.0 and np.all(np.isnan(v))
 
-    def test_failed_eig_fails_the_split_and_leaves_expm_to_the_action(self, monkeypatch):
+    def test_failed_eig_fails_the_split_and_the_action(self, monkeypatch):
         def failing(M):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", failing)
-        calls = count_expm(monkeypatch)
         spectrum = _Spectrum(ROTATION)
-        with pytest.raises(ToolkitError) as err:
-            spectrum.clusters
-        assert err.value.code == "eig_failure"
-        spectrum.exp_action(np.array([[1.0], [0.0]]))(0.5, np.ones(1))
-        assert len(calls) == 1
+        for view in (lambda: spectrum.split, lambda: spectrum.exp_action(np.array([[1.0], [0.0]]))):
+            with pytest.raises(ToolkitError) as err:
+                view()
+            assert err.value.code == "eig_failure"
 
     @pytest.mark.parametrize("M", [np.diag([1.0, 2.0]), np.array([[1.0, 3.0], [-3.0, 1.0]])])
-    def test_overflow_comes_out_as_expm_does(self, M):
-        # e^{800} overflows: the eig path would give 0 * inf = nan, and nan
-        # would read as a crossing in a mixing search; expm's inf does not
-        x = np.array([1.0, 1.0])
+    def test_overflowing_mean_square_is_inf_never_nan(self, M):
+        # e^{800} overflows: read off the plain exponentials, W (e^{800 lam} h)
+        # would give 0 * inf = nan, and nan would read as a crossing in a
+        # mixing search; the growth scale e^s carries the overflow instead
         with np.errstate(all="ignore"):
-            got = _Spectrum(M).exp_action(x[:, None])(800.0, np.ones(1))
-            ref = scipy.linalg.expm(800.0 * M) @ x
-            np.testing.assert_array_equal(got, ref)
-            assert math.isinf(drift_mean_square(M, x, 800.0)) == math.isinf(float(ref @ ref))
+            assert drift_mean_square(M, np.array([1.0, 1.0]), 800.0) == math.inf
+
+    @pytest.mark.parametrize("command,code", [("analyze", "not_finite"), ("mixing", "not_finite"),
+                                              ("profile", "not_finite"), ("mean-square", "report_not_finite")])
+    def test_overflowed_drift_keeps_its_code(self, tmp_path, monkeypatch, capsys, command, code):
+        # B = 1e154 I: (B + B^T)^2 / 4 overflows to inf, so Q is not finite
+        refuse_expm(monkeypatch)
+        path = commutative_config(tmp_path, np.diag([-1.0, -2.0, -3.0]), [1.0, 1.0, 1.0],
+                                  B=np.diag([1e154] * 3).tolist(), mc={"n_paths": 100})
+        assert main([command, "--config", path, "--out", "-"]) == 1
+        assert capsys.readouterr().err == code + "\n"
 
 
 @pytest.mark.parametrize("Q,x", [(triangular(1e4), np.array([0.0, 1.0])), symmetric_drift(8, 5),
@@ -201,7 +225,17 @@ class TestAgainstMpmath:
                 out = max(out, float(abs(mp.mpf(closed(t)) - exact) / exact))
         return out
 
-    @pytest.mark.parametrize("family", ["symmetric", "synthetic", "rotation", "jordan"])
+    # worst relative error over TS, measured (numpy 2.4.6, scipy 1.17.1), and
+    # the bound pinned here: symmetric 2.9e-14, synthetic 1.0e-14, rotation
+    # 6.2e-15, jordan 4.8e-15 (3.1e-13 through scipy.linalg.expm), merged
+    # rounded Jordan chains 1.1e-10 (rotated J2 at kappa = 100; 4.0e-9 through
+    # expm), resolvable near-confluent pairs 4.6e-16 (1.5e-10 through expm),
+    # resolvable pairs with projectors of norm 1e7 and 1e8 4.5e-16 (the pair
+    # [[-1, 1e5], [0, -1.01]] erred 2.0e-13 summed as two plain exponentials)
+    BOUNDS = {"symmetric": 1e-13, "synthetic": 1e-13, "rotation": 1e-13, "jordan": 1e-13,
+              "merged": 2e-10, "near-confluent": 1e-14, "large-projector": 1e-14}
+
+    @pytest.mark.parametrize("family", sorted(BOUNDS))
     def test_worst_relative_error(self, family):
         mp = pytest.importorskip("mpmath")
         cases = []
@@ -217,13 +251,18 @@ class TestAgainstMpmath:
 
                 cases.append((lambda t, dec=dec: mean_square_first_order(dec, t), dec.A_tilde, vector))
         else:
-            if family == "symmetric":
-                drifts = [symmetric_drift(d, d) for d in range(2, 9)]
-            elif family == "rotation":
-                drifts = [(ROTATION, np.array([1.0, 0.0]))]
-            else:  # a Jordan block, on the expm path
-                drifts = [(np.array([[-0.8, 1.0], [0.0, -0.8]]), np.array([0.6, 0.8]))]
+            drifts = {
+                "symmetric": [symmetric_drift(d, d) for d in range(2, 9)],
+                "rotation": [(ROTATION, np.array([1.0, 0.0]))],
+                "jordan": [(jordan_drift(), np.array([0.6, 0.8]))],
+                "merged": [(rotated_jordan2(30.0), np.array([1.0, 0.0])), (rotated_jordan2(100.0), np.array([1.0, 0.0])),
+                           (ROTATED_J3, X_J3)],
+                "near-confluent": [(np.array([[-1.0, 10.0], [0.0, -1.0 - delta]]), np.array([0.6, 0.8]))
+                                   for delta in (3e-7, 1e-6)],
+                "large-projector": [(np.array(Q), np.array([0.6, 0.8]))
+                                    for Q in ([[-1.0, 1e5], [0.0, -1.01]], [[-1.0, 1e8], [0.0, -2.0]])],
+            }[family]
             for Q, x in drifts:
                 cases.append((drift_evaluator(Q, x), Q, lambda mp, t, x=x: x.tolist()))
         with mp.workdps(40):
-            assert self.worst(mp, cases) <= 1e-13
+            assert self.worst(mp, cases) <= self.BOUNDS[family]

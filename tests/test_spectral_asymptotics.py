@@ -1,10 +1,15 @@
 from typing import NamedTuple
 
+import json
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gbm_cutoff import spectral_asymptotics
+from gbm_cutoff.cli import main
+from gbm_cutoff.commutative_cutoff import profile_limit
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.linalg_core import CLUSTER_GAP, cluster_values
 from gbm_cutoff.spectral_asymptotics import (
@@ -12,8 +17,8 @@ from gbm_cutoff.spectral_asymptotics import (
     extract_asymptotics,
     is_diagonalizable,
     normalized_state,
-    spectral_projector,
 )
+from gbm_cutoff.system import GBMSystem
 
 DIAG = (np.diag([-1.0, -2.0]), np.array([1.0, 1.0]))
 JORDAN = (np.array([[-1.0, 1.0], [0.0, -1.0]]), np.array([0.0, 1.0]))
@@ -24,17 +29,24 @@ def residual(Q, y, asym, t):
     return np.linalg.norm(normalized_state(Q, y, asym, t) - asym.carrier(t))
 
 
+def schur_split(Q):
+    """The split of Q off its Schur form, whatever W's condition number."""
+    return spectral_asymptotics._schur_split(Q, np.linalg.eigvals(Q))
+
+
+def block_projectors(split):
+    """basis coords of every block of a split, in block order."""
+    return [split.basis[:, b.cols] @ split.inverse[b.cols] for b in split.blocks]
+
+
 class TestSpectralProjector:
     def test_partition_of_identity_and_idempotence(self):
         rng = np.random.default_rng(31)
         Q = rng.standard_normal((5, 5))
-        lam = np.linalg.eigvals(Q)
+        split = schur_split(Q)
+        assert len(split.blocks) == 5
         total = np.zeros((5, 5), dtype=complex)
-        for k in range(len(lam)):
-            members = lam[[k]]
-            others = np.delete(lam, [k])
-            radius = 0.5 * min(abs(members[0] - o) for o in others)
-            P = spectral_projector(Q, members, radius)
+        for P in block_projectors(split):
             assert np.linalg.norm(P @ P - P) < 1e-9 * (1 + np.linalg.norm(P) ** 2)
             total += P
         assert np.linalg.norm(total - np.eye(5)) < 1e-9
@@ -42,11 +54,18 @@ class TestSpectralProjector:
     def test_commutes_with_matrix(self):
         rng = np.random.default_rng(32)
         Q = rng.standard_normal((4, 4))
-        lam = np.linalg.eigvals(Q)
-        members = lam[[0]]
-        radius = 0.5 * min(abs(members[0] - o) for o in np.delete(lam, [0]))
-        P = spectral_projector(Q, members, radius)
-        assert np.linalg.norm(P @ Q - Q @ P) < 1e-9 * (1 + np.linalg.norm(Q))
+        for P in block_projectors(schur_split(Q)):
+            assert np.linalg.norm(P @ Q - Q @ P) < 1e-9 * (1 + np.linalg.norm(Q))
+
+    def test_block_acts_as_its_centre_plus_N(self):
+        # coords Q basis = c I + N on every block
+        Q = np.random.default_rng(33).standard_normal((5, 5))
+        split = schur_split(Q)
+        for b in split.blocks:
+            k = b.N.shape[0]
+            restricted = split.inverse[b.cols] @ Q @ split.basis[:, b.cols]
+            ref = split.rates[b.cols][0] * np.eye(k) + b.N
+            assert np.linalg.norm(restricted - ref) < 1e-12 * (1 + np.linalg.norm(Q))
 
 
 class TestExtractAsymptotics:
@@ -238,12 +257,13 @@ class EagerCluster(NamedTuple):
 
 
 def eager_split(Q):
-    """Every cluster's (rep, size, projector, Q - rep I), in cluster order."""
+    """Every cluster's (rep, size, projector, Q - rep I), in cluster order:
+    the d x d construction that the split's blocks replace."""
     parts = []
     for members, radius in cluster_args(Q):
         rep = complex(np.mean(members))
         N = Q.astype(complex) - rep * np.eye(Q.shape[0])
-        parts.append(EagerCluster(rep, len(members), spectral_projector(Q, members, radius), N))
+        parts.append(EagerCluster(rep, len(members), reference_projector(Q, members, radius), N))
     return parts
 
 
@@ -288,18 +308,18 @@ LAZY_CASES = {
 }
 
 
-class TestLazyRead:
+class TestBlockRead:
     @pytest.mark.parametrize("name", sorted(LAZY_CASES))
-    def test_same_asymptotics_as_the_eager_read(self, monkeypatch, name):
+    def test_same_asymptotics_as_the_projector_read(self, monkeypatch, name):
         Q, y = LAZY_CASES[name]
-        lazy = extract_asymptotics(Q, y)
-        # the record's eigenvalues still decide the Hurwitz test
-        monkeypatch.setattr(spectral_asymptotics._Spectrum, "clusters", property(lambda s: eager_split(s.M)))
-        monkeypatch.setattr(spectral_asymptotics, "_read_vector", eager_read)
-        eager = extract_asymptotics(Q, y)
-        assert (lazy.q, lazy.ell, lazy.m, lazy.thetas, lazy.K0, lazy.K1) == (
-            eager.q, eager.ell, eager.m, eager.thetas, eager.K0, eager.K1)
-        assert all(np.array_equal(a, b) for a, b in zip(lazy.vs, eager.vs, strict=True))
+        blocks = extract_asymptotics(Q, y)
+        monkeypatch.setattr(spectral_asymptotics, "_read_vector", lambda split, y: eager_read(eager_split(Q), y))
+        ref = extract_asymptotics(Q, y)
+        assert (blocks.ell, blocks.m) == (ref.ell, ref.m)
+        np.testing.assert_allclose([blocks.q, *blocks.thetas, blocks.K0, blocks.K1],
+                                   [ref.q, *ref.thetas, ref.K0, ref.K1], rtol=1e-12)
+        for a, b in zip(blocks.vs, ref.vs, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.linalg.norm(b))
 
     @pytest.mark.parametrize("Q,y,code", [(*DIAG, None), (*ROTATION, None), (-DIAG[0], DIAG[1], "not_stable")])
     def test_one_eigenvalue_computation_per_extraction(self, monkeypatch, Q, y, code):
@@ -319,18 +339,19 @@ class TestLazyRead:
             assert code is None
         assert calls == ["eig"]
 
-    def test_generic_vector_builds_one_projector(self, monkeypatch):
-        built = []
+    def test_simple_well_conditioned_spectrum_factors_no_schur_form(self, monkeypatch):
+        factored = []
 
         def counted(*args):
-            built.append(None)
-            return cluster_projector(*args)
+            factored.append(None)
+            return schur_form(*args)
 
-        cluster_projector = spectral_asymptotics._cluster_projector
-        monkeypatch.setattr(spectral_asymptotics, "_cluster_projector", counted)
+        schur_form = spectral_asymptotics._schur_form
+        monkeypatch.setattr(spectral_asymptotics, "_schur_form", counted)
         Q, y = SYMMETRIC8
         assert extract_asymptotics(Q, y).q == pytest.approx(0.5, rel=1e-12)
-        assert len(built) == 1
+        assert spectral_asymptotics._Spectrum(Q).split.inverse is None  # W's columns, W^-1 by a solve
+        assert factored == []
 
 
 def reference_projector(Q, members, radius):
@@ -362,18 +383,27 @@ PROJECTOR_CASES = {
 }
 
 
+# two eigenvalues at -0.5: one cluster of two, so the split reads the Schur form
+REPEATED8 = _O @ np.diag([-0.5, -0.5, -1.0, -1.5, -2.0, -2.5, -3.0, -4.0]) @ _O.T
+
+
 class TestSharedSchurForm:
     @pytest.mark.parametrize("name", sorted(PROJECTOR_CASES))
     def test_matches_the_sorted_schur_and_sylvester_construction(self, name):
         Q = PROJECTOR_CASES[name]
-        for members, radius in cluster_args(Q):
+        lam = np.linalg.eigvals(Q)
+        split = spectral_asymptotics._schur_split(Q, lam)
+        # no cluster of these merges, so the blocks stack in cluster order
+        blocks = sorted(zip(split.blocks, block_projectors(split)), key=lambda e: e[0].cols.start)
+        for g, (_, P) in zip(cluster_values(lam), blocks, strict=True):
+            members, others = lam[g], np.delete(lam, g)
+            radius = 0.5 * float(np.min(np.abs(members[:, None] - others))) if others.size else np.inf
             ref = reference_projector(Q, members, radius)
-            P = spectral_projector(Q, members, radius)
             assert np.linalg.norm(P - ref) <= 1e-15 * (1.0 + np.linalg.norm(ref))
 
     def test_one_schur_factorization_per_split(self, monkeypatch):
         factored, built = [], []
-        schur_form, cluster_projector = spectral_asymptotics._schur_form, spectral_asymptotics._cluster_projector
+        schur_form, cluster_block = spectral_asymptotics._schur_form, spectral_asymptotics._cluster_block
 
         def counted_schur(*args):
             factored.append(None)
@@ -381,38 +411,53 @@ class TestSharedSchurForm:
 
         def counted_build(*args):
             built.append(None)
-            return cluster_projector(*args)
+            return cluster_block(*args)
 
         monkeypatch.setattr(spectral_asymptotics, "_schur_form", counted_schur)
-        monkeypatch.setattr(spectral_asymptotics, "_cluster_projector", counted_build)
-        Q = SYMMETRIC8[0]
-        parts = spectral_asymptotics._Spectrum(Q).clusters
-        assert not factored  # the form waits for the first projector
-        vectors = np.linalg.eigh(Q)[1]
-        rates = sorted(spectral_asymptotics._read_vector(parts, v)[0] for v in vectors.T)
-        assert rates == pytest.approx(np.linspace(0.5, 4.0, 8), rel=1e-12)
-        assert (len(factored), len(built)) == (1, 8)
+        monkeypatch.setattr(spectral_asymptotics, "_cluster_block", counted_build)
+        spectrum = spectral_asymptotics._Spectrum(REPEATED8)
+        assert not factored  # the form waits for the split
+        vectors = np.linalg.eigh(REPEATED8)[1]
+        rates = sorted(spectral_asymptotics._read_vector(spectrum.split, v)[0] for v in vectors.T)
+        assert rates == pytest.approx([0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0], rel=1e-12)
+        assert (len(factored), len(built)) == (1, 7)
 
-    def test_failed_reordering_is_an_eig_failure(self, monkeypatch):
+    @pytest.mark.parametrize("reorder", ["failing", "unmoved"])
+    def test_cluster_whose_reordering_fails_merges_with_its_nearest(self, monkeypatch, reorder):
         ztrsen = scipy.linalg.lapack.ztrsen
 
         def failing(*args, **kwargs):
             return ztrsen(*args, **kwargs)[:-1] + (1,)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", failing)
-        with pytest.raises(ToolkitError) as err:
-            extract_asymptotics(*DIAG)
-        assert err.value.code == "eig_failure"
-
-    def test_reordering_that_leaves_the_selection_behind_is_an_eig_failure(self, monkeypatch):
-        # a reorder that keeps the unselected -1 in front, with info 0
         def unmoved(select, T, Z, job):
+            # keeps the unselected eigenvalues in front, with info 0
             return T, Z, np.diag(T), int(np.count_nonzero(select)), 0.0, 0.0, 0
 
-        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", unmoved)
-        with pytest.raises(ToolkitError) as err:
-            spectral_projector(np.diag([-1.0, -2.0]), [-2.0], 0.5)
-        assert err.value.code == "eig_failure"
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", failing if reorder == "failing" else unmoved)
+        split = spectral_asymptotics._Spectrum(np.diag([-1.0, -1.0, -2.0])).split
+        # the cluster at -1 merges with -2: one block, the whole space
+        assert [b.cols for b in split.blocks] == [slice(0, 3)]
+        np.testing.assert_array_equal(split.inverse, np.eye(3))
+
+    @pytest.mark.parametrize("Q", [
+        [[-1.0, 10.0], [0.0, -1.0 - 3e-7]],
+        [[-1.0, 10.0], [0.0, -1.0 - 1e-6]],
+        [[-1.0, 1e5], [0.0, -1.01]],
+        [[-1.0, 1e8], [0.0, -2.0]],
+    ])
+    def test_resolvable_pair_stays_split_whatever_its_projector(self, Q):
+        # triangular, so each eigenvalue is exact and rounding cannot move it:
+        # two blocks, (q, ell) = (1, 1), though the projectors' norms are 1e7
+        # to 1e8
+        Q = np.array(Q)
+        assert len(spectral_asymptotics._Spectrum(Q).split.blocks) == 2
+        asym = extract_asymptotics(Q, np.array([0.6, 0.8]))
+        assert (asym.q, asym.ell) == (1.0, 1)
+
+    @pytest.mark.parametrize("name", ["rotated-j2-k100", "rotated-j2-k1e4", "rotated-j3"])
+    def test_rounded_chain_merges_into_one_block(self, name):
+        A = MIS_SPLIT[name][0]
+        assert [b.N.shape[0] for b in spectral_asymptotics._Spectrum(A).split.blocks] == [A.shape[0]]
 
 
 class TestIsDiagonalizable:
@@ -427,3 +472,68 @@ class TestIsDiagonalizable:
 
     def test_repeated_but_diagonalizable(self):
         assert is_diagonalizable(np.diag([-1.0, -1.0, -2.0]))
+
+    @pytest.mark.parametrize("name", ["rotated-j2-k100", "rotated-j2-k1e4", "rotated-j3"])
+    def test_rounded_jordan_chains_are_not(self, name):
+        assert not is_diagonalizable(MIS_SPLIT[name][0])
+
+    def test_scaled_jordan_block_is_not(self):
+        # the tolerance scales with |M|, as |N| does: 1e-7 (1 + 1e4) < |N| = 1
+        A = np.array([[-1e4, 1.0], [0.0, -1e4]])
+        assert not is_diagonalizable(A)
+        with pytest.raises(ToolkitError) as err:
+            profile_limit(GBMSystem(A=A, B=np.zeros_like(A), x=np.array([1.0, 0.0])), 0.0)
+        assert err.value.code == "not_diagonalizable"
+
+    def test_resolvable_pair_with_a_large_projector_is(self):
+        assert is_diagonalizable(np.array([[-1.0, 1e8], [0.0, -2.0]]))
+
+
+U2 = np.array([[0.6, -0.8], [0.8, 0.6]])
+_RZ = np.array([[math.cos(0.7), -math.sin(0.7), 0.0], [math.sin(0.7), math.cos(0.7), 0.0], [0.0, 0.0, 1.0]])
+R3 = _RZ @ np.array([[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]])
+# (A, x, ell): rounded Jordan chains that eig splits into eigenvalues more
+# than the clustering gap apart; with B = 0, Q = A and eps = e^-4,
+# t_eps = 4 + (ell - 1) ln 4
+MIS_SPLIT = {
+    "rotated-j2-k100": (U2 @ np.array([[-1.0, 100.0], [0.0, -1.0]]) @ U2.T, [1.0, 0.0], 2),
+    "rotated-j2-k1e4": (U2 @ np.array([[-1.0, 1e4], [0.0, -1.0]]) @ U2.T, [1.0, 0.0], 2),
+    "rotated-j3": (R3 @ (-np.eye(3) + np.eye(3, k=1)) @ R3.T, [0.3, 0.5, 0.8], 3),
+}
+
+
+def mis_split_config(tmp_path, name) -> str:
+    A, x, _ = MIS_SPLIT[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"mode": "commutative", "A": A.tolist(), "B": np.zeros_like(A).tolist(), "x": x,
+                                "eps_list": [math.exp(-4.0)]}))
+    return str(path)
+
+
+class TestMisSplitChains:
+    """A rounded Jordan chain is one block: its chain height is read, where a
+    split into singletons read ell = 1 or found no Schur eigenvalue to reorder."""
+
+    @pytest.mark.parametrize("name", sorted(MIS_SPLIT))
+    def test_analyze_reads_the_chain_height(self, tmp_path, capsys, name):
+        assert main(["analyze", "--config", mis_split_config(tmp_path, name), "--out", "-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        ell = MIS_SPLIT[name][2]
+        assert report["ell"] == ell
+        # q is the merged block's centre, exactly 1 here, so t_eps prints
+        # 4 + ln 4 = 5.386294361119891 for ell = 2
+        assert report["schedules"][0]["t_eps"] == 4.0 + (ell - 1) * math.log(4.0)
+
+    @pytest.mark.parametrize("name", sorted(MIS_SPLIT))
+    def test_mixing_scales_tau_by_the_chain_cutoff_time(self, tmp_path, capsys, name):
+        assert main(["mixing", "--config", mis_split_config(tmp_path, name), "--out", "-"]) == 0
+        _, tau, tau_over_t_eps, _ = map(float, capsys.readouterr().out.splitlines()[1].split(",")[1:])
+        t_eps = 4.0 + (MIS_SPLIT[name][2] - 1) * math.log(4.0)
+        assert tau_over_t_eps == pytest.approx(tau / t_eps, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MIS_SPLIT))
+    def test_profile_limit_is_refused(self, name):
+        A, x, _ = MIS_SPLIT[name]
+        with pytest.raises(ToolkitError) as err:
+            profile_limit(GBMSystem(A=A, B=np.zeros_like(A), x=np.array(x)), 0.0)
+        assert err.value.code == "not_diagonalizable"
