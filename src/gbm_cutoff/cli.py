@@ -36,7 +36,7 @@ from .noncommutative_cutoff import (
     mode_decomposition,
     synthetic_mode_decomposition,
 )
-from .simulate import SEED_END, _first_order_matrix, estimate_mean_squares
+from .simulate import SEED_END, _first_order_matrix, _with_first_order_reference, estimate_mean_squares
 from .spectral_asymptotics import _read_decay, _Spectrum
 from .system import GBMSystem
 
@@ -327,15 +327,15 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, str]:
     sys_ = _system(cfg)
     if cfg.mode == "commutative":
         msq = _closed_form(cfg, sys_).msq
-    else:
-        _first_order_matrix(sys_)  # representation_invalid before any code of the grid
-    # the estimates are checked and drawn before the first-order reference, so
-    # a t that dt does not divide is reported ahead of an overflowing reference
-    ests = estimate_mean_squares(sys_, cfg.t_grid, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
-    if cfg.mode == "commutative":
+        ests = estimate_mean_squares(sys_, cfg.t_grid, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
         refs = [(msq(t), 0.0) for t in cfg.t_grid]
     else:
-        exact = estimate_mean_squares(sys_, cfg.t_grid, "exact_first_order", cfg.n_paths, seed=cfg.seed)
+        _first_order_matrix(sys_)  # representation_invalid before any code of the grid
+        # both grids are checked before anything is drawn, the estimates' first,
+        # so a t that dt does not divide is reported ahead of an overflowing
+        # reference; the reference then runs on the pool beside the EM step
+        # loop, and an error of the estimates wins over one of the reference
+        ests, exact = _with_first_order_reference(sys_, cfg.t_grid, cfg.n_paths, cfg.dt, cfg.seed)
         refs = [(est.value, est.std_error) for est in exact]
     rows = []
     for t, (ref, ref_se), est in zip(cfg.t_grid, refs, ests):

@@ -11,9 +11,12 @@ rows through a thread pool in cache-sized chunks of about 2^18 increments,
 one chunk per task, when a row holds enough draws to pay for the threads,
 and on the calling thread otherwise: each task draws, steps and
 exponentiates its rows and reduces them to |X_t|^2.  The d > 1
-Euler-Maruyama kernel steps all rows of a batch at once, time-major, and
-draws its rows in chunks on the pool.  The output does not depend on the
-CPU count.  The exact and Magnus kernels exponentiate a stack of exponents
+Euler-Maruyama kernel steps all rows of a batch at once, time-major, one
+product [I + dt D; B] X (D the Ito drift) and two in-place updates per
+step, and draws its rows in chunks on the pool.  Beside that step loop,
+first-order verify runs its exact-sampler reference as one pool task
+(_with_first_order_reference).  The output does not depend on the CPU
+count.  The exact and Magnus kernels exponentiate a stack of exponents
 at once with linalg_core.expm_stack, whose rows do not depend on each other.
 The public single-path functions are n = 1 views.  The reduction uses
 exact compensated summation over the per-path values in index order.
@@ -24,9 +27,9 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -172,7 +175,8 @@ def _time_major_increments(n: int, dt: float, seed: int, lo: int, hi: int) -> np
     inc = np.empty((n, hi - lo))
 
     def fill(a: int, b: int) -> None:
-        inc[:, a:b] = _increments(n, dt, seed, lo + a, lo + b).T
+        # scaled while transposed: the bits of _increments, one pass fewer
+        np.multiply(_normals(seed, lo + a, lo + b, n).T, math.sqrt(dt), out=inc[:, a:b])
 
     _run_chunks(fill, hi - lo, n, 4 * n)
     return inc
@@ -201,26 +205,26 @@ class PathFunctionals(NamedTuple):
 
 
 def _walk(inc: np.ndarray) -> np.ndarray:
-    """The Brownian path at the grid points, zero-led: W_0 = 0, then the
-    running sums of each row of increments."""
-    w = np.zeros((len(inc), inc.shape[1] + 1))
-    np.cumsum(inc, axis=1, out=w[:, 1:])
-    return w
+    """The Brownian path W_1..W_n at the grid points past W_0 = 0: the
+    running sums of each row of increments, taken in place of them."""
+    return np.cumsum(inc, axis=1, out=inc)
 
 
 def _functionals(w: np.ndarray, ks: list[int], dt: float) -> list[PathFunctionals]:
-    """PathFunctionals of the first k steps of each row of the walk `w`, as
-    arrays over the rows, for each k of `ks`."""
-    scratch = np.empty((len(w), max(ks)))
-    s_left = np.arange(max(ks)) * dt
+    """PathFunctionals of the first k steps of each row of the walk `w`
+    (W_1..W_n, from _walk), as arrays over the rows, for each k of `ks`.
+    The left endpoints are W_0..W_{k-1}, and W_0 = 0 adds nothing, so every
+    integral reads W_1..W_{k-1}.  einsum reduces each row on its own, so a
+    row's bits do not depend on the other rows of the batch."""
+    s = np.arange(1, max(ks)) * dt
     out = []
     for k in ks:
-        w_left, buf = w[:, :k], scratch[:, :k]
+        w_in = w[:, : k - 1]
         out.append(PathFunctionals(
-            w_t=w[:, k],
-            int_w=w_left.sum(axis=1) * dt,
-            int_w2=np.square(w_left, out=buf).sum(axis=1) * dt,
-            int_sw=np.multiply(w_left, s_left[:k], out=buf).sum(axis=1) * dt,
+            w_t=w[:, k - 1],
+            int_w=w_in.sum(axis=1) * dt,
+            int_w2=np.einsum("ij,ij->i", w_in, w_in) * dt,
+            int_sw=np.einsum("ij,j->i", w_in, s[: k - 1]) * dt,
         ))
     return out
 
@@ -242,7 +246,7 @@ class BrownianPath:
         n = _nsteps(t, self.dt)
         if n > self.increments.size:
             raise ToolkitError("path_too_short", f"path covers {self.increments.size} steps, need {n}")
-        f = _functionals(_walk(self.increments[None, :n]), [n], self.dt)[0]
+        f = _functionals(_walk(self.increments[None, :n].copy()), [n], self.dt)[0]
         return PathFunctionals(*(float(v[0]) for v in f))
 
 
@@ -311,14 +315,21 @@ def _prefix_products(f: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     return [prods[k] for k in ks]
 
 
-def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, hi: int) -> list[np.ndarray]:
+def _nothing() -> None:
+    pass
+
+
+def _euler_states(
+    sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, hi: int, drawn=_nothing
+) -> list[np.ndarray]:
     """Euler-Maruyama states of the Ito form dX = (A + B^2/2) X dt + B X dW
     after k steps, for each k of `ks`, from one draw of max(ks) steps.
 
-    The scalar kernel works on its rows alone.  For d > 1 each step is one
-    (2d x d) @ (d x rows) product [D; B] X over every row of the batch, with
-    the rows' increments of that step contiguous, and the update
-    X + dt (DX) + dW (BX) runs in place in that order."""
+    The scalar kernel works on its rows alone.  For d > 1 the kernel draws
+    the batch, calls drawn(), then takes each step as one (2d x d) @
+    (d x rows) product [I + dt D; B] X over every row of the batch, with D
+    the Ito drift and the rows' increments of that step contiguous, and
+    X = (I + dt D) X + dW (BX) in place."""
     drift = _ito_drift(sys)
     if sys.dim == 1:
         # scalar update collapses to a product of per-step factors
@@ -329,37 +340,45 @@ def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, 
         return [(sys.x[0] * p)[:, None] for p in _prefix_products(inc, ks)]
     d, n = sys.dim, hi - lo
     dW = _time_major_increments(max(ks), dt, seed, lo, hi)
+    drawn()
     if n == 1:
         # numpy multiplies by a one-column matrix through gemv, which rounds
         # differently from gemm; stepping a lone path as two columns keeps its
         # bits batch-independent
         dW = np.repeat(dW, 2, axis=1)
-    DB = np.concatenate((drift, sys.B))
+    MB = np.concatenate((np.eye(d) + dt * drift, sys.B))
     X = np.repeat(sys.x[:, None], dW.shape[1], axis=1)
     Y = np.empty((2 * d, dW.shape[1]))
-    DX, BX = Y[:d], Y[d:]
+    MX, BX = Y[:d], Y[d:]
     wanted, states = set(ks), {}
     for k in range(1, len(dW) + 1):
-        np.matmul(DB, X, out=Y)
-        DX *= dt
-        DX += X
+        np.matmul(MB, X, out=Y)
         BX *= dW[k - 1]
-        np.add(DX, BX, out=X)
+        np.add(MX, BX, out=X)
         if k in wanted:
             states[k] = X[:, :n].T.copy()
     return [states[k] for k in ks]
 
 
 def _end_states(
-    sys: GBMSystem, ts: list[float], scheme: str, dt: float, seed: int, lo: int, hi: int, C: np.ndarray | None = None
+    sys: GBMSystem,
+    ts: list[float],
+    scheme: str,
+    dt: float,
+    seed: int,
+    lo: int,
+    hi: int,
+    C: np.ndarray | None = None,
+    drawn=_nothing,
 ) -> list[np.ndarray]:
     """X_t(x) under `scheme` for each t of `ts` (all > 0), one row per path
     lo..hi-1.  Each path is drawn once, at the largest t; every other t reads
     a prefix of that draw, so its rows are those of a draw at that t.  `C` is
     the gated C = [B, A] of exact_first_order (from _first_order_matrix), and
-    None for every other scheme."""
+    None for every other scheme.  The d > 1 Euler-Maruyama kernel calls
+    drawn() between its draw and its step loop; no other kernel calls it."""
     if scheme == "euler_maruyama":
-        return _euler_states(sys, [_nsteps(t, dt) for t in ts], dt, seed, lo, hi)
+        return _euler_states(sys, [_nsteps(t, dt) for t in ts], dt, seed, lo, hi, drawn)
     if scheme == "magnus_truncated":
         ks = [_nsteps(t, dt) for t in ts]
         fs = _functionals(_walk(_increments(max(ks), dt, seed, lo, hi)), ks, dt)
@@ -461,6 +480,53 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _estimation(
+    sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int
+) -> Callable[..., list[MCEstimate]]:
+    """Check the grid of estimate_mean_squares and return the estimation
+    itself, which draws nothing until it is called.  The estimation calls its
+    argument, drawn(), on the calling thread: in the d > 1 Euler-Maruyama
+    kernel between each batch's draw and its step loop, and in every scheme
+    once more when every path is done (the chunked kernels draw inside their
+    pool tasks, which never call it)."""
+    steps, C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
+    drawn_ts = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
+
+    def estimation(drawn=_nothing) -> list[MCEstimate]:
+        values = {t: np.empty(n_paths) for t in drawn_ts}
+
+        def run(lo: int, hi: int, drawn=_nothing) -> None:
+            # overflow surfaces as a non-finite estimate, refused below; the
+            # error state is per thread, so each pool task sets its own.  Pool
+            # tasks call run(lo, hi), so drawn() never runs on a worker
+            with np.errstate(all="ignore"):
+                for t, X in zip(drawn_ts, _end_states(sys, drawn_ts, scheme, dt, seed, lo, hi, C, drawn)):
+                    values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
+
+        if drawn_ts:
+            k, per_row = max(steps), max(max(steps), sys.dim**2)
+            if scheme == "euler_maruyama" and sys.dim > 1:
+                # each step spans every row of a batch; the kernel pools its draws
+                rows = min(_BATCH, _MAX_BATCH_DOUBLES // per_row)
+                for lo in range(0, n_paths, rows):
+                    run(lo, min(lo + rows, n_paths), drawn)
+            else:
+                _run_chunks(run, n_paths, k, per_row)
+        drawn()
+        with np.errstate(all="ignore"):
+            moments = {t: _mean_and_se(v) for t, v in values.items()}
+            at_zero = (float(sys.x @ sys.x), 0.0)
+        estimates = []
+        for t in ts:
+            value, std_error = moments.get(t, at_zero)
+            if not (math.isfinite(value) and math.isfinite(std_error)):
+                raise ToolkitError("report_not_finite", f"estimate at t={t} is {value} +- {std_error}")
+            estimates.append(MCEstimate(value, std_error, n_paths, seed, scheme))
+        return estimates
+
+    return estimation
+
+
 def estimate_mean_squares(
     sys: GBMSystem,
     ts: list[float],
@@ -485,36 +551,38 @@ def estimate_mean_squares(
     d^2 > 2^24 with ``too_large``, and an estimate whose value or standard
     error is not finite with ``report_not_finite``.
     """
-    steps, C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
-    drawn = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
-    values = {t: np.empty(n_paths) for t in drawn}
+    return _estimation(sys, ts, scheme, n_paths, dt, seed)()
 
-    def run(lo: int, hi: int) -> None:
-        # overflow surfaces as a non-finite estimate, refused below; the error
-        # state is per thread, so each pool task sets its own
-        with np.errstate(all="ignore"):
-            for t, X in zip(drawn, _end_states(sys, drawn, scheme, dt, seed, lo, hi, C)):
-                values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
 
-    if drawn:
-        k, per_row = max(steps), max(max(steps), sys.dim**2)
-        if scheme == "euler_maruyama" and sys.dim > 1:
-            # each step spans every row of a batch; the kernel pools its draws
-            rows = min(_BATCH, _MAX_BATCH_DOUBLES // per_row)
-            for lo in range(0, n_paths, rows):
-                run(lo, min(lo + rows, n_paths))
-        else:
-            _run_chunks(run, n_paths, k, per_row)
-    with np.errstate(all="ignore"):
-        moments = {t: _mean_and_se(v) for t, v in values.items()}
-        at_zero = (float(sys.x @ sys.x), 0.0)
-    estimates = []
-    for t in ts:
-        value, std_error = moments.get(t, at_zero)
-        if not (math.isfinite(value) and math.isfinite(std_error)):
-            raise ToolkitError("report_not_finite", f"estimate at t={t} is {value} +- {std_error}")
-        estimates.append(MCEstimate(value, std_error, n_paths, seed, scheme))
-    return estimates
+def _with_first_order_reference(
+    sys: GBMSystem, ts: list[float], n_paths: int, dt: float, seed: int
+) -> tuple[list[MCEstimate], list[MCEstimate]]:
+    """The euler_maruyama and exact_first_order estimates of one grid, with
+    the bits of the two estimate_mean_squares calls in sequence.
+
+    Both grids are checked first, Euler-Maruyama's and then the reference's,
+    before anything is drawn.  The reference runs as one pool task,
+    submitted from the calling thread once the Euler-Maruyama estimate has
+    drawn its first batch, so it runs beside that estimate's step loop; its
+    rows of 2 draws run inline on its worker and submit nothing.  An error
+    of the Euler-Maruyama estimate wins over one of the reference, as in
+    sequence, and the task is cancelled or joined before this returns."""
+    em = _estimation(sys, ts, "euler_maruyama", n_paths, dt, seed)
+    reference = _estimation(sys, ts, "exact_first_order", n_paths, dt, seed)
+    task = None
+
+    def submit() -> None:
+        nonlocal task
+        if task is None:
+            task = _POOL.submit(reference)
+
+    try:
+        estimates = em(submit)
+    except BaseException:
+        if task is not None and not task.cancel():
+            wait([task])
+        raise
+    return estimates, task.result()
 
 
 def estimate_mean_square(

@@ -12,6 +12,8 @@ from gbm_cutoff import cli, hypothesis_checks, noncommutative_cutoff, simulate, 
 from gbm_cutoff.cli import load_config, main
 from gbm_cutoff.cubic_solver import CubicCoefficients, cardano_unique_real, correction_root, solve_log_cubic
 from gbm_cutoff.errors import ToolkitError
+from gbm_cutoff.system import GBMSystem
+from test_simulate import SubmissionSpy
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -840,6 +842,51 @@ class TestVerify:
         path = write_config(tmp_path, mode="first_order", A=A, B=B, x=[1.0] * len(A), t_grid=[0.5, 0.005, 1.0])
         assert main(["verify", "--config", path, "--out", "-", "--paths", "200"]) == 1
         assert capsys.readouterr().err == code + "\n"
+
+    @pytest.mark.parametrize("grid,paths,dt", [
+        ([0.5, 0.1, 0.0, 0.5, 0.3], 8200, 0.1),  # unsorted, a repeated t, and two batches of paths
+        ([0.25 * k for k in range(9)], 300, 1e-3),
+    ])
+    def test_first_order_report_is_the_two_estimates_in_sequence(self, tmp_path, capsys, grid, paths, dt):
+        # the reference runs beside the EM step loop, with the bits it has alone
+        path = write_config(tmp_path, **HEISENBERG, t_grid=grid, mc={"n_paths": paths, "dt": dt, "seed": 4})
+        assert main(["verify", "--config", path, "--out", "-"]) == 0
+        sys_ = GBMSystem(**{key: np.array(HEISENBERG[key], dtype=float) for key in ("A", "B", "x")})
+        em = simulate.estimate_mean_squares(sys_, grid, "euler_maruyama", paths, dt=dt, seed=4)
+        exact = simulate.estimate_mean_squares(sys_, grid, "exact_first_order", paths, seed=4)
+        rows = [[float(cell) for cell in row[:5]] for row in verify_rows(capsys)]
+        assert rows == [[t, r.value, r.std_error, e.value, e.std_error] for t, r, e in zip(grid, exact, em)]
+
+    def test_reference_is_one_task_submitted_from_the_calling_thread(self, tmp_path, capsys, monkeypatch):
+        # 200 paths of 2000 steps: the EM draws take 2 chunks, pooled on 3 workers
+        path = write_config(tmp_path, **HEISENBERG, mc={"n_paths": 200, "dt": 1e-3, "seed": 5})
+        assert main(["verify", "--config", path, "--out", "-"]) == 0
+        default = capsys.readouterr().out
+        for workers, submissions in ((3, 3), (1, 1)):  # the draws' chunks, then the reference
+            pool = SubmissionSpy(workers)
+            monkeypatch.setattr(simulate, "_WORKERS", workers)
+            monkeypatch.setattr(simulate, "_POOL", pool)
+            try:
+                assert main(["verify", "--config", path, "--out", "-"]) == 0
+            finally:
+                pool.shutdown()
+            assert (capsys.readouterr().out, pool.submissions) == (default, submissions)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_task_outlives_a_failing_report(self, tmp_path, capsys, monkeypatch, d):
+        # |X_0.5|^2 overflows in the estimates (x = 1e150, A = 400 I): the
+        # reference was submitted, and is done or cancelled when verify returns
+        pool = SubmissionSpy(2)
+        monkeypatch.setattr(simulate, "_WORKERS", 2)
+        monkeypatch.setattr(simulate, "_POOL", pool)
+        path = write_config(tmp_path, mode="first_order", A=(400.0 * np.eye(d)).tolist(), B=np.zeros((d, d)).tolist(),
+                            x=[1e150] * d, t_grid=[0.5], mc={"n_paths": 200, "dt": 0.01, "seed": 3})
+        try:
+            assert main(["verify", "--config", path, "--out", "-"]) == 1
+            assert capsys.readouterr().err == "report_not_finite\n"
+            assert pool.submissions == 1 and all(task.done() for task in pool.futures)
+        finally:
+            pool.shutdown()
 
     def test_pair_too_large_for_a_batch(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 8)  # one 3 x 3 exponent holds 9
