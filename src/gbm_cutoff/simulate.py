@@ -11,11 +11,12 @@ rows through a thread pool in cache-sized chunks of about 2^18 increments,
 one chunk per task, when a row holds enough draws to pay for the threads,
 and on the calling thread otherwise: each task draws, steps and
 exponentiates its rows and reduces them to |X_t|^2.  The d > 1
-Euler-Maruyama kernel steps all rows of a batch at once, time-major, one
-product [I + dt D; B] X (D the Ito drift) and two in-place updates per
-step, and draws its rows in chunks on the pool.  Beside that step loop,
-first-order verify runs its exact-sampler reference as one pool task
-(_with_first_order_reference).  The output does not depend on the CPU
+Euler-Maruyama kernel steps all rows of a batch of at most 2048 paths at
+once, time-major, one product [I + dt D; B] X (D the Ito drift) and two
+in-place updates per step, and draws its rows in chunks on the pool.
+First-order verify (_with_first_order_reference) reads its exact-sampler
+reference off each batch's draw: the batch's reference rows run as one
+pool task beside its step loop.  The output does not depend on the CPU
 count.  The exact and Magnus kernels exponentiate a stack of exponents
 at once with linalg_core.expm_stack, whose rows do not depend on each other.
 The public single-path functions are n = 1 views.  The reduction uses
@@ -29,7 +30,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -44,7 +45,16 @@ SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_t
 
 # A seed keys Philox substreams as one 64-bit word: valid seeds are [0, SEED_END).
 SEED_END = 1 << 64
-_BATCH = 8192
+# Rows per batch of the d > 1 Euler-Maruyama step loop, and per chunk at
+# most.  Past about 2048 columns the loop gains little: stepping the 3-D
+# Heisenberg pair (increments drawn beforehand, min of 5, 2 cores) cost 13.4,
+# 8.5, 7.4, 6.4 and 6.6 ns per path-step at 512, 1024, 2048, 4096 and 8192
+# columns, and 2048 paths of 2000 steps hold their increments in 33 MB where
+# 8192 held 131 MB.  Scalar EM and Magnus chunks stay at their
+# _CHUNK_DOUBLES rows (131 at 2000 steps); the exact schemes' 2-draw rows
+# take 2048 per chunk (9-point exact_first_order estimates at 8192 paths:
+# 105-116 -> 96-111 ms, min of 9, same bits).
+_BATCH = 2048
 # Bound on the largest array of one batch, in doubles (2^24, 128 MiB): rows x
 # steps of its increments, rows x d^2 of its exponents.  The chunks of rows
 # in flight at once share it, and the d^2 x d^2 moment equation of
@@ -167,19 +177,26 @@ def _increments(n: int, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
     return inc
 
 
-def _time_major_increments(n: int, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
+def _time_major_increments(
+    n: int, dt: float, seed: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The increments of _increments transposed, one row per step and one
     column per path lo..hi-1, drawn in chunks of rows on the pool straight
-    into place.  The chunks in flight hold at most a quarter of
-    _MAX_BATCH_DOUBLES beside this array."""
+    into place; and each path's first two normals unscaled, the rows of
+    _normals(seed, lo, hi, 2), or None for paths of one step.  The chunks in
+    flight hold at most a quarter of _MAX_BATCH_DOUBLES beside these arrays."""
     inc = np.empty((n, hi - lo))
+    pairs = np.empty((hi - lo, 2)) if n >= 2 else None
 
     def fill(a: int, b: int) -> None:
+        z = _normals(seed, lo + a, lo + b, n)
+        if pairs is not None:
+            pairs[a:b] = z[:, :2]
         # scaled while transposed: the bits of _increments, one pass fewer
-        np.multiply(_normals(seed, lo + a, lo + b, n).T, math.sqrt(dt), out=inc[:, a:b])
+        np.multiply(z.T, math.sqrt(dt), out=inc[:, a:b])
 
     _run_chunks(fill, hi - lo, n, 4 * n)
-    return inc
+    return inc, pairs
 
 
 def _pairs(t: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +332,7 @@ def _prefix_products(f: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     return [prods[k] for k in ks]
 
 
-def _nothing() -> None:
+def _nothing(*args) -> None:
     pass
 
 
@@ -326,7 +343,8 @@ def _euler_states(
     after k steps, for each k of `ks`, from one draw of max(ks) steps.
 
     The scalar kernel works on its rows alone.  For d > 1 the kernel draws
-    the batch, calls drawn(), then takes each step as one (2d x d) @
+    the batch, calls drawn(lo, hi, pairs) with the pairs of
+    _time_major_increments, then takes each step as one (2d x d) @
     (d x rows) product [I + dt D; B] X over every row of the batch, with D
     the Ito drift and the rows' increments of that step contiguous, and
     X = (I + dt D) X + dW (BX) in place."""
@@ -339,8 +357,8 @@ def _euler_states(
         inc += 1.0 + drift[0, 0] * dt
         return [(sys.x[0] * p)[:, None] for p in _prefix_products(inc, ks)]
     d, n = sys.dim, hi - lo
-    dW = _time_major_increments(max(ks), dt, seed, lo, hi)
-    drawn()
+    dW, pairs = _time_major_increments(max(ks), dt, seed, lo, hi)
+    drawn(lo, hi, pairs)
     if n == 1:
         # numpy multiplies by a one-column matrix through gemv, which rounds
         # differently from gemm; stepping a lone path as two columns keeps its
@@ -370,13 +388,16 @@ def _end_states(
     hi: int,
     C: np.ndarray | None = None,
     drawn=_nothing,
+    pairs: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """X_t(x) under `scheme` for each t of `ts` (all > 0), one row per path
     lo..hi-1.  Each path is drawn once, at the largest t; every other t reads
     a prefix of that draw, so its rows are those of a draw at that t.  `C` is
     the gated C = [B, A] of exact_first_order (from _first_order_matrix), and
     None for every other scheme.  The d > 1 Euler-Maruyama kernel calls
-    drawn() between its draw and its step loop; no other kernel calls it."""
+    drawn(lo, hi, pairs) between its draw and its step loop; no other kernel
+    calls it.  The exact kernels read `pairs`, the rows' 2 normals, when
+    given, and draw them otherwise."""
     if scheme == "euler_maruyama":
         return _euler_states(sys, [_nsteps(t, dt) for t in ts], dt, seed, lo, hi, drawn)
     if scheme == "magnus_truncated":
@@ -384,7 +405,7 @@ def _end_states(
         fs = _functionals(_walk(_increments(max(ks), dt, seed, lo, hi)), ks, dt)
         exponents = (_magnus_exponents(sys, t, f) for t, f in zip(ts, fs))
     else:
-        z = _normals(seed, lo, hi, 2)
+        z = _normals(seed, lo, hi, 2) if pairs is None else pairs
         exponents = (_exact_exponents(sys, t, C, z) for t in ts)
     return [expm_stack(Y) @ sys.x for Y in exponents]
 
@@ -480,51 +501,53 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _estimation(
-    sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int
-) -> Callable[..., list[MCEstimate]]:
-    """Check the grid of estimate_mean_squares and return the estimation
-    itself, which draws nothing until it is called.  The estimation calls its
-    argument, drawn(), on the calling thread: in the d > 1 Euler-Maruyama
-    kernel between each batch's draw and its step loop, and in every scheme
-    once more when every path is done (the chunked kernels draw inside their
-    pool tasks, which never call it)."""
-    steps, C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
-    drawn_ts = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
+class _Estimation:
+    """An estimate_mean_squares call with its grid checked: it draws nothing
+    until rows() or run() is called, and estimates() reduces the rows."""
 
-    def estimation(drawn=_nothing) -> list[MCEstimate]:
-        values = {t: np.empty(n_paths) for t in drawn_ts}
+    def __init__(self, sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int):
+        self.steps, self.C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
+        self.sys, self.ts, self.scheme, self.n_paths, self.dt, self.seed = sys, ts, scheme, n_paths, dt, seed
+        self.drawn_ts = list(dict.fromkeys(t for t, k in zip(ts, self.steps) if k))
+        self.values = {t: np.empty(n_paths) for t in self.drawn_ts}
 
-        def run(lo: int, hi: int, drawn=_nothing) -> None:
-            # overflow surfaces as a non-finite estimate, refused below; the
-            # error state is per thread, so each pool task sets its own.  Pool
-            # tasks call run(lo, hi), so drawn() never runs on a worker
-            with np.errstate(all="ignore"):
-                for t, X in zip(drawn_ts, _end_states(sys, drawn_ts, scheme, dt, seed, lo, hi, C, drawn)):
-                    values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
-
-        if drawn_ts:
-            k, per_row = max(steps), max(max(steps), sys.dim**2)
-            if scheme == "euler_maruyama" and sys.dim > 1:
-                # each step spans every row of a batch; the kernel pools its draws
-                rows = min(_BATCH, _MAX_BATCH_DOUBLES // per_row)
-                for lo in range(0, n_paths, rows):
-                    run(lo, min(lo + rows, n_paths), drawn)
-            else:
-                _run_chunks(run, n_paths, k, per_row)
-        drawn()
+    def rows(self, lo: int, hi: int, drawn=_nothing, pairs: np.ndarray | None = None) -> None:
+        """|X_t|^2 of paths lo..hi-1 at each drawn t, into self.values; drawn
+        and pairs go to _end_states."""
+        # overflow surfaces as a non-finite estimate, refused by estimates();
+        # the error state is per thread, so each pool task sets its own
+        ts = self.drawn_ts
         with np.errstate(all="ignore"):
-            moments = {t: _mean_and_se(v) for t, v in values.items()}
-            at_zero = (float(sys.x @ sys.x), 0.0)
+            for t, X in zip(ts, _end_states(self.sys, ts, self.scheme, self.dt, self.seed, lo, hi, self.C, drawn, pairs)):
+                self.values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
+
+    def run(self, drawn=_nothing) -> list[MCEstimate]:
+        """Every path's rows, then estimates().  drawn(lo, hi, pairs) runs on
+        the calling thread after each d > 1 Euler-Maruyama batch's draw; the
+        chunked kernels draw inside their pool tasks, which never call it."""
+        if self.drawn_ts:
+            k, per_row = max(self.steps), max(max(self.steps), self.sys.dim**2)
+            if self.scheme == "euler_maruyama" and self.sys.dim > 1:
+                # each step spans every row of a batch; the kernel pools its draws
+                size = min(_BATCH, _MAX_BATCH_DOUBLES // per_row)
+                for lo in range(0, self.n_paths, size):
+                    self.rows(lo, min(lo + size, self.n_paths), drawn)
+            else:
+                _run_chunks(self.rows, self.n_paths, k, per_row)
+        return self.estimates()
+
+    def estimates(self) -> list[MCEstimate]:
+        """The estimate at each t of the grid, once every path's rows are in."""
+        with np.errstate(all="ignore"):
+            moments = {t: _mean_and_se(v) for t, v in self.values.items()}
+            at_zero = (float(self.sys.x @ self.sys.x), 0.0)
         estimates = []
-        for t in ts:
+        for t in self.ts:
             value, std_error = moments.get(t, at_zero)
             if not (math.isfinite(value) and math.isfinite(std_error)):
                 raise ToolkitError("report_not_finite", f"estimate at t={t} is {value} +- {std_error}")
-            estimates.append(MCEstimate(value, std_error, n_paths, seed, scheme))
+            estimates.append(MCEstimate(value, std_error, self.n_paths, self.seed, self.scheme))
         return estimates
-
-    return estimation
 
 
 def estimate_mean_squares(
@@ -543,15 +566,15 @@ def estimate_mean_squares(
     path is drawn and stepped once, to the largest t, and every other t
     reads a prefix of that draw, so each estimate equals the one a draw at
     its own t gives.  Every t is checked, in grid order, before anything is
-    drawn.  The paths run in chunks of at most 8192, and the chunks in
+    drawn.  The paths run in chunks of at most 2048, and the chunks in
     flight hold at most 2^24 doubles in their increments (rows x steps) and
     in their exponents (rows x d^2); the d > 1 Euler-Maruyama kernel steps
-    batches of at most 8192 paths and 2^24 increments.  A path
+    batches of at most 2048 paths and 2^24 increments.  A path
     of more than 2^24 steps is rejected with ``too_many_steps``, a pair with
     d^2 > 2^24 with ``too_large``, and an estimate whose value or standard
     error is not finite with ``report_not_finite``.
     """
-    return _estimation(sys, ts, scheme, n_paths, dt, seed)()
+    return _Estimation(sys, ts, scheme, n_paths, dt, seed).run()
 
 
 def _with_first_order_reference(
@@ -561,28 +584,33 @@ def _with_first_order_reference(
     the bits of the two estimate_mean_squares calls in sequence.
 
     Both grids are checked first, Euler-Maruyama's and then the reference's,
-    before anything is drawn.  The reference runs as one pool task,
-    submitted from the calling thread once the Euler-Maruyama estimate has
-    drawn its first batch, so it runs beside that estimate's step loop; its
-    rows of 2 draws run inline on its worker and submit nothing.  An error
-    of the Euler-Maruyama estimate wins over one of the reference, as in
-    sequence, and the task is cancelled or joined before this returns."""
-    em = _estimation(sys, ts, "euler_maruyama", n_paths, dt, seed)
-    reference = _estimation(sys, ts, "exact_first_order", n_paths, dt, seed)
-    task = None
+    before anything is drawn.  Each d > 1 Euler-Maruyama batch hands its
+    paths' first two normals, the reference's draws, to one pool task
+    submitted from the calling thread, which computes the batch's reference
+    rows beside its step loop and submits nothing; at one step per path the
+    tasks draw their own pairs.  When no batch is handed over (d = 1, or
+    every t is 0), the reference runs after the estimates on the calling
+    thread.  An error of the Euler-Maruyama estimate wins over one of the
+    reference, as in sequence, and every task is done or cancelled before
+    this returns."""
+    em = _Estimation(sys, ts, "euler_maruyama", n_paths, dt, seed)
+    reference = _Estimation(sys, ts, "exact_first_order", n_paths, dt, seed)
+    tasks = []
 
-    def submit() -> None:
-        nonlocal task
-        if task is None:
-            task = _POOL.submit(reference)
+    def drawn(lo: int, hi: int, pairs: np.ndarray | None) -> None:
+        tasks.append(_POOL.submit(reference.rows, lo, hi, pairs=pairs))
 
     try:
-        estimates = em(submit)
-    except BaseException:
-        if task is not None and not task.cancel():
-            wait([task])
-        raise
-    return estimates, task.result()
+        estimates = em.run(drawn)
+        if not tasks:
+            return estimates, reference.run()
+        for task in tasks:
+            task.result()
+        return estimates, reference.estimates()
+    finally:
+        for task in tasks:
+            task.cancel()
+        wait(tasks)
 
 
 def estimate_mean_square(

@@ -752,7 +752,7 @@ class TestOncePerReport:
     @pytest.mark.parametrize("command,pair,kernel_calls", [
         ("mean-square", "scalar", 1),
         ("verify", "scalar", 1),
-        ("verify", "heisenberg", 2),  # the estimates and the exact-sampler reference
+        ("verify", "heisenberg", 1),  # the exact-sampler reference reads the estimates' draw
     ])
     def test_each_path_is_drawn_once_per_kernel_call(self, tmp_path, monkeypatch, command, pair, kernel_calls):
         path = write_config(tmp_path, **(HEISENBERG if pair == "heisenberg" else {}))
@@ -793,6 +793,16 @@ def verify_rows(capsys):
     return [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
 
 
+def assert_two_estimates_in_sequence(capsys, grid, paths, dt, seed):
+    """The Heisenberg verify report just printed holds the bits of its two
+    estimates run one after the other."""
+    sys_ = GBMSystem(**{key: np.array(HEISENBERG[key], dtype=float) for key in ("A", "B", "x")})
+    em = simulate.estimate_mean_squares(sys_, grid, "euler_maruyama", paths, dt=dt, seed=seed)
+    exact = simulate.estimate_mean_squares(sys_, grid, "exact_first_order", paths, seed=seed)
+    rows = [[float(cell) for cell in row[:5]] for row in verify_rows(capsys)]
+    assert rows == [[t, r.value, r.std_error, e.value, e.std_error] for t, r, e in zip(grid, exact, em)]
+
+
 class TestVerify:
     def test_first_order_rows_follow_the_joint_rule(self, tmp_path, capsys):
         path = write_config(tmp_path, **HEISENBERG)
@@ -831,15 +841,15 @@ class TestVerify:
         assert (ref_se, mc_se, status) == ("0", "0", "pass")
 
     @pytest.mark.parametrize(
-        "A,B,code",
+        "A,B,x,code",
         [
-            ([[400.0]], [[0.0]], "bad_timestep"),  # the exact reference overflows at t = 0.5
-            ([[-1.0, 0.0], [0.0, -2.0]], [[0.0, 1.0], [1.0, 0.0]], "representation_invalid"),
+            ([[400.0]], [[0.0]], [1e150], "bad_timestep"),  # both estimates overflow at t = 0.5
+            ([[-1.0, 0.0], [0.0, -2.0]], [[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], "representation_invalid"),
         ],
     )
-    def test_first_failing_check_wins_on_a_bad_grid(self, tmp_path, capsys, A, B, code):
+    def test_first_failing_check_wins_on_a_bad_grid(self, tmp_path, capsys, A, B, x, code):
         # dt = 0.01 does not divide t = 0.005
-        path = write_config(tmp_path, mode="first_order", A=A, B=B, x=[1.0] * len(A), t_grid=[0.5, 0.005, 1.0])
+        path = write_config(tmp_path, mode="first_order", A=A, B=B, x=x, t_grid=[0.5, 0.005, 1.0])
         assert main(["verify", "--config", path, "--out", "-", "--paths", "200"]) == 1
         assert capsys.readouterr().err == code + "\n"
 
@@ -851,31 +861,57 @@ class TestVerify:
         # the reference runs beside the EM step loop, with the bits it has alone
         path = write_config(tmp_path, **HEISENBERG, t_grid=grid, mc={"n_paths": paths, "dt": dt, "seed": 4})
         assert main(["verify", "--config", path, "--out", "-"]) == 0
-        sys_ = GBMSystem(**{key: np.array(HEISENBERG[key], dtype=float) for key in ("A", "B", "x")})
-        em = simulate.estimate_mean_squares(sys_, grid, "euler_maruyama", paths, dt=dt, seed=4)
-        exact = simulate.estimate_mean_squares(sys_, grid, "exact_first_order", paths, seed=4)
-        rows = [[float(cell) for cell in row[:5]] for row in verify_rows(capsys)]
-        assert rows == [[t, r.value, r.std_error, e.value, e.std_error] for t, r, e in zip(grid, exact, em)]
+        assert_two_estimates_in_sequence(capsys, grid, paths, dt, 4)
 
-    def test_reference_is_one_task_submitted_from_the_calling_thread(self, tmp_path, capsys, monkeypatch):
-        # 200 paths of 2000 steps: the EM draws take 2 chunks, pooled on 3 workers
-        path = write_config(tmp_path, **HEISENBERG, mc={"n_paths": 200, "dt": 1e-3, "seed": 5})
+    @pytest.mark.parametrize("grid,dt,keyings", [
+        ([0.25 * k for k in range(9)], 0.01, 1),  # the reference reads the estimates' first two normals
+        ([0.0, 0.1, 0.1], 0.1, 2),  # a one-step path holds one normal: the reference draws its own pairs
+    ])
+    def test_first_order_verify_keys_each_path_once(self, tmp_path, capsys, monkeypatch, grid, dt, keyings):
+        paths, rows, fill = 4100, [], simulate._fill  # three batches
+
+        def counted(z, seed, lo):
+            rows.append(len(z))
+            fill(z, seed, lo)
+
+        monkeypatch.setattr(simulate, "_fill", counted)
+        path = write_config(tmp_path, **HEISENBERG, t_grid=grid, mc={"n_paths": paths, "dt": dt, "seed": 8})
+        assert main(["verify", "--config", path, "--out", "-"]) == 0
+        assert sum(rows) == keyings * paths
+        assert_two_estimates_in_sequence(capsys, grid, paths, dt, 8)
+
+    @pytest.mark.parametrize("paths,submissions", [
+        # one batch: its draws' 2 chunks take 2 of 3 workers, then its reference task
+        (200, {3: 3, 1: 1}),
+        # batches of 2048, 2048 and 4 paths: 3 workers draw each of the first
+        # two batches' 16 chunks, the third's one chunk is drawn inline, and
+        # each batch submits its reference task
+        (4100, {3: 9, 1: 3}),
+    ])
+    def test_reference_is_one_task_submitted_from_the_calling_thread(self, tmp_path, capsys, monkeypatch, paths,
+                                                                     submissions):
+        # paths of 2000 steps, whose EM draws are pooled; one reference task per batch
+        path = write_config(tmp_path, **HEISENBERG, mc={"n_paths": paths, "dt": 1e-3, "seed": 5})
         assert main(["verify", "--config", path, "--out", "-"]) == 0
         default = capsys.readouterr().out
-        for workers, submissions in ((3, 3), (1, 1)):  # the draws' chunks, then the reference
-            pool = SubmissionSpy(workers)
+        for workers in (3, 1):
+            pool, interval = SubmissionSpy(workers), sys.getswitchinterval()
             monkeypatch.setattr(simulate, "_WORKERS", workers)
             monkeypatch.setattr(simulate, "_POOL", pool)
+            sys.setswitchinterval(1e-6)  # interleave the reference tasks with the draws often
             try:
                 assert main(["verify", "--config", path, "--out", "-"]) == 0
             finally:
+                sys.setswitchinterval(interval)
                 pool.shutdown()
-            assert (capsys.readouterr().out, pool.submissions) == (default, submissions)
+            assert (capsys.readouterr().out, pool.submissions) == (default, submissions[workers])
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_no_task_outlives_a_failing_report(self, tmp_path, capsys, monkeypatch, d):
-        # |X_0.5|^2 overflows in the estimates (x = 1e150, A = 400 I): the
-        # reference was submitted, and is done or cancelled when verify returns
+        # |X_0.5|^2 overflows in the estimates (x = 1e150, A = 400 I): at d = 2
+        # the batch's reference task was submitted, and is done or cancelled
+        # when verify returns; at d = 1 nothing is submitted, as the
+        # reference runs on the calling thread after the estimates
         pool = SubmissionSpy(2)
         monkeypatch.setattr(simulate, "_WORKERS", 2)
         monkeypatch.setattr(simulate, "_POOL", pool)
@@ -884,7 +920,7 @@ class TestVerify:
         try:
             assert main(["verify", "--config", path, "--out", "-"]) == 1
             assert capsys.readouterr().err == "report_not_finite\n"
-            assert pool.submissions == 1 and all(task.done() for task in pool.futures)
+            assert pool.submissions == d - 1 and all(task.done() for task in pool.futures)
         finally:
             pool.shutdown()
 

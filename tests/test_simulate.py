@@ -312,7 +312,7 @@ class TestEstimator:
         singles = [euler_maruyama(sys, t, dt, seed, i) for i in range(n)]
         assert est.value == math.fsum(square_norm(X) for X in singles) / n
 
-        n2 = 8200  # above one batch of 8192 paths
+        n2 = 8200  # above four batches of 2048 paths
         est2 = estimate_mean_square(sys, t, "exact_first_order", n2, seed=seed)
         singles2 = [sample_exact_first_order(sys, t, seed, i) for i in range(n2)]
         assert est2.value == math.fsum(square_norm(X) for X in singles2) / n2
@@ -497,6 +497,18 @@ class TestBatchMemory:
         assert sorted(three_workers) == [70] + [131] * 62
         assert peak < 16 * 2**20
 
+    def test_euler_batches_of_a_pair_stay_small(self, three_workers):
+        # 4096 paths x 2000 steps of increments would take 66 MB in one batch;
+        # batches of 2048 paths take 33 MB, drawn in chunks of 131 paths
+        tracemalloc.start()
+        try:
+            estimate_mean_square(heisenberg_system(), 2.0, "euler_maruyama", 4096, dt=1e-3, seed=93)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(three_workers) == sorted(([131] * 15 + [83]) * 2)
+        assert peak < 40 * 2**20
+
     def test_path_longer_than_the_cap_rejected(self, monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 100)
         with pytest.raises(ToolkitError) as err:
@@ -623,11 +635,14 @@ def three_workers(monkeypatch):
         pool.shutdown()
 
 
-def time_major_columns_are_fresh_generators(dW, seed, lo):
-    """Column i of a time-major draw at dt = 1 is path lo + i's generator."""
+def time_major_columns_are_fresh_generators(draw, seed, lo):
+    """Column i of a time-major draw at dt = 1 is path lo + i's generator,
+    and row i of its pairs is that column's first two draws."""
+    dW, pairs = draw
     for i, column in enumerate(dW.T):
         fresh = Generator(Philox(key=np.array([seed, lo + i], dtype=np.uint64)))
         assert np.array_equal(column, fresh.standard_normal(len(dW)))
+    assert np.array_equal(pairs, dW[:2].T)
 
 
 class TestSubstreams:
@@ -635,19 +650,19 @@ class TestSubstreams:
     def test_chunked_rows_are_generators_built_afresh(self, monkeypatch, three_workers, rows, split):
         seed, lo, k = 17, 40, simulate._POOLED_MIN_DRAWS
         monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 3 * k)  # chunks of 3 rows
-        dW = simulate._time_major_increments(k, 1.0, seed, lo, lo + rows)
+        draw = simulate._time_major_increments(k, 1.0, seed, lo, lo + rows)
         assert sorted(three_workers) == sorted(split)
         assert simulate._POOL.submissions == (0 if rows <= 3 else 3)
-        time_major_columns_are_fresh_generators(dW, seed, lo)
+        time_major_columns_are_fresh_generators(draw, seed, lo)
 
     @pytest.mark.parametrize("k", [2, 5, simulate._POOLED_MIN_DRAWS - 1])
     def test_short_rows_are_drawn_inline(self, monkeypatch, three_workers, k):
         seed, lo, rows = 17, 40, 7
         monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", 3 * k)
-        dW = simulate._time_major_increments(k, 1.0, seed, lo, lo + rows)
+        draw = simulate._time_major_increments(k, 1.0, seed, lo, lo + rows)
         assert three_workers == [3, 3, 1]  # in order, on the calling thread
         assert simulate._POOL.submissions == 0
-        time_major_columns_are_fresh_generators(dW, seed, lo)
+        time_major_columns_are_fresh_generators(draw, seed, lo)
 
     @pytest.mark.parametrize(
         "name,scheme",
