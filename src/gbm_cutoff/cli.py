@@ -212,12 +212,11 @@ def _system(cfg: RunConfig) -> Optional[GBMSystem]:
 
 class ClosedForm(NamedTuple):
     """A report's closed form: t -> E|X_t|^2, eps -> schedule, () -> analyze
-    fields, and whether msq is certified never to increase in t."""
+    fields."""
 
     msq: Callable[[float], float]
     schedule: Callable[[float], CutoffSchedule]
     fields: Callable[[], dict]
-    non_increasing: bool = False
 
 
 def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]) -> ClosedForm:
@@ -231,14 +230,10 @@ def _closed_form(cfg: RunConfig, sys_: Optional[GBMSystem]) -> ClosedForm:
         spectrum = _Spectrum(Q)
         rate = cache(lambda: _read_decay(spectrum, cfg.x)[:2])
         evaluator = cache(lambda: _drift_msq(spectrum, cfg.x))
-        # d/dt |exp(tQ)x|^2 <= lambda_max(Q + Q^T) |exp(tQ)x|^2 (the
-        # logarithmic norm); a Q that overflowed certifies nothing
-        S = Q + Q.T
         return ClosedForm(
             cache(lambda t: evaluator()(t)),
             lambda eps: cutoff_time_from_rate(*rate(), eps, cfg.w),
             lambda: {"Q": matrix_to_rows(Q), "q": rate()[0], "ell": rate()[1]},
-            bool(np.all(np.isfinite(S)) and np.linalg.eigvalsh(S)[-1] <= 0.0),
         )
     if cfg.mode == "synthetic":
         dec, extra = synthetic_mode_decomposition(cfg.alpha, cfg.beta, cfg.Gamma, cfg.A, cfg.x, cfg.tol), {}
@@ -302,7 +297,7 @@ def cmd_mixing(cfg: RunConfig) -> tuple[str, str]:
     rows = []
     for eps in cfg.eps_list:
         sched = _decaying(form.schedule, eps)
-        res = mixing_time(form.msq, eps, cfg.delta, t_ref=sched.t_eps, non_increasing=form.non_increasing)
+        res = mixing_time(form.msq, eps, cfg.delta, t_ref=sched.t_eps)
         rows.append([eps, cfg.delta, res.tau, res.tau_over_t_ref, res.tau_ratio])
     return _csv(["eps", "delta", "tau", "tau_over_t_eps", "tau_ratio"], rows), "csv"
 

@@ -64,12 +64,15 @@ def drift_evaluator(Q: np.ndarray, x) -> Callable[[float], float]:
 
 def _drift_msq(spectrum: _Spectrum, x) -> Callable[[float], float]:
     """``drift_evaluator`` off a record of Q that the caller also reads."""
-    act = spectrum.exp_action(np.asarray(x, dtype=float)[:, None])
+    x = np.asarray(x, dtype=float)
+    act = spectrum.exp_action(x[:, None])
     one = np.ones(1)
 
     def msq(t: float) -> float:
         if t < 0:
             raise ToolkitError("bad_time", "t must be nonnegative")
+        if t == 0:  # exp(0Q) = I, whatever the split's rounding
+            return float(x @ x)
         s, v = act(t, one)
         return float(np.exp(2.0 * s) * (v @ v))
 

@@ -1,4 +1,4 @@
-"""delta-mixing times by doubling plus bisection, plus the ratio checks
+"""delta-mixing times by doubling plus ITP steps, plus the ratio checks
 that connect them to the cutoff time scale.
 
 tau_eps(delta) is the first time the normalized mean square
@@ -7,14 +7,12 @@ E|X_t(x)|^2 / eps^2 drops to delta.  The evaluator must be a closed-form
 definition.  Both tau(delta)/tau(1-delta) and tau(delta)/t_eps approach 1
 as eps -> 0.
 
-The search doubles t until the mean square is at or below the threshold,
-then bisects the last doubling step down to BRACKET_TOL.  A caller that
-certifies the evaluator as non-increasing (for |exp(tQ)x|^2, the
-logarithmic norm bound lambda_max(Q + Q^T) <= 0) lets the search first
-shrink that step by ITP steps (Oliveira & Takahashi 2021) on
-ln msq - ln threshold.  The bisection then evaluates only the midpoints
-inside the shrunk bracket and reads every other decision off it, so tau
-is the bisection's tau bit for bit, from under half the evaluations.
+The search doubles t from 1 until the mean square is at or below the
+threshold, then shrinks the last doubling step [a, b] by ITP steps
+(Oliveira & Takahashi 2021) on ln msq - ln threshold, keeping
+msq(a) > threshold >= msq(b), until b is the double after a; tau is b.
+So tau is a crossing to the last bit of t, at any time scale, and the
+first passage when the mean square never increases.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from typing import Callable, Optional
 
 from .errors import ToolkitError
 
-# Absolute-plus-relative width of the final bisection bracket.
-BRACKET_TOL = 1e-8
 # Doubling search gives up past this horizon.
 T_CAP = 1e6
 
@@ -58,63 +54,52 @@ def _excess(m: float, log_threshold: float) -> float:
     return (math.log(m) if m > 0.0 else -math.inf) - log_threshold
 
 
-def _itp_shrink(
-    msq: Callable[[float], float], threshold: float, a: float, m_a: float, b: float, m_b: float, width: float
-) -> tuple[float, float]:
-    """Shrink a bracket msq(a) > threshold >= msq(b) of a non-increasing msq
-    to b - a <= width by ITP steps on f = ln msq - ln threshold (kappa1 =
-    0.05 / (b - a), kappa2 = 2, n0 = 1): regula falsi, truncated towards the
-    midpoint and projected into the minmax disc, so no more steps than
-    bisection's count plus one."""
+def _first_crossing(msq: Callable[[float], float], threshold: float) -> float:
+    """A crossing of threshold by msq: 0.0 if msq(0) <= threshold, else the
+    double b = nextafter(a, inf) of a bracket msq(a) > threshold >= msq(b).
+
+    The bracket is the first doubling step of t from 1 that ends at or below
+    the threshold, shrunk by ITP steps on f = ln msq - ln threshold (kappa1 =
+    0.1 / (b - a), kappa2 = 2, n0 = 1): regula falsi, truncated towards the
+    midpoint, projected into the minmax disc of a width of half an ulp of b
+    and, while the bracket is at least 4 ulps wide, kept 2 ulps inside it,
+    so that an exact hit f(x) = 0 cannot pin the next point to b.  Narrower
+    brackets are bisected."""
+    m_a = msq(0.0)
+    if m_a <= threshold:
+        return 0.0
+    a, b = 0.0, 1.0
+    while (m_b := msq(b)) > threshold:
+        a, b, m_a = b, 2.0 * b, m_b
+        if b > T_CAP:
+            raise ToolkitError("no_decay", f"mean square stays above target up to t = {T_CAP:g}")
     log_thr = math.log(threshold)
     f_a, f_b = _excess(m_a, log_thr), _excess(m_b, log_thr)
-    n_max = max(math.ceil(math.log2((b - a) / width)), 0) + 1
-    kappa1 = 0.05 / (b - a)
-    for j in range(n_max):
-        if b - a <= width:
-            break
+    # adjacent doubles when a = b / 2; below that, the disc ends in bisection
+    width = 0.5 * math.ulp(b)
+    n_max = math.ceil(math.log2((b - a) / width)) + 1
+    kappa1 = 0.1 / (b - a)
+    j = 0
+    while (up := math.nextafter(a, math.inf)) < b:
         half = 0.5 * (a + b)
-        x_f = (f_b * a - f_a * b) / (f_b - f_a)
-        if not a < x_f < b:  # an infinite or NaN end value
-            x_f = half
-        sigma = math.copysign(1.0, half - x_f)
-        trunc = kappa1 * (b - a) ** 2
-        x_t = x_f + sigma * trunc if trunc <= abs(half - x_f) else half
-        r = 0.5 * width * 2.0 ** (n_max - j) - 0.5 * (b - a)
-        x = x_t if abs(x_t - half) <= r else half - sigma * r
+        lo, hi = math.nextafter(up, math.inf), math.nextafter(math.nextafter(b, 0.0), 0.0)
+        x = half
+        if lo <= hi:
+            x_f = (f_b * a - f_a * b) / (f_b - f_a)
+            if not a <= x_f <= b:  # NaN when msq(b) = 0
+                x_f = half
+            sigma = math.copysign(1.0, half - x_f)
+            trunc = kappa1 * (b - a) ** 2
+            x_t = x_f + sigma * trunc if trunc <= abs(half - x_f) else half
+            r = max(0.5 * width * 2.0 ** (n_max - j) - 0.5 * (b - a), 0.0)
+            x = min(max(x_t if abs(x_t - half) <= r else half - sigma * r, lo), hi)
         m = msq(x)
         if m <= threshold:
             b, f_b = x, _excess(m, log_thr)
         else:
             a, f_a = x, _excess(m, log_thr)
-    return a, b
-
-
-def _first_crossing(msq: Callable[[float], float], threshold: float, non_increasing: bool = False) -> float:
-    """inf{t >= 0 : msq(t) <= threshold} for a non-increasing msq; with
-    non_increasing, msq is certified so, and the bracket (a, b) with
-    msq(a) > threshold >= msq(b) is shrunk before the bisection."""
-    m_lo = msq(0.0)
-    if m_lo <= threshold:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while (m_hi := msq(hi)) > threshold:
-        lo, hi, m_lo = hi, 2.0 * hi, m_hi
-        if hi > T_CAP:
-            raise ToolkitError("no_decay", f"mean square stays above target up to t = {T_CAP:g}")
-    a, b = lo, hi
-    if non_increasing:
-        a, b = _itp_shrink(msq, threshold, a, m_lo, b, m_hi, 0.25 * BRACKET_TOL * (1.0 + lo))
-    while hi - lo > BRACKET_TOL * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        # outside (a, b) the certified bracket decides: msq(mid) >= msq(a)
-        # for mid <= a, msq(mid) <= msq(b) for mid >= b
-        below = msq(mid) <= threshold if a < mid < b else mid >= b
-        if below:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        j += 1
+    return b
 
 
 def mixing_time(
@@ -122,20 +107,16 @@ def mixing_time(
     eps: float,
     delta: float,
     t_ref: Optional[float] = None,
-    *,
-    non_increasing: bool = False,
 ) -> MixingTimeResult:
-    """tau_eps(delta) by doubling plus bisection on a monotone evaluator.
-
-    non_increasing certifies that msq never increases; the search then
-    shrinks its bracket first and returns the same tau in fewer
-    evaluations.  Leave it False unless the certificate holds."""
+    """tau_eps(delta): the crossing of delta eps^2 by msq that doubling plus
+    ITP finds, to adjacent doubles; the first passage when msq never
+    increases."""
     if not 0.0 < eps < 1.0:
         raise ToolkitError("bad_epsilon", "eps must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ToolkitError("bad_delta", "delta must lie in (0, 1)")
-    tau = _first_crossing(msq, delta * eps**2, non_increasing)
-    tau_other = _first_crossing(msq, (1.0 - delta) * eps**2, non_increasing)
+    tau = _first_crossing(msq, delta * eps**2)
+    tau_other = _first_crossing(msq, (1.0 - delta) * eps**2)
     if tau_other > 0.0:
         ratio = tau / tau_other
     else:

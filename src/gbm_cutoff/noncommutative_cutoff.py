@@ -228,6 +228,8 @@ def mean_square_first_order(dec: ModeDecomposition, t: float) -> float:
     """
     if t < 0:
         raise ToolkitError("bad_time", "t must be nonnegative")
+    if t == 0:  # X_0 = x, whatever the decomposition's rounding
+        return float(dec.x @ dec.x)
     poly = t**3 - dec.p_Gamma * t
     weights = np.exp(
         -0.5 * dec.a_coeffs * t - 0.5 * dec.b_coeffs * t**2 - 0.5 * dec.g_coeffs * poly

@@ -163,7 +163,7 @@ def _nsteps(t: float, dt: float) -> int:
     if t / dt == math.inf:
         raise ToolkitError("too_many_steps", f"t/dt overflows for dt={dt}, t={t}")
     n = int(round(t / dt))
-    if n < 1 or abs(n * dt - t) > 1e-9 * max(t, 1.0):
+    if n < 1 or abs(n * dt - t) > 1e-9 * t:
         raise ToolkitError("bad_timestep", f"t/dt = {t / dt} is not an integer")
     if n > _MAX_BATCH_DOUBLES:
         raise ToolkitError("too_many_steps", f"t/dt = {n} exceeds {_MAX_BATCH_DOUBLES} steps per path")

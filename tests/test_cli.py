@@ -149,22 +149,22 @@ class TestConfigValidation:
         assert err.value.code == "config_invalid_json"
 
 
-# mixing CSVs of the certified search, byte for byte as the bisection alone
-# printed them: Q + Q^T <= 0 for both configs
+# mixing CSVs byte for byte; every tau is within 1.6e-16 relative of its
+# 40-digit crossing
 MIXING_CSVS = {
     "readme-2d": (
         {"A": [[-2.0, 0.0], [0.0, -3.0]], "B": [[1.0, 0.0], [0.0, 0.5]], "x": [1.0, 1.0]},
         "eps,delta,tau,tau_over_t_eps,tau_ratio\n"
-        "0.018315638888734179,0.5,4.3465737402439117,1.0866434350609779,1\n"
-        "0.0024787521766663585,0.5,6.3465735912322998,1.0577622652053833,1\n"
-        "0.00033546262790251185,0.5,8.3465735912322998,1.0433216989040375,1\n",
+        "0.018315638888734179,0.5,4.3465737138873877,1.0866434284718469,1\n"
+        "0.0024787521766663585,0.5,6.3465735903926888,1.0577622650654481,1\n"
+        "0.00033546262790251185,0.5,8.3465735902800766,1.0433216987850096,1\n",
     ),
     "jordan": (
         {"A": [[-1.5, 1.0], [0.0, -1.5]], "B": [[0.5, 0.0], [0.0, 0.5]], "x": [0.0, 1.0], "delta": 0.2},
         "eps,delta,tau,tau_over_t_eps,tau_ratio\n"
-        "0.018315638888734179,0.20000000000000001,5.1732499003410339,1.2005586664746999,1.1459941042115682\n"
-        "0.0024787521766663585,0.20000000000000001,7.0096663236618042,1.124532005791669,1.098399506889661\n"
-        "0.00033546262790251185,0.20000000000000001,8.7875946164131165,1.0897918525638597,1.0747804621151362\n",
+        "0.018315638888734179,0.20000000000000001,5.1732498412147647,1.2005586527532375,1.1459940943377558\n"
+        "0.0024787521766663585,0.20000000000000001,7.009666272713849,1.1245319976182977,1.0983995063619956\n"
+        "0.00033546262790251185,0.20000000000000001,8.7875946151829272,1.0897918524112979,1.0747804647846844\n",
     ),
 }
 
@@ -266,33 +266,19 @@ class TestCommands:
         assert by_rho[-3.0] > 1.0 > by_rho[3.0]
 
     @pytest.mark.parametrize("name", sorted(MIXING_CSVS))
-    def test_certified_mixing_csv_bytes(self, tmp_path, capsys, name):
+    def test_mixing_csv_bytes(self, tmp_path, capsys, name):
         cfg, csv = MIXING_CSVS[name]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "commutative", **cfg}))
         assert main(["mixing", "--config", str(path), "--out", "-"]) == 0
         assert capsys.readouterr() == (csv, "")
 
-    @pytest.mark.parametrize("overrides,certified", [
-        ({}, True),  # Q = -0.75
-        (MIXING_CSVS["jordan"][0], True),
-        ({"A": [[-0.5, 0.3], [-30.0, -0.5]], "B": [[0.0, 0.0], [0.0, 0.0]], "x": [1.0, 0.0]}, False),
-        ({"mode": "first_order", "A": [[-2.0, 0.0], [0.0, -3.0]], "B": [[1.0, 0.0], [0.0, 0.5]], "x": [1.0, 1.0]},
-         False),
-    ])
-    def test_closed_form_certificate(self, tmp_path, overrides, certified):
-        cfg = load_config(write_config(tmp_path, **overrides))
-        assert cli._closed_form(cfg, cli._system(cfg)).non_increasing is certified
-
-    def test_overflowed_drift_certifies_nothing(self, tmp_path, capsys):
-        # (B + B^T)^2 / 4 overflows to inf on the diagonal; eigvalsh would not converge
+    def test_overflowed_drift_report_is_not_finite(self, tmp_path, capsys):
+        # (B + B^T)^2 / 4 overflows to inf on the diagonal
         path = write_config(tmp_path, A=np.diag([-1.0, -2.0, -3.0]).tolist(), B=np.diag([1e154] * 3).tolist(),
                             x=[1.0, 1.0, 1.0])
         assert main(["mean-square", "--config", path, "--out", "-", "--paths", "200"]) == 1
         assert capsys.readouterr().err == "report_not_finite\n"
-        cfg = load_config(path)
-        with np.errstate(all="ignore"):
-            assert cli._closed_form(cfg, cli._system(cfg)).non_increasing is False
 
     @pytest.mark.parametrize("gamma", [-1e-170, -1e-160])
     def test_synthetic_cubic_with_a_tiny_gamma_is_solved(self, tmp_path, capsys, gamma):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gbm_cutoff.commutative_cutoff import cutoff_time_commutative, drift_mean_square, mean_square_commutative
+from gbm_cutoff.commutative_cutoff import cutoff_time_commutative, drift_evaluator, mean_square_commutative
 from gbm_cutoff.errors import ToolkitError
-from gbm_cutoff.mixing import BRACKET_TOL, T_CAP, _first_crossing, mixing_ratio_check, mixing_time
+from gbm_cutoff.mixing import _first_crossing, mixing_ratio_check, mixing_time
 from gbm_cutoff.noncommutative_cutoff import (
     cutoff_schedule_first_order,
     mean_square_first_order,
@@ -118,24 +118,6 @@ class TestMixingRatios:
         assert {"delta", "eps", "tau", "tau_ratio", "t_ref", "tau_over_t_ref"} <= set(d)
 
 
-def reference_crossing(msq, threshold):
-    """The search before the certified shrink: doubling, then bisection."""
-    if msq(0.0) <= threshold:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while msq(hi) > threshold:
-        lo, hi = hi, 2.0 * hi
-        if hi > T_CAP:
-            raise ToolkitError("no_decay", f"mean square stays above target up to t = {T_CAP:g}")
-    while hi - lo > BRACKET_TOL * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if msq(mid) <= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def spied(msq):
     """msq and the list of the times it is evaluated at."""
     ts = []
@@ -154,63 +136,95 @@ def _symmetric_q(d, seed):
 
 
 SYMMETRIC_Q, SYMMETRIC_X = _symmetric_q(8, 16)
+JORDAN = (-0.8, 1.0, (0.3, 1.0))
 
 
-def jordan_msq(t, mu=-0.8, kappa=1.0, x=(0.3, 1.0)):
+def jordan_msq(t, mu=JORDAN[0], kappa=JORDAN[1], x=JORDAN[2]):
     """|exp(tQ)x|^2 for Q = [[mu, kappa], [0, mu]]."""
     return math.exp(2.0 * mu * t) * ((x[0] + kappa * t * x[1]) ** 2 + x[1] ** 2)
 
 
-# Q + Q^T < 0 for each: -1.5 for the scalar, lambda_max = 2 mu + |kappa| = -0.6
-# for the Jordan block, and 2 Q for the symmetric Q
-CERTIFIED = {
-    "scalar": scalar_msq,
-    "jordan": jordan_msq,
-    "symmetric-d8": lambda t: drift_mean_square(SYMMETRIC_Q, SYMMETRIC_X, t),
-}
+def scaled(name, s):
+    """The mean square of the named evaluator for the drift s Q."""
+    if name == "scalar":
+        return lambda t: math.exp(-1.5 * s * t)
+    if name == "jordan":
+        return lambda t: jordan_msq(t, JORDAN[0] * s, JORDAN[1] * s)
+    return drift_evaluator(s * SYMMETRIC_Q, SYMMETRIC_X)
+
+
+EVALUATORS = {name: scaled(name, 1.0) for name in ("scalar", "jordan", "symmetric-d8")}
 GRID = [(math.exp(-k), delta) for k in range(3, 31) for delta in (0.1, 0.5, 0.9)]
+THRESHOLDS = [level * eps**2 for eps, delta in GRID for level in (delta, 1.0 - delta)]
+# relative error of tau against the 40-digit crossing, largest over GRID and
+# both thresholds: 1.9e-16 (scalar), 2.8e-16 (jordan) and 0.9e-15 to 1.9e-15
+# (symmetric-d8, under the SkylakeX, Haswell and Prescott OpenBLAS kernels),
+# where the closed form itself errs 1.1e-14 relative at t = 11.4
+TAU_REL_BOUND = 4e-15
 
 
-class TestCertifiedSearch:
-    @pytest.mark.parametrize("name", sorted(CERTIFIED))
-    def test_same_tau_as_the_bisection(self, name):
-        msq = CERTIFIED[name]
+def mp_evaluators(mp):
+    """The three mean squares at mpmath's working precision, from the same
+    float parameters."""
+    E, V = mp.eig(mp.matrix(SYMMETRIC_Q.tolist()))
+    c = mp.lu_solve(V, mp.matrix(SYMMETRIC_X.tolist()))
+    mu, kappa, (x0, x1) = (mp.mpf(JORDAN[0]), mp.mpf(JORDAN[1]), map(mp.mpf, JORDAN[2]))
+
+    def symmetric(t):
+        v = V * mp.matrix([c[j] * mp.exp(t * E[j]) for j in range(len(E))])
+        return mp.fsum(mp.re(vi) ** 2 for vi in v)
+
+    return {
+        "scalar": lambda t: mp.exp(mp.mpf(-1.5) * t),
+        "jordan": lambda t: mp.exp(2 * mu * t) * ((x0 + kappa * t * x1) ** 2 + x1**2),
+        "symmetric-d8": symmetric,
+    }
+
+
+class TestAdjacentDoubles:
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_tau_closes_a_bracket_of_adjacent_doubles(self, name):
+        msq, counts = EVALUATORS[name], []
+        for threshold in THRESHOLDS:
+            spy, ts = spied(msq)
+            tau = _first_crossing(spy, threshold)
+            assert msq(math.nextafter(tau, 0.0)) > threshold >= msq(tau)
+            counts.append(len(ts))
+        # bisection would take 52 steps after the doubling; ITP on ln msq
+        # averaged 16.6 (scalar), 16.9 (jordan) and 17.7 (d8) evaluations
+        assert sum(counts) / len(counts) <= 18.0
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_tau_against_the_40_digit_crossing(self, name):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            exact = mp_evaluators(mp)[name]
+            for threshold in THRESHOLDS:
+                tau = _first_crossing(EVALUATORS[name], threshold)
+                log_thr = mp.log(mp.mpf(threshold))
+                root = mp.findroot(lambda t: mp.log(exact(t)) - log_thr, mp.mpf(tau))
+                assert abs(tau - root) <= TAU_REL_BOUND * root, (threshold, tau)
+
+    @pytest.mark.parametrize("k", [20, 40])
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_tau_scales_with_the_drift(self, name, k):
+        # tau(s Q) = tau(Q) / s; a search that stops at an absolute width
+        # loses the digits of a fast drift's tau
+        s = 2.0**k
+        fast = scaled(name, s)
         for eps, delta in GRID:
-            tau = reference_crossing(msq, delta * eps**2)
-            other = reference_crossing(msq, (1.0 - delta) * eps**2)
-            res = mixing_time(msq, eps, delta, non_increasing=True)
-            assert (res.tau, res.tau_ratio) == (tau, tau / other)
+            res, fast_res = mixing_time(EVALUATORS[name], eps, delta), mixing_time(fast, eps, delta)
+            assert fast_res.tau * s == pytest.approx(res.tau, rel=TAU_REL_BOUND, abs=0.0)
+            assert fast_res.tau_ratio == pytest.approx(res.tau_ratio, rel=2 * TAU_REL_BOUND, abs=0.0)
 
-    @pytest.mark.parametrize("name", sorted(CERTIFIED))
-    def test_evaluation_counts(self, name):
-        counts, ref_counts = [], []
-        for eps, delta in GRID:
-            for threshold in (delta * eps**2, (1.0 - delta) * eps**2):
-                spy, ts = spied(CERTIFIED[name])
-                ref_spy, ref_ts = spied(CERTIFIED[name])
-                assert _first_crossing(spy, threshold, True) == reference_crossing(ref_spy, threshold)
-                assert len(ts) <= len(ref_ts) + 2
-                counts.append(len(ts))
-                ref_counts.append(len(ref_ts))
-        assert sum(counts) <= 0.5 * sum(ref_counts)
-
-    @pytest.mark.parametrize("name", sorted(CERTIFIED))
-    def test_uncertified_search_evaluates_the_bisection_points(self, name):
-        for eps, delta in GRID[::7]:
-            spy, ts = spied(CERTIFIED[name])
-            ref_spy, ref_ts = spied(CERTIFIED[name])
-            res = mixing_time(spy, eps, delta)
-            tau = reference_crossing(ref_spy, delta * eps**2)
-            reference_crossing(ref_spy, (1.0 - delta) * eps**2)
-            assert res.tau == tau
-            assert ts == ref_ts
-
-    def test_uncertified_non_monotone_evaluator_keeps_the_bisection(self):
-        # a non-normal Q whose mean square rises and falls: lambda_max(Q + Q^T) = 28.7
-        Q, x = np.array([[-0.5, 0.3], [-30.0, -0.5]]), np.array([1.0, 0.0])
-        spy, ts = spied(lambda t: drift_mean_square(Q, x, t))
-        ref_spy, ref_ts = spied(lambda t: drift_mean_square(Q, x, t))
-        eps = math.exp(-4.0)
-        assert mixing_time(spy, eps, 0.5).tau == reference_crossing(ref_spy, 0.5 * eps**2) == 13.196157336235046
-        reference_crossing(ref_spy, 0.5 * eps**2)
-        assert ts == ref_ts
+    def test_non_monotone_mean_square_keeps_the_bracket(self):
+        # lambda_max(Q + Q^T) = 28.7: the mean square rises and falls, and
+        # crosses the level at about 9.39, 10.40, 11.39, 12.35 and 13.20
+        msq = drift_evaluator(np.array([[-0.5, 0.3], [-30.0, -0.5]]), np.array([1.0, 0.0]))
+        threshold = 0.5 * math.exp(-8.0)
+        spy, ts = spied(msq)
+        tau = _first_crossing(spy, threshold)
+        assert msq(math.nextafter(tau, 0.0)) > threshold >= msq(tau)
+        assert 8.0 < tau < 16.0
+        # msq(0), doubling to [8, 16], then at most bisection's 52 steps plus one
+        assert len(ts) <= 1 + 5 + 52 + 1

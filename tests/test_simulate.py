@@ -223,6 +223,16 @@ class TestEulerMaruyama:
             euler_maruyama(scalar_system(), 1.0, 0.3, 0, 0)
         assert err.value.code == "bad_timestep"
 
+    def test_step_count_is_checked_relative_to_t(self):
+        # 3 steps of 3e-11 reach 0.9 t; an absolute 1e-9 tolerance let them pass
+        t, dt = 1e-10, 3e-11
+        with pytest.raises(ToolkitError) as err:
+            simulate._nsteps(t, dt)
+        assert err.value.code == "bad_timestep"
+        with pytest.raises(ToolkitError) as err:
+            estimate_mean_squares(scalar_system(), [t], "euler_maruyama", 100, dt=dt, seed=1)
+        assert err.value.code == "bad_timestep"
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_noise_free_estimate_is_a_matrix_power(self, d):
         # with B = 0 every path is (I + dt A)^k x, so the estimate is exact up
