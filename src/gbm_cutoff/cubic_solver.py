@@ -3,23 +3,23 @@
 The cutoff time scale in the first-order regime solves
 ``c3 t^3 + c2 t^2 + c1 t + c0 = 0`` (with c0 = ln(eps)), possibly with an
 extra ``-ell_star ln(t)`` term.  The solvers here seed the unique real root
-by the classical depressed-cubic radicals (the log-cubic bisects a bracket
-around that seed), and every root ends in one step, `_certify`: a few Newton
-steps polish it, and a root that still misses the residual contract is
-``bracket_failure`` rather than a number.  The radical form loses digits to
-cube-root cancellation when the constant term dominates; the polish wins
-them back.  A cubic with three distinct real roots is refused rather than
-silently tie-broken.  Radicals that overflow (or divide by a power of c3
-that underflows to zero) are taken again for the cubic rescaled by a power
-of two, and a cubic whose radicals are not finite either way is
-``bad_coefficients``.
+by the classical depressed-cubic radicals (the log-cubic shrinks a bracket
+around that seed by ITP steps, `shrink_sign_change`), and every root ends in
+one step, `_certify`: a few Newton steps polish it, and a root that still
+misses the residual contract is ``bracket_failure`` rather than a number.
+The radical form loses digits to cube-root cancellation when the constant
+term dominates; the polish wins them back.  A cubic with three distinct
+real roots is refused rather than silently tie-broken.  Radicals that
+overflow (or divide by a power of c3 that underflows to zero) are taken
+again for the cubic rescaled by a power of two, and a cubic whose radicals
+are not finite either way is ``bad_coefficients``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -178,12 +178,53 @@ def cardano_unique_real(c: CubicCoefficients) -> float:
     return _certify(c, c.derivative, u * 2.0**k, RESIDUAL_TOL * (1.0 + abs(c.c0)))
 
 
+def shrink_sign_change(
+    point: Callable[[float], tuple[float, bool]], a: float, b: float, f_a: float, f_b: float
+) -> tuple[float, float, float, float]:
+    """The bracket a < b of a sign change of f shrunk to adjacent doubles, as
+    (a, f(a), b, f(b)) with b = nextafter(a, inf).
+
+    point(x) evaluates f once and returns (f(x), whether x takes b's side):
+    each caller keeps its own exact side test.  The steps are ITP (Oliveira
+    & Takahashi 2021; kappa1 = 0.1 / (b - a), kappa2 = 2, n0 = 1): regula
+    falsi, truncated towards the midpoint, projected into the minmax disc of
+    a width of half an ulp of b and, while the bracket is at least 4 ulps
+    wide, kept 2 ulps inside it, so that an exact hit f(x) = 0 cannot pin
+    the next point to b.  Narrower brackets are bisected."""
+    # adjacent doubles when a = b / 2; below that, the disc ends in bisection
+    width = 0.5 * math.ulp(b)
+    n_max = math.ceil(math.log2((b - a) / width)) + 1
+    kappa1 = 0.1 / (b - a)
+    j = 0
+    while (up := math.nextafter(a, math.inf)) < b:
+        half = 0.5 * (a + b)
+        lo, hi = math.nextafter(up, math.inf), math.nextafter(math.nextafter(b, -math.inf), -math.inf)
+        x = half
+        if lo <= hi:
+            # f(a) = f(b) when both round to 0; NaN when f(b) = -inf
+            x_f = (f_b * a - f_a * b) / (f_b - f_a) if f_a != f_b else half
+            if not a <= x_f <= b:
+                x_f = half
+            sigma = math.copysign(1.0, half - x_f)
+            trunc = kappa1 * (b - a) ** 2
+            x_t = x_f + sigma * trunc if trunc <= abs(half - x_f) else half
+            r = max(0.5 * width * 2.0 ** (n_max - j) - 0.5 * (b - a), 0.0)
+            x = min(max(x_t if abs(x_t - half) <= r else half - sigma * r, lo), hi)
+        f_x, right = point(x)
+        if right:
+            b, f_b = x, f_x
+        else:
+            a, f_a = x, f_x
+        j += 1
+    return a, f_a, b, f_b
+
+
 def solve_log_cubic(c: CubicCoefficients, ell_star: int) -> float:
     """Unique root of c3 T^3 + c2 T^2 + c1 T - ell_star ln(T) + c0 = 0.
 
-    Bisects [t0/2, 4 t0] around the Cardano root t0 of the ell_star = 0
-    cubic down to adjacent doubles, then certifies the closer end; the log
-    term is a small perturbation beyond the turning region.
+    Shrinks [t0/2, 4 t0] around the Cardano root t0 of the ell_star = 0
+    cubic down to adjacent doubles, then certifies the end of smaller
+    residual; the log term is a small perturbation beyond the turning region.
     """
     if ell_star < 0:
         raise ToolkitError("bad_coefficients", "ell_star must be nonnegative")
@@ -202,18 +243,12 @@ def solve_log_cubic(c: CubicCoefficients, ell_star: int) -> float:
     if t0 <= 0.0:
         raise ToolkitError("bracket_failure", "cubic seed root is not positive")
     lo, hi = t0 / 2.0, 4.0 * t0
-    g_lo = g(lo)
-    if g_lo * g(hi) > 0:
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo * g_hi > 0:
         raise ToolkitError("bracket_failure", f"no sign change on [{lo:.6g}, {hi:.6g}]")
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        g_mid = g(mid)
-        if g_mid * g_lo > 0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    t = min(lo, hi, key=lambda s: abs(g(s)))
+    # a point takes hi's side where g has hi's sign or is 0
+    a, g_a, b, g_b = shrink_sign_change(lambda t: (g_t := g(t), g_t * g_lo <= 0.0), lo, hi, g_lo, g_hi)
+    t = b if abs(g_b) < abs(g_a) else a
     return _certify(g, gprime, t, RESIDUAL_TOL * (1.0 + abs(c.c0)))
 
 

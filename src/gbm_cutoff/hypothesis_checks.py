@@ -16,7 +16,7 @@ threshold tol (1 + |A|_F)(1 + |B|_F) of ``check_pair``; every regime gate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class HypothesisReport:
     nilpotence_witness: list[float]
     hypothesis_set_infeasible: bool
     threshold: float
+    # the pair's bracket [A, B], read-only; the gates read [B, A] as 0.0 - C
+    C: np.ndarray = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -51,12 +53,13 @@ class HypothesisReport:
         }
 
 
-def bracket_residuals(A, B) -> dict[str, float]:
-    """Frobenius norms of every hypothesis-defining bracket."""
+def check_pair(A, B, tol: float = DEFAULT_TOL) -> HypothesisReport:
+    """Hypothesis report for a bare (A, B) pair, read off one C = [A, B]."""
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
     C = commutator(A, B)
-    return {
+    C.setflags(write=False)
+    res = {
         "normal_B": fro(commutator(B, B.T)),
         "commute_A_B": fro(C),
         "commute_A_Bstar": fro(commutator(A, B.T)),
@@ -66,13 +69,6 @@ def bracket_residuals(A, B) -> dict[str, float]:
         "commute_B_C": fro(commutator(B, C)),
         "commute_B_Cstar": fro(commutator(B, C.T)),
     }
-
-
-def check_pair(A, B, tol: float = DEFAULT_TOL) -> HypothesisReport:
-    """Hypothesis report for a bare (A, B) pair."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    res = bracket_residuals(A, B)
     thr = tol * (1.0 + fro(A)) * (1.0 + fro(B))
 
     normal_B = res["normal_B"] <= thr
@@ -87,7 +83,11 @@ def check_pair(A, B, tol: float = DEFAULT_TOL) -> HypothesisReport:
     cstar_nonzero = res["commute_A_Bstar"] > NONZERO_MARGIN * thr
     first_order = c_nonzero and cstar_nonzero and double_brackets_vanish
 
-    witness = power_traces(A, B)
+    # trace(C^k), k = 1..d
+    witness, P = [], np.eye(C.shape[0])
+    for _ in range(C.shape[0]):
+        P = P @ C
+        witness.append(float(np.trace(P)))
     # C commuting with A (or B) forces all power traces of C to vanish, hence
     # C nilpotent; normality would then force C = 0, contradicting |C| > 0.
     infeasible = c_nonzero and (res["commute_A_C"] <= thr or res["commute_B_C"] <= thr)
@@ -101,6 +101,7 @@ def check_pair(A, B, tol: float = DEFAULT_TOL) -> HypothesisReport:
         nilpotence_witness=witness,
         hypothesis_set_infeasible=infeasible,
         threshold=thr,
+        C=C,
     )
 
 
@@ -108,14 +109,3 @@ def check_hypotheses(sys: GBMSystem) -> HypothesisReport:
     """The report of a system's pair at its tolerance, built once and held by the system."""
     return sys.hypotheses
 
-
-def power_traces(A, B) -> list[float]:
-    """trace(C^k) for C = [A, B], k = 1..d."""
-    C = commutator(as_matrix(A, "A"), as_matrix(B, "B"))
-    d = C.shape[0]
-    out = []
-    P = np.eye(d)
-    for _ in range(d):
-        P = P @ C
-        out.append(float(np.trace(P)))
-    return out

@@ -8,11 +8,10 @@ definition.  Both tau(delta)/tau(1-delta) and tau(delta)/t_eps approach 1
 as eps -> 0.
 
 The search doubles t from 1 until the mean square is at or below the
-threshold, then shrinks the last doubling step [a, b] by ITP steps
-(Oliveira & Takahashi 2021) on ln msq - ln threshold, keeping
-msq(a) > threshold >= msq(b), until b is the double after a; tau is b.
-So tau is a crossing to the last bit of t, at any time scale, and the
-first passage when the mean square never increases.
+threshold, then shrinks the last doubling step by ITP steps
+(`cubic_solver.shrink_sign_change`) to a bracket of adjacent doubles; tau
+is its upper end.  So tau is a crossing to the last bit of t, at any time
+scale, and the first passage when the mean square never increases.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .cubic_solver import shrink_sign_change
 from .errors import ToolkitError
 
 # Doubling search gives up past this horizon.
@@ -49,57 +49,26 @@ class MixingTimeResult:
         return out
 
 
-def _excess(m: float, log_threshold: float) -> float:
-    """ln m - ln threshold, -inf for m <= 0."""
-    return (math.log(m) if m > 0.0 else -math.inf) - log_threshold
-
-
 def _first_crossing(msq: Callable[[float], float], threshold: float) -> float:
-    """A crossing of threshold by msq: 0.0 if msq(0) <= threshold, else the
-    double b = nextafter(a, inf) of a bracket msq(a) > threshold >= msq(b).
+    """The crossing of threshold > 0 by msq that the module's search finds:
+    0.0 if msq(0) <= threshold, else b of the final bracket, msq(a) >
+    threshold >= msq(b).  Its ITP steps run on ln msq - ln threshold, which
+    can round to 0 while msq(x) > threshold, so sides are decided on msq."""
+    log_thr = math.log(threshold)
 
-    The bracket is the first doubling step of t from 1 that ends at or below
-    the threshold, shrunk by ITP steps on f = ln msq - ln threshold (kappa1 =
-    0.1 / (b - a), kappa2 = 2, n0 = 1): regula falsi, truncated towards the
-    midpoint, projected into the minmax disc of a width of half an ulp of b
-    and, while the bracket is at least 4 ulps wide, kept 2 ulps inside it,
-    so that an exact hit f(x) = 0 cannot pin the next point to b.  Narrower
-    brackets are bisected."""
-    m_a = msq(0.0)
-    if m_a <= threshold:
+    def point(x):
+        m = msq(x)
+        return (math.log(m) if m > 0.0 else -math.inf) - log_thr, m <= threshold
+
+    f_a, below = point(0.0)
+    if below:
         return 0.0
     a, b = 0.0, 1.0
-    while (m_b := msq(b)) > threshold:
-        a, b, m_a = b, 2.0 * b, m_b
+    while not (end := point(b))[1]:
+        a, b, f_a = b, 2.0 * b, end[0]
         if b > T_CAP:
             raise ToolkitError("no_decay", f"mean square stays above target up to t = {T_CAP:g}")
-    log_thr = math.log(threshold)
-    f_a, f_b = _excess(m_a, log_thr), _excess(m_b, log_thr)
-    # adjacent doubles when a = b / 2; below that, the disc ends in bisection
-    width = 0.5 * math.ulp(b)
-    n_max = math.ceil(math.log2((b - a) / width)) + 1
-    kappa1 = 0.1 / (b - a)
-    j = 0
-    while (up := math.nextafter(a, math.inf)) < b:
-        half = 0.5 * (a + b)
-        lo, hi = math.nextafter(up, math.inf), math.nextafter(math.nextafter(b, 0.0), 0.0)
-        x = half
-        if lo <= hi:
-            x_f = (f_b * a - f_a * b) / (f_b - f_a)
-            if not a <= x_f <= b:  # NaN when msq(b) = 0
-                x_f = half
-            sigma = math.copysign(1.0, half - x_f)
-            trunc = kappa1 * (b - a) ** 2
-            x_t = x_f + sigma * trunc if trunc <= abs(half - x_f) else half
-            r = max(0.5 * width * 2.0 ** (n_max - j) - 0.5 * (b - a), 0.0)
-            x = min(max(x_t if abs(x_t - half) <= r else half - sigma * r, lo), hi)
-        m = msq(x)
-        if m <= threshold:
-            b, f_b = x, _excess(m, log_thr)
-        else:
-            a, f_a = x, _excess(m, log_thr)
-        j += 1
-    return b
+    return shrink_sign_change(point, a, b, f_a, end[0])[2]
 
 
 def mixing_time(
@@ -115,8 +84,10 @@ def mixing_time(
         raise ToolkitError("bad_epsilon", "eps must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ToolkitError("bad_delta", "delta must lie in (0, 1)")
-    tau = _first_crossing(msq, delta * eps**2)
-    tau_other = _first_crossing(msq, (1.0 - delta) * eps**2)
+    thresholds = delta * eps**2, (1.0 - delta) * eps**2
+    if not min(thresholds) > 0.0:
+        raise ToolkitError("bad_epsilon", "delta eps^2 underflows to 0")
+    tau, tau_other = (_first_crossing(msq, threshold) for threshold in thresholds)
     if tau_other > 0.0:
         ratio = tau / tau_other
     else:

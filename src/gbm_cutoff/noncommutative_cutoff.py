@@ -138,8 +138,9 @@ def _stabilizing_p(A: np.ndarray, Gamma: np.ndarray) -> tuple[float, _Spectrum]:
 
 
 def _brackets(sys: GBMSystem) -> tuple:
-    """(C, alpha, beta, Gamma) of the pair, from Bhat = B + B* and Chat = C + C*."""
-    C = commutator(sys.B, sys.A)
+    """(C, alpha, beta, Gamma) of the pair, from Bhat = B + B* and Chat = C + C*;
+    C = [B, A] is 0.0 - [A, B] off the system's report, +0.0 where BA - AB is."""
+    C = 0.0 - sys.hypotheses.C
     Bhat, Chat = sys.B + sys.B.T, C + C.T
     return C, Bhat @ Bhat / 2.0, Bhat @ Chat / 2.0, Chat @ Chat / 6.0
 

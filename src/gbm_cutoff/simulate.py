@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from numpy.random import Generator, Philox
 
 from .errors import ToolkitError
@@ -279,11 +278,11 @@ def sample_gaussian_pairs(t: float, seed: int, n: int) -> tuple[np.ndarray, np.n
 
 
 def _first_order_matrix(sys: GBMSystem) -> np.ndarray:
-    """C = [B, A], checked by the pair's report to satisfy [A, C] = [B, C] = 0."""
+    """C = [B, A] = 0.0 - [A, B] off the pair's report, which checks [A, C] = [B, C] = 0."""
     rep = check_hypotheses(sys)
     if rep.residuals["commute_A_C"] > rep.threshold or rep.residuals["commute_B_C"] > rep.threshold:
         raise ToolkitError("representation_invalid", "[A,C] or [B,C] does not vanish")
-    return commutator(sys.B, sys.A)
+    return 0.0 - rep.C
 
 
 def _ito_drift(sys: GBMSystem) -> np.ndarray:
@@ -647,6 +646,7 @@ def exact_mean_square(sys: GBMSystem, t: float) -> float:
         raise ToolkitError("too_large", f"the moment equation of a {d}x{d} pair has {d**4} > {_MAX_BATCH_DOUBLES} entries")
     if t == 0.0:
         return float(sys.x @ sys.x)
+    import scipy.linalg  # here, so that no closed-form or Monte Carlo run loads scipy
     drift, eye = _ito_drift(sys), np.eye(d)
     L = np.kron(eye, drift) + np.kron(drift, eye) + np.kron(sys.B, sys.B)
     p = scipy.linalg.expm(t * L) @ np.outer(sys.x, sys.x).ravel()

@@ -40,7 +40,6 @@ from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ToolkitError
 from .linalg_core import CLUSTER_GAP, as_matrix, as_vector, cluster_values
@@ -94,6 +93,7 @@ class SpectralAsymptotics:
 
 def _schur_form(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form Q = Z T Z^H, unsorted."""
+    import scipy.linalg  # here, so that drifts that need no Schur form start without scipy
     return scipy.linalg.schur(Q.astype(complex), output="complex")
 
 
@@ -155,6 +155,7 @@ def _cluster_block(M: np.ndarray, schur: Callable, lam: np.ndarray, members: lis
     select = selected(np.diag(T))
     if int(np.count_nonzero(select)) != k:
         return None
+    import scipy.linalg  # loaded by schur() already
     T, Z, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select.astype(np.intc), T, Z, job="N")
     if info != 0 or not np.all(selected(np.diag(T)[:k])):
         return None

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbm_cutoff import cli, hypothesis_checks, noncommutative_cutoff, simulate, spectral_asymptotics
+from gbm_cutoff import cli, hypothesis_checks, linalg_core, noncommutative_cutoff, simulate, spectral_asymptotics
 from gbm_cutoff.cli import load_config, main
 from gbm_cutoff.cubic_solver import CubicCoefficients, cardano_unique_real, correction_root, solve_log_cubic
 from gbm_cutoff.errors import ToolkitError
@@ -586,6 +586,22 @@ def test_cli_import_loads_no_scipy_optimize():
     assert proc.stdout == "False\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "mixing"])
+def test_closed_form_report_on_a_simple_drift_loads_no_scipy(tmp_path, command):
+    # a fresh interpreter: scipy loads only for a Schur split or the moment
+    # equation's expm, and a scalar drift needs neither
+    path = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; from gbm_cutoff import cli; "
+        f"rc = cli.main([{command!r}, '--config', {path!r}, '--out', {str(tmp_path / 'report')!r}]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "0 []\n"
+
+
 def multi_cluster_config(name: str) -> dict:
     """Configs whose reports read vectors off several eigenvalue clusters."""
     eps_list = [math.exp(-4), math.exp(-6)]
@@ -753,6 +769,34 @@ class TestOncePerReport:
         # verify's own check and the exact scheme's grid check, whose C every
         # batch reads: none per batch or per t of the grid
         assert len(gates) == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_first_order_bracket_is_formed_once(self, tmp_path, monkeypatch, command):
+        # [A, B] or [B, A] of the pair itself, whichever module forms it; the
+        # report, the mode decomposition and the exact sampler formed it 3
+        # (analyze) and 4 (verify) times before they read it off the report.
+        # Heisenberg analyze stops at step III, a commuting normal pair's does
+        # not; neither pair has a B equal to A or to a transpose of either
+        cfg = HEISENBERG if command == "verify" else {
+            "mode": "first_order", "A": [[-2.0, 0.5], [-0.5, -2.0]], "B": [[0.5, 0.3], [-0.3, 0.5]], "x": [1.0, 1.0]}
+        path = write_config(tmp_path, **cfg)
+        A, B = np.array(cfg["A"]), np.array(cfg["B"])
+        brackets, commutator = [], linalg_core.commutator
+
+        def counted(U, V):
+            if any(np.array_equal(U, P) and np.array_equal(V, Q) for P, Q in ((A, B), (B, A))):
+                brackets.append(None)
+            return commutator(U, V)
+
+        for module in (hypothesis_checks, noncommutative_cutoff, simulate):
+            if getattr(module, "commutator", None) is commutator:
+                monkeypatch.setattr(module, "commutator", counted)
+        assert main([command, "--config", path, "--out", str(tmp_path / "report"), "--paths", "200"]) == 0
+        assert len(brackets) == 1
+        if command == "analyze":
+            # C = [B, A] = BA - AB = +0.0 entrywise, which -[A, B] would print as -0.0
+            C = json.loads((tmp_path / "report").read_text())["decomposition"]["C"]
+            assert [math.copysign(1.0, v) for row in C for v in row] == [1.0] * 4
 
     def test_unstable_commutative_pair_still_has_a_mean_square(self, tmp_path, capsys):
         # mean-square never needs the asymptotics, which would reject Q = 0.1

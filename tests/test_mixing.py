@@ -77,6 +77,14 @@ class TestMixingTime:
             mixing_time(lambda t: 1.0, 0.1, 0.5)
         assert err.value.code == "no_decay"
 
+    @pytest.mark.parametrize("eps,delta", [(1e-200, 0.5), (1e-100, 1e-300)])
+    def test_threshold_that_underflows_is_refused(self, eps, delta):
+        # delta eps^2 = 0: ln of it raised a bare ValueError (internal_error
+        # in the CLI) once the scalar mean square had underflowed to 0 too
+        with pytest.raises(ToolkitError) as err:
+            mixing_time(scalar_msq, eps, delta)
+        assert err.value.code == "bad_epsilon"
+
     def test_domain_validation(self):
         with pytest.raises(ToolkitError):
             mixing_time(scalar_msq, 1.5, 0.5)
@@ -216,6 +224,15 @@ class TestAdjacentDoubles:
             res, fast_res = mixing_time(EVALUATORS[name], eps, delta), mixing_time(fast, eps, delta)
             assert fast_res.tau * s == pytest.approx(res.tau, rel=TAU_REL_BOUND, abs=0.0)
             assert fast_res.tau_ratio == pytest.approx(res.tau_ratio, rel=2 * TAU_REL_BOUND, abs=0.0)
+
+    def test_excess_that_rounds_to_zero_at_both_ends(self):
+        # msq is one ulp above the threshold before 3.3, so ln msq - ln
+        # threshold is 0 at both ends of the bracket [2, 4]: regula falsi's
+        # 0 / 0 raised ZeroDivisionError
+        threshold = 0.5 * math.exp(-8.0)
+        above = threshold * (1.0 + 2.0**-52)
+        assert math.log(above) == math.log(threshold)
+        assert _first_crossing(lambda t: above if t < 3.3 else threshold, threshold) == 3.3
 
     def test_non_monotone_mean_square_keeps_the_bracket(self):
         # lambda_max(Q + Q^T) = 28.7: the mean square rises and falls, and
