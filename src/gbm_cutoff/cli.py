@@ -36,7 +36,7 @@ from .noncommutative_cutoff import (
     mode_decomposition,
     synthetic_mode_decomposition,
 )
-from .simulate import SEED_END, _first_order_matrix, _with_first_order_reference, estimate_mean_squares
+from .simulate import SEED_END, _with_first_order_reference, estimate_mean_squares
 from .spectral_asymptotics import _read_decay, _Spectrum
 from .system import GBMSystem
 
@@ -325,11 +325,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, str]:
         ests = estimate_mean_squares(sys_, cfg.t_grid, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
         refs = [(msq(t), 0.0) for t in cfg.t_grid]
     else:
-        _first_order_matrix(sys_)  # representation_invalid before any code of the grid
-        # both grids are checked before anything is drawn, the estimates' first,
-        # so a t that dt does not divide is reported ahead of an overflowing
-        # reference; the reference then runs on the pool beside the EM step
-        # loop, and an error of the estimates wins over one of the reference
+        # both grids are checked before anything is drawn, the reference's first,
+        # so representation_invalid wins over any code of the grid; the
+        # reference then runs on the pool beside the EM step loop, and an
+        # error of the estimates wins over one of the reference
         ests, exact = _with_first_order_reference(sys_, cfg.t_grid, cfg.n_paths, cfg.dt, cfg.seed)
         refs = [(est.value, est.std_error) for est in exact]
     rows = []

@@ -69,8 +69,8 @@ def _drift_msq(spectrum: _Spectrum, x) -> Callable[[float], float]:
     one = np.ones(1)
 
     def msq(t: float) -> float:
-        if t < 0:
-            raise ToolkitError("bad_time", "t must be nonnegative")
+        if not 0.0 <= t < math.inf:
+            raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
         if t == 0:  # exp(0Q) = I, whatever the split's rounding
             return float(x @ x)
         s, v = act(t, one)
@@ -87,8 +87,8 @@ def drift_mean_square(Q: np.ndarray, x: np.ndarray, t: float) -> float:
 
 def mean_square_commutative(sys: GBMSystem, t: float) -> float:
     """E|X_t(x)|^2 = |exp(tQ)x|^2 (also the squared W2 distance to delta_0)."""
-    if t < 0:
-        raise ToolkitError("bad_time", "t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
     return drift_mean_square(effective_drift(sys), sys.x, t)
 
 

@@ -227,8 +227,8 @@ def mean_square_first_order(dec: ModeDecomposition, t: float) -> float:
     The admissible p_Gamma cancels algebraically between exp(t Atilde) and
     the (t^3 - p t) Gamma term, so the value does not depend on it.
     """
-    if t < 0:
-        raise ToolkitError("bad_time", "t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
     if t == 0:  # X_0 = x, whatever the decomposition's rounding
         return float(dec.x @ dec.x)
     poly = t**3 - dec.p_Gamma * t

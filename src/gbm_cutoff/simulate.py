@@ -17,8 +17,8 @@ in-place updates per step, and draws its rows in chunks on the pool.
 First-order verify (_with_first_order_reference) reads its exact-sampler
 reference off each batch's draw: the batch's reference rows run as one
 pool task beside its step loop.  The output does not depend on the CPU
-count.  The exact and Magnus kernels exponentiate a stack of exponents
-at once with linalg_core.expm_stack, whose rows do not depend on each other.
+count.  The exact and Magnus kernels, like the moment equation, exponentiate
+with linalg_core.expm_stack, a stack at once, its rows independent.
 The public single-path functions are n = 1 views.  The reduction uses
 exact compensated summation over the per-path values in index order.
 """
@@ -582,18 +582,19 @@ def _with_first_order_reference(
     """The euler_maruyama and exact_first_order estimates of one grid, with
     the bits of the two estimate_mean_squares calls in sequence.
 
-    Both grids are checked first, Euler-Maruyama's and then the reference's,
-    before anything is drawn.  Each d > 1 Euler-Maruyama batch hands its
-    paths' first two normals, the reference's draws, to one pool task
-    submitted from the calling thread, which computes the batch's reference
-    rows beside its step loop and submits nothing; at one step per path the
-    tasks draw their own pairs.  When no batch is handed over (d = 1, or
-    every t is 0), the reference runs after the estimates on the calling
-    thread.  An error of the Euler-Maruyama estimate wins over one of the
-    reference, as in sequence, and every task is done or cancelled before
-    this returns."""
-    em = _Estimation(sys, ts, "euler_maruyama", n_paths, dt, seed)
+    Both grids are checked first, the reference's and then Euler-Maruyama's,
+    before anything is drawn, so the first-order gate runs once and its
+    ``representation_invalid`` wins over any code of either grid.  Each d > 1
+    Euler-Maruyama batch hands its paths' first two normals, the reference's
+    draws, to one pool task submitted from the calling thread, which computes
+    the batch's reference rows beside its step loop and submits nothing; at
+    one step per path the tasks draw their own pairs.  When no batch is
+    handed over (d = 1, or every t is 0), the reference runs after the
+    estimates on the calling thread.  An error of the Euler-Maruyama estimate
+    wins over one of the reference, as in sequence, and every task is done
+    or cancelled before this returns."""
     reference = _Estimation(sys, ts, "exact_first_order", n_paths, dt, seed)
+    em = _Estimation(sys, ts, "euler_maruyama", n_paths, dt, seed)
     tasks = []
 
     def drawn(lo: int, hi: int, pairs: np.ndarray | None) -> None:
@@ -634,20 +635,19 @@ def exact_mean_square(sys: GBMSystem, t: float) -> float:
 
         vec P(t) = exp(t L) vec(x x^T),   L = I (x) D + D (x) I + B (x) B
 
-    with (x) the Kronecker product, and E|X_t|^2 = tr P(t), the squared W2
-    distance of X_t(x) to delta_0.  L has d^4 entries: a pair with
-    d^4 > 2^24 (d > 64) is refused with ``too_large``.  At t = 0 the value
-    is x.x, as in estimate_mean_square.
+    with (x) the Kronecker product and exp(t L) from expm_stack, and
+    E|X_t|^2 = tr P(t), the squared W2 distance of X_t(x) to delta_0.  L has
+    d^4 entries: a pair with d^4 > 2^24 (d > 64) is ``too_large``, and a t
+    not finite and nonnegative ``bad_time``.  At t = 0 the value is x.x.
     """
-    if t < 0:
-        raise ToolkitError("bad_time", "t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
     d = sys.dim
     if d**4 > _MAX_BATCH_DOUBLES:
         raise ToolkitError("too_large", f"the moment equation of a {d}x{d} pair has {d**4} > {_MAX_BATCH_DOUBLES} entries")
     if t == 0.0:
         return float(sys.x @ sys.x)
-    import scipy.linalg  # here, so that no closed-form or Monte Carlo run loads scipy
     drift, eye = _ito_drift(sys), np.eye(d)
     L = np.kron(eye, drift) + np.kron(drift, eye) + np.kron(sys.B, sys.B)
-    p = scipy.linalg.expm(t * L) @ np.outer(sys.x, sys.x).ravel()
+    p = expm_stack((t * L)[None])[0] @ np.outer(sys.x, sys.x).ravel()
     return float(np.trace(p.reshape(d, d)))

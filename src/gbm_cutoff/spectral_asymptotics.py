@@ -389,8 +389,8 @@ def extract_asymptotics(Q, y) -> SpectralAsymptotics:
 
 def normalized_state(Q, y, asym: SpectralAsymptotics, t: float) -> np.ndarray:
     """(e^(qt) / t^(ell-1)) exp(tQ) y — the quantity that converges to S(t);
-    ``bad_time`` for t < 0, and for t = 0 when ell > 1."""
-    if t < 0.0 or (t == 0.0 and asym.ell > 1):
+    ``bad_time`` unless t is finite and positive, or 0 with ell = 1."""
+    if not 0.0 <= t < math.inf or (t == 0.0 and asym.ell > 1):
         raise ToolkitError("bad_time", f"no normalized state at t = {t} for ell = {asym.ell}")
     y = as_vector(y, "y")
     s, state = _Spectrum(as_matrix(Q, "Q")).exp_action(y[:, None])(t, np.ones(1))

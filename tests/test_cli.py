@@ -588,8 +588,8 @@ def test_cli_import_loads_no_scipy_optimize():
 
 @pytest.mark.parametrize("command", ["analyze", "mixing"])
 def test_closed_form_report_on_a_simple_drift_loads_no_scipy(tmp_path, command):
-    # a fresh interpreter: scipy loads only for a Schur split or the moment
-    # equation's expm, and a scalar drift needs neither
+    # a fresh interpreter: scipy loads only for a Schur split, and a scalar
+    # drift needs none
     path = write_config(tmp_path)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -600,6 +600,21 @@ def test_closed_form_report_on_a_simple_drift_loads_no_scipy(tmp_path, command):
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "0 []\n"
+
+
+def test_moment_equation_loads_no_scipy():
+    # a fresh interpreter: exact_mean_square exponentiates with expm_stack
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; from gbm_cutoff import GBMSystem, exact_mean_square; "
+        f"sys_ = GBMSystem({HEISENBERG['A']!r}, {HEISENBERG['B']!r}, {HEISENBERG['x']!r}); "
+        "print(exact_mean_square(sys_, 2.0), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    value, modules = proc.stdout.split(" ", 1)
+    assert abs(float(value) / (1.0 + 2.0**2 + 2.0**3 / 3.0) - 1.0) <= 1e-15  # 1 + t^2 + t^3/3
+    assert modules == "[]\n"
 
 
 def multi_cluster_config(name: str) -> dict:
@@ -766,9 +781,9 @@ class TestOncePerReport:
         path = write_config(tmp_path, **HEISENBERG)
         gates = count_calls(monkeypatch, simulate._first_order_matrix)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "report"), "--paths", "200"]) == 0
-        # verify's own check and the exact scheme's grid check, whose C every
-        # batch reads: none per batch or per t of the grid
-        assert len(gates) == 2
+        # the exact scheme's grid check, whose C every batch reads: none of
+        # verify's own, and none per batch or per t of the grid
+        assert len(gates) == 1
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_first_order_bracket_is_formed_once(self, tmp_path, monkeypatch, command):

@@ -11,7 +11,7 @@ import scipy.linalg
 from numpy.random import Generator, Philox
 
 from gbm_cutoff import hypothesis_checks, simulate
-from gbm_cutoff.commutative_cutoff import mean_square_commutative
+from gbm_cutoff.commutative_cutoff import drift_mean_square, mean_square_commutative
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.linalg_core import expm_stack
 from gbm_cutoff.noncommutative_cutoff import mean_square_first_order, mode_decomposition
@@ -27,6 +27,7 @@ from gbm_cutoff.simulate import (
     sample_gaussian_pair,
     sample_gaussian_pairs,
 )
+from gbm_cutoff.spectral_asymptotics import extract_asymptotics, normalized_state
 from gbm_cutoff.system import GBMSystem
 
 
@@ -873,9 +874,51 @@ class TestExactMeanSquare:
             exact_mean_square(scalar_system(), -1.0)
         assert err.value.code == "bad_time"
 
+    def test_worst_relative_error_against_mpmath(self):
+        # 12 dense pairs, d = 2-4, against exp(tL) at 40 digits: 3.2e-15
+        # measured (numpy 2.4.6; 2.9e-13 through scipy.linalg.expm)
+        mp = pytest.importorskip("mpmath")
+
+        def kron(U, V):
+            n = V.rows
+            return mp.matrix([[U[i // n, j // n] * V[i % n, j % n] for j in range(U.cols * n)] for i in range(U.rows * n)])
+
+        worst = 0.0
+        with mp.workdps(40):
+            for seed in range(12):
+                d = 2 + seed % 3
+                rng = np.random.default_rng([seed, d])
+                sys = GBMSystem(A=0.3 * rng.standard_normal((d, d)), B=0.3 * rng.standard_normal((d, d)),
+                                x=rng.standard_normal(d))
+                A, B, eye = mp.matrix(sys.A.tolist()), mp.matrix(sys.B.tolist()), mp.eye(d)
+                D = A + B * B / 2
+                L = kron(eye, D) + kron(D, eye) + kron(B, B)
+                v, E = mp.matrix(np.outer(sys.x, sys.x).ravel().tolist()), mp.expm(L / 2)
+                for t in (0.5, 2.0, 8.0):  # exp(4tL) is exp(tL) squared twice
+                    p = E * v
+                    exact = sum(p[i * d + i] for i in range(d))
+                    worst = max(worst, float(abs(mp.mpf(exact_mean_square(sys, t)) - exact) / exact))
+                    E = E * E
+                    E = E * E
+        assert worst <= 2e-14
+
     def test_pair_larger_than_the_cap_rejected(self, monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 80)  # 3^4 = 81 entries
         for t in (0.0, 1.0):
             with pytest.raises(ToolkitError) as err:
                 exact_mean_square(heisenberg_system(), t)
             assert err.value.code == "too_large"
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_time_that_is_not_finite_is_refused(t):
+    # nan and inf both pass a t < 0 test
+    A, B, x = np.diag([-2.0, -3.0]), np.diag([1.0, 0.5]), np.array([1.0, 1.0])
+    sys = GBMSystem(A=A, B=B, x=x)
+    asym = extract_asymptotics(A, x)
+    for evaluate in (lambda: drift_mean_square(A, x, t), lambda: mean_square_commutative(sys, t),
+                     lambda: mean_square_first_order(mode_decomposition(sys), t), lambda: exact_mean_square(sys, t),
+                     lambda: normalized_state(A, x, asym, t)):
+        with pytest.raises(ToolkitError) as err:
+            evaluate()
+        assert err.value.code == "bad_time"
