@@ -79,6 +79,8 @@ def _numbers(raw, name: str, code: str):
     a JSON number (numpy would read true, false and "1" as numbers).  null
     reads as NaN and an integer beyond the double range as an infinity."""
     if isinstance(raw, list):
+        if all(type(v) is float for v in raw):  # a row of floats reads as itself
+            return raw
         return [_numbers(v, name, code) for v in raw]
     if raw is None:
         return math.nan

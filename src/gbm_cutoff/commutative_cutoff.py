@@ -17,7 +17,7 @@ import numpy as np
 from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
-from .spectral_asymptotics import _read_decay, _Spectrum, extract_asymptotics, is_diagonalizable
+from .spectral_asymptotics import _read_decay, _Spectrum, _squared_norm, extract_asymptotics, is_diagonalizable
 from .system import GBMSystem
 
 __all__ = [
@@ -65,16 +65,14 @@ def drift_evaluator(Q: np.ndarray, x) -> Callable[[float], float]:
 def _drift_msq(spectrum: _Spectrum, x) -> Callable[[float], float]:
     """``drift_evaluator`` off a record of Q that the caller also reads."""
     x = np.asarray(x, dtype=float)
-    act = spectrum.exp_action(x[:, None])
-    one = np.ones(1)
+    act = spectrum.exp_action(x[:, None], np.ones(1))
 
     def msq(t: float) -> float:
         if not 0.0 <= t < math.inf:
             raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
         if t == 0:  # exp(0Q) = I, whatever the split's rounding
             return float(x @ x)
-        s, v = act(t, one)
-        return float(np.exp(2.0 * s) * (v @ v))
+        return _squared_norm(*act(t))
 
     return msq
 

@@ -8,6 +8,8 @@ mutated.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ToolkitError
@@ -48,8 +50,11 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def fro(M) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(M, "fro"))
+    """Frobenius norm of a real matrix, as np.linalg.norm(M, "fro") computes
+    it (the entries in memory order, one dot, a correctly rounded square
+    root), without its dispatch."""
+    v = np.asarray(M, dtype=float).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def commutator(U, V) -> np.ndarray:

@@ -46,7 +46,7 @@ from .linalg_core import (
     matrix_to_rows,
     simultaneous_diagonalize,
 )
-from .spectral_asymptotics import _read_vector, _Spectrum
+from .spectral_asymptotics import _read_vector, _Spectrum, _squared_norm
 from .system import GBMSystem
 
 # Strictness margin of the p_Gamma search's Hurwitz tests; it certifies Atilde.
@@ -99,6 +99,12 @@ class ModeDecomposition:
     @cached_property
     def exp_action(self):
         return self.spectrum.exp_action(self.basis)
+
+    @cached_property
+    def half_coeffs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(-a/2, b/2, g/2): the mode weights exp(-a t/2 - b t^2/2 - g (t^3 - p t)/2)
+        of every mean square read their t-independent factors here."""
+        return -0.5 * self.a_coeffs, 0.5 * self.b_coeffs, 0.5 * self.g_coeffs
 
     def to_dict(self) -> dict:
         out = {
@@ -232,11 +238,9 @@ def mean_square_first_order(dec: ModeDecomposition, t: float) -> float:
     if t == 0:  # X_0 = x, whatever the decomposition's rounding
         return float(dec.x @ dec.x)
     poly = t**3 - dec.p_Gamma * t
-    weights = np.exp(
-        -0.5 * dec.a_coeffs * t - 0.5 * dec.b_coeffs * t**2 - 0.5 * dec.g_coeffs * poly
-    )
-    s, vec = dec.exp_action(t, weights * dec.overlaps)
-    return float(np.exp(2.0 * s) * (vec @ vec))
+    a2, b2, g2 = dec.half_coeffs  # -a/2, b/2, g/2
+    weights = np.exp(a2 * t - b2 * t**2 - g2 * poly)
+    return _squared_norm(*dec.exp_action(t, weights * dec.overlaps))
 
 
 class CascadeSelection(NamedTuple):

@@ -493,8 +493,9 @@ def _grid_steps(
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     n = len(values)
     try:
-        mean = math.fsum(values) / n
-        var = math.fsum(np.square(values - mean)) / (n - 1)
+        # fsum over Python floats: the same correctly rounded sums, faster
+        mean = math.fsum(values.tolist()) / n
+        var = math.fsum(np.square(values - mean).tolist()) / (n - 1)
     except OverflowError:  # finite values whose exact sum is beyond the double range
         return math.inf, math.inf
     return mean, math.sqrt(var / n)
@@ -639,6 +640,8 @@ def exact_mean_square(sys: GBMSystem, t: float) -> float:
     E|X_t|^2 = tr P(t), the squared W2 distance of X_t(x) to delta_0.  L has
     d^4 entries: a pair with d^4 > 2^24 (d > 64) is ``too_large``, and a t
     not finite and nonnegative ``bad_time``.  At t = 0 the value is x.x.
+    tr P(t) >= 0, so a value that is not finite comes from an overflow of
+    exp(t L) (inf * 0 in its squaring gives NaN): it reads inf, silently.
     """
     if not 0.0 <= t < math.inf:
         raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
@@ -649,5 +652,7 @@ def exact_mean_square(sys: GBMSystem, t: float) -> float:
         return float(sys.x @ sys.x)
     drift, eye = _ito_drift(sys), np.eye(d)
     L = np.kron(eye, drift) + np.kron(drift, eye) + np.kron(sys.B, sys.B)
-    p = expm_stack((t * L)[None])[0] @ np.outer(sys.x, sys.x).ravel()
-    return float(np.trace(p.reshape(d, d)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = expm_stack((t * L)[None])[0] @ np.outer(sys.x, sys.x).ravel()
+        msq = float(np.trace(p.reshape(d, d)))
+    return msq if math.isfinite(msq) else math.inf

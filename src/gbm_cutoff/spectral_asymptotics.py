@@ -263,7 +263,7 @@ class _Spectrum:
             return _Split(self.W, None, lam, sorted(blocks, key=lambda b: -b.r.real))
         return _schur_split(self.M, lam)
 
-    def exp_action(self, V: np.ndarray) -> Callable[[float, np.ndarray], tuple[float, np.ndarray]]:
+    def exp_action(self, V: np.ndarray, u: Optional[np.ndarray] = None) -> Callable:
         """t, u -> (s, v) with exp(tM) V u = e^s v for a d x k matrix V, O(d^2)
         per call, off the coordinates h = G u (G = basis^-1 V) and their images
         p under sum_{j<k} (tN)^j/j! on each block of k > 1 eigenvalues.  On
@@ -275,12 +275,14 @@ class _Spectrum:
 
         so the large coordinates of a close but resolvable pair are scaled by
         their small expm1 instead of cancelling each other in the sum.
-        s = t max(0, Re c0) is 0 for a decaying M, so v is then read off the
-        plain exponentials; a growing M's overflow shows as an infinite e^s,
-        not as NaN."""
+        s = t max(0, Re c0) is +0.0 for a decaying M, whose action skips the
+        exact - s; a growing M's overflow shows as an infinite e^s, not as NaN.
+
+        Given a fixed u, the action is t -> (s, v) at that u, and h (and V u)
+        are formed once, here."""
         if self.failure is not None and self.failure[0] == "not_finite":
             nan = np.full(self.M.shape[0], np.nan)
-            return lambda t, u: (0.0, nan)
+            return (lambda t, u: (0.0, nan)) if u is None else (lambda t: (0.0, nan))
         split = self.split
         G = split.coordinates(V)
         chains = [b for b in split.blocks if b.N.shape[0] > 1]
@@ -288,9 +290,8 @@ class _Spectrum:
         growth, shift = max(0.0, float(lead.real)), split.rates - lead
         relative = split.inverse is not None and len(split.blocks) > 1
 
-        def act(t: float, u: np.ndarray) -> tuple[float, np.ndarray]:
-            h = G @ u
-            p = h.copy() if relative else h
+        def act(t: float, h: np.ndarray, Vu: Optional[np.ndarray], copy: bool) -> tuple[float, np.ndarray]:
+            p = h.copy() if copy else h
             for b in chains:  # Horner: c + tN (c + tN/2 (c + ...))
                 c = z = h[b.cols]
                 for j in range(b.N.shape[0] - 1, 0, -1):
@@ -298,11 +299,24 @@ class _Spectrum:
                 p[b.cols] = z
             s = t * growth
             if not relative:
-                return s, (split.basis @ (np.exp(t * split.rates - s) * p)).real
+                w = t * split.rates
+                return s, (split.basis @ (np.exp(w - s if growth else w) * p)).real
             d = np.expm1(t * shift) * p + (p - h)
-            return s, (np.exp(t * lead - s) * (V @ u + split.basis @ d)).real
+            w = t * lead
+            return s, (np.exp(w - s if growth else w) * (Vu + split.basis @ d)).real
 
-        return act
+        if u is None:
+            return lambda t, u: act(t, G @ u, V @ u if relative else None, relative)
+        # the Horner step writes p in place, so cached coordinates are copied
+        h, Vu = G @ u, V @ u if relative else None
+        return lambda t: act(t, h, Vu, relative or bool(chains))
+
+
+def _squared_norm(s: float, v: np.ndarray) -> float:
+    """|e^s v|^2 of an exp action's (s, v).  e^{2s} is skipped where s = 0,
+    as on every decaying record: multiplying by e^0 = 1 is exact."""
+    vv = v @ v
+    return float(np.exp(2.0 * s) * vv if s else vv)
 
 
 def _read_vector(split: _Split, y: np.ndarray) -> tuple[float, int, list]:
@@ -393,7 +407,7 @@ def normalized_state(Q, y, asym: SpectralAsymptotics, t: float) -> np.ndarray:
     if not 0.0 <= t < math.inf or (t == 0.0 and asym.ell > 1):
         raise ToolkitError("bad_time", f"no normalized state at t = {t} for ell = {asym.ell}")
     y = as_vector(y, "y")
-    s, state = _Spectrum(as_matrix(Q, "Q")).exp_action(y[:, None])(t, np.ones(1))
+    s, state = _Spectrum(as_matrix(Q, "Q")).exp_action(y[:, None], np.ones(1))(t)
     return math.exp(asym.q * t + s) / t ** (asym.ell - 1) * state
 
 

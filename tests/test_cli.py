@@ -128,6 +128,26 @@ class TestConfigValidation:
             load_config(path)
         assert err.value.code == code
 
+    def test_rows_mixing_ints_and_floats_load_entry_by_entry(self, tmp_path):
+        # a row of floats reads as itself, any other row entry by entry
+        A, B, x = [[-1, 0.5, 0.0], [0.25, -2, 1], [0.0, 0.0, -3.0]], [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]], [1, 0.5, 2]
+        cfg = load_config(write_config(tmp_path, A=A, B=B, x=x))
+        for got, raw in ((cfg.A, A), (cfg.B, B), (cfg.x, x)):
+            want = np.array([[float(v) for v in row] for row in raw] if isinstance(raw[0], list) else [float(v) for v in raw])
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+    @pytest.mark.parametrize("A,code", [
+        ([[-1.0, 0.5], [True, -2.0]], "config_matrix_not_square"),
+        ([[-1.0, 0.5], ["1", -2.0]], "config_matrix_not_square"),
+        ([[-1.0, 0.5], [None, -2.0]], "config_entries_not_finite"),
+        ([[-1.0, 0.5], [10**400, -2]], "config_entries_not_finite"),
+    ])
+    def test_a_float_row_beside_a_bad_entry_keeps_its_code(self, tmp_path, A, code):
+        with pytest.raises(ToolkitError) as err:
+            load_config(write_config(tmp_path, A=A, B=[[0.5, 0.0], [0.0, 0.5]], x=[1.0, 1.0]))
+        assert err.value.code == code
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mode": "commutative", "A": [[-1.0]], "x": [1.0]}))

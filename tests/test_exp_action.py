@@ -201,6 +201,87 @@ class TestPath:
         assert capsys.readouterr().err == code + "\n"
 
 
+def action_as_written(split, V, u, t):
+    """(s, v) of exp(tM) V u = e^s v in the exp action's arithmetic with
+    nothing hoisted: the coordinates G u formed, - s subtracted and the
+    Horner images written over a fresh h on every call."""
+    G = split.coordinates(V)
+    chains = [b for b in split.blocks if b.N.shape[0] > 1]
+    lead = split.rates[np.argmax(split.rates.real)]
+    growth, shift = max(0.0, float(lead.real)), split.rates - lead
+    relative = split.inverse is not None and len(split.blocks) > 1
+    h = G @ u
+    p = h.copy() if relative else h
+    for b in chains:
+        c = z = h[b.cols]
+        for j in range(b.N.shape[0] - 1, 0, -1):
+            z = c + (t / j) * (b.N @ z)
+        p[b.cols] = z
+    s = t * growth
+    if not relative:
+        return s, (split.basis @ (np.exp(t * split.rates - s) * p)).real
+    d = np.expm1(t * shift) * p + (p - h)
+    return s, (np.exp(t * lead - s) * (V @ u + split.basis @ d)).real
+
+
+def drift_msq_as_written(Q, x, t):
+    s, v = action_as_written(_Spectrum(Q).split, x[:, None], np.ones(1), t)
+    return float(np.exp(2.0 * s) * (v @ v))
+
+
+# (Q, x) of the three forms of the action: one block with a Jordan chain, read
+# off a coordinate copy; Schur blocks summed relative to the lead, one of them
+# a chain; and a growing drift, s > 0, read off W
+REUSE_DRIFTS = {
+    "rotated-jordan": (jordan_drift(), np.array([0.6, 0.8])),
+    "schur-relative": (_R3 @ np.array([[-1.0, 1.0, 0.3], [0.0, -1.0, 2.0], [0.0, 0.0, -2.5]]) @ _R3.T, X_J3),
+    "growing": (ROTATION_U @ np.array([[0.3, 2.0], [0.0, -0.5]]) @ ROTATION_U.T, np.array([1.0, -0.5])),
+}
+
+
+class TestOncePerEvaluator:
+    """The evaluators form every t-independent quantity once; the bits are
+    those of the action written out in full."""
+
+    def test_the_drifts_take_each_form(self):
+        forms = {}
+        for name, (Q, _) in REUSE_DRIFTS.items():
+            split = _Spectrum(Q).split
+            forms[name] = (any(b.N.shape[0] > 1 for b in split.blocks),
+                           split.inverse is not None and len(split.blocks) > 1,
+                           float(np.max(split.rates.real)) > 0.0)
+        assert forms == {"rotated-jordan": (True, False, False), "schur-relative": (True, True, False),
+                         "growing": (False, False, True)}
+
+    @pytest.mark.parametrize("name", REUSE_DRIFTS)
+    def test_reused_evaluator_returns_a_fresh_ones_bits(self, name):
+        # a chain's Horner images are written in place: aliasing the cached
+        # coordinates would move the second value at t1
+        Q, x = REUSE_DRIFTS[name]
+        msq = drift_evaluator(Q, x)
+        for t in (0.7, 3.0, 0.7, 12.5, 3.0):
+            assert msq(t) == drift_evaluator(Q, x)(t) == drift_msq_as_written(Q, x, t)
+
+    def test_fixed_and_free_actions_agree(self):
+        Q, x = REUSE_DRIFTS["schur-relative"]
+        spectrum = _Spectrum(Q)
+        fixed, free = spectrum.exp_action(x[:, None], np.ones(1)), spectrum.exp_action(x[:, None])
+        for t in (0.5, 4.0, 0.5):
+            s, v = fixed(t)
+            s_ref, v_ref = action_as_written(spectrum.split, x[:, None], np.ones(1), t)
+            assert s == s_ref == free(t, np.ones(1))[0] == 0.0
+            assert np.array_equal(v, v_ref) and np.array_equal(v, free(t, np.ones(1))[1])
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_first_order_mean_square_is_the_inline_formula(self, seed):
+        dec = synthetic_decomposition(5, seed)
+        for t in (0.3, 1.0, 4.0, 1.0):
+            poly = t**3 - dec.p_Gamma * t
+            weights = np.exp(-0.5 * dec.a_coeffs * t - 0.5 * dec.b_coeffs * t**2 - 0.5 * dec.g_coeffs * poly)
+            s, v = action_as_written(dec.spectrum.split, dec.basis, weights * dec.overlaps, t)
+            assert mean_square_first_order(dec, t) == float(np.exp(2.0 * s) * (v @ v))
+
+
 @pytest.mark.parametrize("Q,x", [(triangular(1e4), np.array([0.0, 1.0])), symmetric_drift(8, 5),
                                  (ROTATION, np.array([1.0, 0.0])), (jordan_drift(), np.array([0.6, 0.8]))])
 def test_library_and_cli_print_the_same_bits(tmp_path, Q, x):

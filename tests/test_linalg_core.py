@@ -8,6 +8,7 @@ from gbm_cutoff.linalg_core import (
     CLUSTER_GAP,
     commutator,
     expm_stack,
+    fro,
     matrix_to_rows,
     simultaneous_diagonalize,
 )
@@ -32,6 +33,20 @@ def series_expm(M, terms=60):
 
 def rel_fro(X, Y):
     return np.linalg.norm(X - Y, "fro") / max(np.linalg.norm(Y, "fro"), 1e-300)
+
+
+class TestFro:
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided"])
+    def test_same_bits_as_numpy(self, layout):
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 5, 9):
+            M = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-5, 5, (d, d))
+            M = {"C": M, "F": np.asfortranarray(M), "transposed": M.T, "strided": np.vstack([M, M])[::2]}[layout]
+            assert fro(M) == float(np.linalg.norm(M, "fro"))
+
+    def test_non_finite_entries(self):
+        assert fro(np.array([[1.0, np.inf], [0.0, 1.0]])) == math.inf
+        assert math.isnan(fro(np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
 
 class TestCommutator:

@@ -902,6 +902,25 @@ class TestExactMeanSquare:
                     E = E * E
         assert worst <= 2e-14
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflowing_moment_is_inf_never_nan(self, d):
+        # E|X_t|^2 = d e^{800 t}: beyond the double range at every t here;
+        # exp(tL) overflows, and inf * 0 in its squaring gave NaN at d = 2
+        sys = GBMSystem(A=400.0 * np.eye(d), B=np.zeros((d, d)), x=np.ones(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1.0, 2.0, 5.0):
+                assert exact_mean_square(sys, t) == math.inf
+
+    @pytest.mark.parametrize("c,t", [(1e4, 20.0), (1e6, 2.0)])
+    def test_overflowing_triangular_moment_is_inf_without_warning(self, c, t):
+        # 2.1e480 at c = 1e4, t = 20 by 60-digit mpmath
+        sys = GBMSystem(A=np.array([[-1.0, c], [0.0, -1.0]]), B=0.1 * np.array([[1.0, 0.0], [0.3, -0.5]]),
+                        x=np.array([0.6, 0.8]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_mean_square(sys, t) == math.inf
+
     def test_pair_larger_than_the_cap_rejected(self, monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 80)  # 3^4 = 81 entries
         for t in (0.0, 1.0):
@@ -922,3 +941,14 @@ def test_time_that_is_not_finite_is_refused(t):
         with pytest.raises(ToolkitError) as err:
             evaluate()
         assert err.value.code == "bad_time"
+
+
+def test_mean_and_se_sums_are_the_array_sums():
+    # fsum over .tolist() reads the same doubles as fsum over the array
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 100, 8192):
+        values = rng.lognormal(0.0, 2.0, n) * 10.0 ** rng.integers(-50, 50)
+        mean = math.fsum(values) / n
+        se = math.sqrt(math.fsum(np.square(values - mean)) / (n - 1) / n)
+        assert simulate._mean_and_se(values) == (mean, se)
+    assert simulate._mean_and_se(np.array([1e308, 1e308])) == (math.inf, math.inf)
