@@ -36,7 +36,7 @@ from .noncommutative_cutoff import (
     mode_decomposition,
     synthetic_mode_decomposition,
 )
-from .simulate import SEED_END, _with_first_order_reference, estimate_mean_squares
+from .simulate import SEED_END, _estimation, estimate_mean_squares
 from .spectral_asymptotics import _read_decay, _Spectrum
 from .system import GBMSystem
 
@@ -327,12 +327,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, str]:
         ests = estimate_mean_squares(sys_, cfg.t_grid, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
         refs = [(msq(t), 0.0) for t in cfg.t_grid]
     else:
-        # both grids are checked before anything is drawn, the reference's first,
-        # so representation_invalid wins over any code of the grid; the
-        # reference then runs on the pool beside the EM step loop, and an
-        # error of the estimates wins over one of the reference
-        ests, exact = _with_first_order_reference(sys_, cfg.t_grid, cfg.n_paths, cfg.dt, cfg.seed)
-        refs = [(est.value, est.std_error) for est in exact]
+        # the reference's grid is checked before the estimates run, so
+        # representation_invalid wins over any code of the grid; the
+        # reference runs after them, so an error of theirs wins over its own
+        reference = _estimation(sys_, cfg.t_grid, "exact_first_order", cfg.n_paths, cfg.dt, cfg.seed)
+        ests = estimate_mean_squares(sys_, cfg.t_grid, "euler_maruyama", cfg.n_paths, dt=cfg.dt, seed=cfg.seed)
+        refs = [(est.value, est.std_error) for est in reference()]
     rows = []
     for t, (ref, ref_se), est in zip(cfg.t_grid, refs, ests):
         ok = abs(est.value - ref) <= 3.0 * math.hypot(ref_se, est.std_error)

@@ -13,12 +13,11 @@ and on the calling thread otherwise: each task draws, steps and
 exponentiates its rows and reduces them to |X_t|^2.  The d > 1
 Euler-Maruyama kernel steps all rows of a batch of at most 2048 paths at
 once, time-major, one product [I + dt D; B] X (D the Ito drift) and two
-in-place updates per step, and draws its rows in chunks on the pool.
-First-order verify (_with_first_order_reference) reads its exact-sampler
-reference off each batch's draw: the batch's reference rows run as one
-pool task beside its step loop.  The output does not depend on the CPU
-count.  The exact and Magnus kernels, like the moment equation, exponentiate
-with linalg_core.expm_stack, a stack at once, its rows independent.
+in-place updates per step, and draws its rows in chunks on the pool.  No
+pool task outlives its estimate, and the output does not depend on the CPU
+count.  The exact schemes sample e^{tA} e^{W_t B} e^{u_t C} x, with no
+exponential per path (_exact_kernel); the Magnus kernel and the moment
+equation exponentiate with linalg_core.expm_stack, its rows independent.
 The public single-path functions are n = 1 views.  The reduction uses
 exact compensated summation over the per-path values in index order.
 """
@@ -28,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,6 +38,7 @@ from numpy.random import Generator, Philox
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
 from .linalg_core import commutator, expm_stack
+from .spectral_asymptotics import _product, _Spectrum
 from .system import GBMSystem
 
 SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_truncated")
@@ -51,8 +52,7 @@ SEED_END = 1 << 64
 # columns, and 2048 paths of 2000 steps hold their increments in 33 MB where
 # 8192 held 131 MB.  Scalar EM and Magnus chunks stay at their
 # _CHUNK_DOUBLES rows (131 at 2000 steps); the exact schemes' 2-draw rows
-# take 2048 per chunk (9-point exact_first_order estimates at 8192 paths:
-# 105-116 -> 96-111 ms, min of 9, same bits).
+# take 2048 per chunk.
 _BATCH = 2048
 # Bound on the largest array of one batch, in doubles (2^24, 128 MiB): rows x
 # steps of its increments, rows x d^2 of its exponents.  The chunks of rows
@@ -110,8 +110,12 @@ def _run_chunks(task, n: int, k: int, per_row: int) -> None:
     if workers == 1 or len(todo) == 1:
         drain()
     else:
-        # list() waits for every worker and re-raises a task's exception
-        list(_POOL.map(lambda _: drain(), range(min(workers, len(todo)))))
+        # every worker is done before a task's exception is re-raised, so no
+        # task outlives the call
+        tasks = [_POOL.submit(drain) for _ in range(min(workers, len(todo)))]
+        wait(tasks)
+        for task in tasks:
+            task.result()
 
 
 def _fill(z: np.ndarray, seed: int, lo: int) -> None:
@@ -176,26 +180,19 @@ def _increments(n: int, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
     return inc
 
 
-def _time_major_increments(
-    n: int, dt: float, seed: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _time_major_increments(n: int, dt: float, seed: int, lo: int, hi: int) -> np.ndarray:
     """The increments of _increments transposed, one row per step and one
     column per path lo..hi-1, drawn in chunks of rows on the pool straight
-    into place; and each path's first two normals unscaled, the rows of
-    _normals(seed, lo, hi, 2), or None for paths of one step.  The chunks in
-    flight hold at most a quarter of _MAX_BATCH_DOUBLES beside these arrays."""
+    into place.  The chunks in flight hold at most a quarter of
+    _MAX_BATCH_DOUBLES beside this array."""
     inc = np.empty((n, hi - lo))
-    pairs = np.empty((hi - lo, 2)) if n >= 2 else None
 
     def fill(a: int, b: int) -> None:
-        z = _normals(seed, lo + a, lo + b, n)
-        if pairs is not None:
-            pairs[a:b] = z[:, :2]
         # scaled while transposed: the bits of _increments, one pass fewer
-        np.multiply(z.T, math.sqrt(dt), out=inc[:, a:b])
+        np.multiply(_normals(seed, lo + a, lo + b, n).T, math.sqrt(dt), out=inc[:, a:b])
 
     _run_chunks(fill, hi - lo, n, 4 * n)
-    return inc, pairs
+    return inc
 
 
 def _pairs(t: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,16 +287,6 @@ def _ito_drift(sys: GBMSystem) -> np.ndarray:
     return sys.A + 0.5 * (sys.B @ sys.B)
 
 
-def _exact_exponents(sys: GBMSystem, t: float, C: np.ndarray | None, z: np.ndarray) -> np.ndarray:
-    """tA + W_t B, plus (t W_t / 2 - int W ds) C unless C is None (the
-    commutative scheme), from each path's 2 normals `z`."""
-    w, integral = _pairs(t, z)
-    M = t * sys.A[None] + w[:, None, None] * sys.B[None]
-    if C is not None:
-        M = M + (0.5 * t * w - integral)[:, None, None] * C[None]
-    return M
-
-
 def _magnus_exponents(sys: GBMSystem, t: float, f: PathFunctionals) -> np.ndarray:
     """Truncated stochastic Magnus exponents, one per entry of the functionals."""
     B = sys.B
@@ -331,22 +318,15 @@ def _prefix_products(f: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     return [prods[k] for k in ks]
 
 
-def _nothing(*args) -> None:
-    pass
-
-
-def _euler_states(
-    sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, hi: int, drawn=_nothing
-) -> list[np.ndarray]:
+def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, hi: int) -> list[np.ndarray]:
     """Euler-Maruyama states of the Ito form dX = (A + B^2/2) X dt + B X dW
     after k steps, for each k of `ks`, from one draw of max(ks) steps.
 
     The scalar kernel works on its rows alone.  For d > 1 the kernel draws
-    the batch, calls drawn(lo, hi, pairs) with the pairs of
-    _time_major_increments, then takes each step as one (2d x d) @
-    (d x rows) product [I + dt D; B] X over every row of the batch, with D
-    the Ito drift and the rows' increments of that step contiguous, and
-    X = (I + dt D) X + dW (BX) in place."""
+    the batch, then takes each step as one (2d x d) @ (d x rows) product
+    [I + dt D; B] X over every row of the batch, with D the Ito drift and
+    the rows' increments of that step contiguous, and X = (I + dt D) X +
+    dW (BX) in place."""
     drift = _ito_drift(sys)
     if sys.dim == 1:
         # scalar update collapses to a product of per-step factors
@@ -356,8 +336,7 @@ def _euler_states(
         inc += 1.0 + drift[0, 0] * dt
         return [(sys.x[0] * p)[:, None] for p in _prefix_products(inc, ks)]
     d, n = sys.dim, hi - lo
-    dW, pairs = _time_major_increments(max(ks), dt, seed, lo, hi)
-    drawn(lo, hi, pairs)
+    dW = _time_major_increments(max(ks), dt, seed, lo, hi)
     if n == 1:
         # numpy multiplies by a one-column matrix through gemv, which rounds
         # differently from gemm; stepping a lone path as two columns keeps its
@@ -377,42 +356,64 @@ def _euler_states(
     return [states[k] for k in ks]
 
 
-def _end_states(
-    sys: GBMSystem,
-    ts: list[float],
-    scheme: str,
-    dt: float,
-    seed: int,
-    lo: int,
-    hi: int,
-    C: np.ndarray | None = None,
-    drawn=_nothing,
-    pairs: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """X_t(x) under `scheme` for each t of `ts` (all > 0), one row per path
-    lo..hi-1.  Each path is drawn once, at the largest t; every other t reads
-    a prefix of that draw, so its rows are those of a draw at that t.  `C` is
-    the gated C = [B, A] of exact_first_order (from _first_order_matrix), and
-    None for every other scheme.  The d > 1 Euler-Maruyama kernel calls
-    drawn(lo, hi, pairs) between its draw and its step loop; no other kernel
-    calls it.  The exact kernels read `pairs`, the rows' 2 normals, when
-    given, and draw them otherwise."""
+def _exact_kernel(sys: GBMSystem, ts: list[float], C: np.ndarray | None) -> Callable:
+    """The exact kernel: X_t = e^{tA} e^{W_t B} e^{u_t C} x with u_t = t W_t -
+    int W, which is exp(tA + W_t B + (t W_t / 2 - int W) C) x as C = [B, A]
+    commutes with A and B (C None: the commutative scheme, no e^{uC}).
+    e^{tA} is one expm_stack over `ts`, and e^{WB} and e^{uC} act on every
+    path at once, one time per column, from one split of B and of C, all
+    formed here, once."""
+    x, eye = sys.x[:, None], np.eye(sys.dim)
+    by_A = expm_stack(np.multiply.outer(ts, sys.A))
+    by_B = _Spectrum(sys.B).exp_action(eye, real=True)
+    by_C = None if C is None else _Spectrum(C).exp_action(eye, real=True)
+
+    def acted(act: Callable, times: np.ndarray, X: np.ndarray) -> np.ndarray:
+        s, v = act(times, X)
+        return np.exp(s) * v
+
+    def states(seed: int, lo: int, hi: int) -> list[np.ndarray]:
+        z = _normals(seed, lo, hi, 2)
+        if hi - lo == 1:
+            # einsum reduces a lone contiguous column as a dot product, which
+            # rounds differently; a lone path goes as two columns, as in EM
+            z = np.repeat(z, 2, axis=0)
+        out = []
+        for t, E in zip(ts, by_A):
+            w, integral = _pairs(t, z)
+            X = np.repeat(x, len(z), axis=1)
+            if by_C is not None:
+                X = acted(by_C, t * w - integral, X)
+            out.append(_product(E, acted(by_B, w, X))[:, : hi - lo].T.copy())
+        return out
+
+    return states
+
+
+def _kernel(sys: GBMSystem, ts: list[float], scheme: str, dt: float, C: np.ndarray | None = None) -> Callable:
+    """seed, lo, hi -> X_t(x) under `scheme` for each t of `ts` (all > 0), one
+    row per path lo..hi-1.  Each path is drawn once, at the largest t; every
+    other t reads a prefix of that draw, so its rows are those of a draw at
+    that t.  `C` is the gated C = [B, A] of exact_first_order (from
+    _first_order_matrix), and None for every other scheme."""
+    if scheme in ("exact_commutative", "exact_first_order"):
+        return _exact_kernel(sys, ts, C)
+    ks = [_nsteps(t, dt) for t in ts]
     if scheme == "euler_maruyama":
-        return _euler_states(sys, [_nsteps(t, dt) for t in ts], dt, seed, lo, hi, drawn)
-    if scheme == "magnus_truncated":
-        ks = [_nsteps(t, dt) for t in ts]
+        return lambda seed, lo, hi: _euler_states(sys, ks, dt, seed, lo, hi)
+
+    def magnus(seed: int, lo: int, hi: int) -> list[np.ndarray]:
         fs = _functionals(_walk(_increments(max(ks), dt, seed, lo, hi)), ks, dt)
-        exponents = (_magnus_exponents(sys, t, f) for t, f in zip(ts, fs))
-    else:
-        z = _normals(seed, lo, hi, 2) if pairs is None else pairs
-        exponents = (_exact_exponents(sys, t, C, z) for t in ts)
-    return [expm_stack(Y) @ sys.x for Y in exponents]
+        return [expm_stack(_magnus_exponents(sys, t, f)) @ sys.x for t, f in zip(ts, fs)]
+
+    return magnus
 
 
 def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) -> np.ndarray:
-    """X_t(x) = exp(tA + W_t B + (t W_t / 2 - int W ds) C) x with one exact pair."""
+    """X_t(x) = exp(tA + W_t B + (t W_t / 2 - int W ds) C) x with one exact
+    pair, taken as e^{tA} e^{W_t B} e^{(t W_t - int W ds) C} x."""
     C = _first_order_matrix(sys)
-    return _end_states(sys, [t], "exact_first_order", 0.0, seed, index, index + 1, C)[0][0]
+    return _kernel(sys, [t], "exact_first_order", 0.0, C)(seed, index, index + 1)[0][0]
 
 
 def euler_maruyama(sys: GBMSystem, t: float, dt: float, seed: int, index: int) -> np.ndarray:
@@ -420,7 +421,7 @@ def euler_maruyama(sys: GBMSystem, t: float, dt: float, seed: int, index: int) -
     if t == 0.0:
         _check_key(seed, index, index + 1)
         return sys.x.copy()
-    return _end_states(sys, [t], "euler_maruyama", dt, seed, index, index + 1)[0][0]
+    return _kernel(sys, [t], "euler_maruyama", dt)(seed, index, index + 1)[0][0]
 
 
 def magnus_exponent(sys: GBMSystem, path: BrownianPath, t: float) -> np.ndarray:
@@ -501,53 +502,47 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-class _Estimation:
-    """An estimate_mean_squares call with its grid checked: it draws nothing
-    until rows() or run() is called, and estimates() reduces the rows."""
+def _estimation(
+    sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int
+) -> Callable[[], list[MCEstimate]]:
+    """An estimate_mean_squares call with its grid checked, here: the
+    returned call draws every path and reduces the rows to the estimates."""
+    steps, C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
 
-    def __init__(self, sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int):
-        self.steps, self.C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
-        self.sys, self.ts, self.scheme, self.n_paths, self.dt, self.seed = sys, ts, scheme, n_paths, dt, seed
-        self.drawn_ts = list(dict.fromkeys(t for t, k in zip(ts, self.steps) if k))
-        self.values = {t: np.empty(n_paths) for t in self.drawn_ts}
+    def run() -> list[MCEstimate]:
+        drawn_ts = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
+        values = {t: np.empty(n_paths) for t in drawn_ts}
+        if drawn_ts:
+            # overflow surfaces as a non-finite estimate, refused below; the
+            # error state is per thread, so each pool task sets its own
+            with np.errstate(all="ignore"):
+                kernel = _kernel(sys, drawn_ts, scheme, dt, C)
 
-    def rows(self, lo: int, hi: int, drawn=_nothing, pairs: np.ndarray | None = None) -> None:
-        """|X_t|^2 of paths lo..hi-1 at each drawn t, into self.values; drawn
-        and pairs go to _end_states."""
-        # overflow surfaces as a non-finite estimate, refused by estimates();
-        # the error state is per thread, so each pool task sets its own
-        ts = self.drawn_ts
-        with np.errstate(all="ignore"):
-            for t, X in zip(ts, _end_states(self.sys, ts, self.scheme, self.dt, self.seed, lo, hi, self.C, drawn, pairs)):
-                self.values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
+            def rows(lo: int, hi: int) -> None:
+                with np.errstate(all="ignore"):
+                    for t, X in zip(drawn_ts, kernel(seed, lo, hi)):
+                        values[t][lo:hi] = np.einsum("ni,ni->n", X, X)
 
-    def run(self, drawn=_nothing) -> list[MCEstimate]:
-        """Every path's rows, then estimates().  drawn(lo, hi, pairs) runs on
-        the calling thread after each d > 1 Euler-Maruyama batch's draw; the
-        chunked kernels draw inside their pool tasks, which never call it."""
-        if self.drawn_ts:
-            k, per_row = max(self.steps), max(max(self.steps), self.sys.dim**2)
-            if self.scheme == "euler_maruyama" and self.sys.dim > 1:
+            k, per_row = max(steps), max(max(steps), sys.dim**2)
+            if scheme == "euler_maruyama" and sys.dim > 1:
                 # each step spans every row of a batch; the kernel pools its draws
                 size = min(_BATCH, _MAX_BATCH_DOUBLES // per_row)
-                for lo in range(0, self.n_paths, size):
-                    self.rows(lo, min(lo + size, self.n_paths), drawn)
+                for lo in range(0, n_paths, size):
+                    rows(lo, min(lo + size, n_paths))
             else:
-                _run_chunks(self.rows, self.n_paths, k, per_row)
-        return self.estimates()
-
-    def estimates(self) -> list[MCEstimate]:
-        """The estimate at each t of the grid, once every path's rows are in."""
+                _run_chunks(rows, n_paths, k, per_row)
         with np.errstate(all="ignore"):
-            moments = {t: _mean_and_se(v) for t, v in self.values.items()}
-            at_zero = (float(self.sys.x @ self.sys.x), 0.0)
+            moments = {t: _mean_and_se(v) for t, v in values.items()}
+            at_zero = (float(sys.x @ sys.x), 0.0)
         estimates = []
-        for t in self.ts:
+        for t in ts:
             value, std_error = moments.get(t, at_zero)
             if not (math.isfinite(value) and math.isfinite(std_error)):
                 raise ToolkitError("report_not_finite", f"estimate at t={t} is {value} +- {std_error}")
-            estimates.append(MCEstimate(value, std_error, self.n_paths, self.seed, self.scheme))
+            estimates.append(MCEstimate(value, std_error, n_paths, seed, scheme))
         return estimates
+
+    return run
 
 
 def estimate_mean_squares(
@@ -574,44 +569,7 @@ def estimate_mean_squares(
     d^2 > 2^24 with ``too_large``, and an estimate whose value or standard
     error is not finite with ``report_not_finite``.
     """
-    return _Estimation(sys, ts, scheme, n_paths, dt, seed).run()
-
-
-def _with_first_order_reference(
-    sys: GBMSystem, ts: list[float], n_paths: int, dt: float, seed: int
-) -> tuple[list[MCEstimate], list[MCEstimate]]:
-    """The euler_maruyama and exact_first_order estimates of one grid, with
-    the bits of the two estimate_mean_squares calls in sequence.
-
-    Both grids are checked first, the reference's and then Euler-Maruyama's,
-    before anything is drawn, so the first-order gate runs once and its
-    ``representation_invalid`` wins over any code of either grid.  Each d > 1
-    Euler-Maruyama batch hands its paths' first two normals, the reference's
-    draws, to one pool task submitted from the calling thread, which computes
-    the batch's reference rows beside its step loop and submits nothing; at
-    one step per path the tasks draw their own pairs.  When no batch is
-    handed over (d = 1, or every t is 0), the reference runs after the
-    estimates on the calling thread.  An error of the Euler-Maruyama estimate
-    wins over one of the reference, as in sequence, and every task is done
-    or cancelled before this returns."""
-    reference = _Estimation(sys, ts, "exact_first_order", n_paths, dt, seed)
-    em = _Estimation(sys, ts, "euler_maruyama", n_paths, dt, seed)
-    tasks = []
-
-    def drawn(lo: int, hi: int, pairs: np.ndarray | None) -> None:
-        tasks.append(_POOL.submit(reference.rows, lo, hi, pairs=pairs))
-
-    try:
-        estimates = em.run(drawn)
-        if not tasks:
-            return estimates, reference.run()
-        for task in tasks:
-            task.result()
-        return estimates, reference.estimates()
-    finally:
-        for task in tasks:
-            task.cancel()
-        wait(tasks)
+    return _estimation(sys, ts, scheme, n_paths, dt, seed)()
 
 
 def estimate_mean_square(

@@ -126,6 +126,15 @@ class _Split(NamedTuple):
         """basis^-1 V: the blocks' coordinates of V, stacked."""
         return np.linalg.solve(self.basis, V) if self.inverse is None else self.inverse @ V
 
+    def real(self) -> "_Split":
+        """The split in real arrays when none has an imaginary part (W of a
+        real spectrum, the one block of a real M), else itself."""
+        arrays = [self.basis, self.inverse, self.rates, *(b.N for b in self.blocks)]
+        if any(np.iscomplexobj(a) and a.imag.any() for a in arrays if a is not None):
+            return self
+        basis, inverse, rates, *Ns = (None if a is None else np.ascontiguousarray(a.real) for a in arrays)
+        return _Split(basis, inverse, rates, [b._replace(N=N) for b, N in zip(self.blocks, Ns)])
+
 
 def _cluster_block(M: np.ndarray, schur: Callable, lam: np.ndarray, members: list[int]):
     """(basis, coordinate rows, M in the block's coordinates, rounding
@@ -263,7 +272,7 @@ class _Spectrum:
             return _Split(self.W, None, lam, sorted(blocks, key=lambda b: -b.r.real))
         return _schur_split(self.M, lam)
 
-    def exp_action(self, V: np.ndarray, u: Optional[np.ndarray] = None) -> Callable:
+    def exp_action(self, V: np.ndarray, u: Optional[np.ndarray] = None, real: bool = False) -> Callable:
         """t, u -> (s, v) with exp(tM) V u = e^s v for a d x k matrix V, O(d^2)
         per call, off the coordinates h = G u (G = basis^-1 V) and their images
         p under sum_{j<k} (tN)^j/j! on each block of k > 1 eigenvalues.  On
@@ -277,39 +286,70 @@ class _Spectrum:
         their small expm1 instead of cancelling each other in the sum.
         s = t max(0, Re c0) is +0.0 for a decaying M, whose action skips the
         exact - s; a growing M's overflow shows as an infinite e^s, not as NaN.
+        Only blocks that hold a nonzero coordinate of h set c0 and s and enter
+        the sum: a block h misses adds exactly 0, and a growing mode that h
+        misses would overflow e^s while v underflows.
 
-        Given a fixed u, the action is t -> (s, v) at that u, and h (and V u)
-        are formed once, here."""
+        u may be a d x n matrix with t (and s) an array of n times, one per
+        column, the outer product with t in place of the product by t.  Given
+        a fixed u, the action is t -> (s, v) at that u, and h (and V u) are
+        formed once, here.  `real` takes _Split.real: faster, but not the
+        complex roundings the closed forms' bits rest on."""
         if self.failure is not None and self.failure[0] == "not_finite":
             nan = np.full(self.M.shape[0], np.nan)
             return (lambda t, u: (0.0, nan)) if u is None else (lambda t: (0.0, nan))
-        split = self.split
+        split = self.split.real() if real else self.split
         G = split.coordinates(V)
         chains = [b for b in split.blocks if b.N.shape[0] > 1]
-        lead = split.rates[np.argmax(split.rates.real)]
-        growth, shift = max(0.0, float(lead.real)), split.rates - lead
         relative = split.inverse is not None and len(split.blocks) > 1
 
-        def act(t: float, h: np.ndarray, Vu: Optional[np.ndarray], copy: bool) -> tuple[float, np.ndarray]:
+        def leading(rates: np.ndarray) -> tuple:
+            c0 = rates[np.argmax(rates.real)]
+            return rates, c0, max(0.0, float(c0.real)), rates - c0
+
+        every = leading(split.rates)
+
+        def held(h: np.ndarray) -> tuple:
+            """leading() over the blocks that hold a nonzero coordinate of h;
+            every other block takes their c0 as its rate, so that its zero
+            term stays finite.  A chain's zero coordinate is not such a block:
+            its Horner image need not be zero."""
+            if np.count_nonzero(h) == h.size:  # no block to leave out: the common case, kept cheap
+                return every
+            live = (h != 0).reshape(len(h), -1).any(axis=1)
+            for b in chains:
+                live[b.cols] = live[b.cols].any()
+            return leading(np.where(live, split.rates, leading(split.rates[live])[1])) if live.any() else every
+
+        def act(t, h: np.ndarray, Vu: Optional[np.ndarray], copy: bool, lead: Optional[tuple] = None) -> tuple:
+            rates, c0, growth, shift = held(h) if lead is None else lead
             p = h.copy() if copy else h
             for b in chains:  # Horner: c + tN (c + tN/2 (c + ...))
                 c = z = h[b.cols]
                 for j in range(b.N.shape[0] - 1, 0, -1):
-                    z = c + (t / j) * (b.N @ z)
+                    z = c + (t / j) * _product(b.N, z)
                 p[b.cols] = z
             s = t * growth
             if not relative:
-                w = t * split.rates
-                return s, (split.basis @ (np.exp(w - s if growth else w) * p)).real
-            d = np.expm1(t * shift) * p + (p - h)
-            w = t * lead
-            return s, (np.exp(w - s if growth else w) * (Vu + split.basis @ d)).real
+                w = np.multiply.outer(rates, t)
+                return s, _product(split.basis, np.exp(w - s if growth else w) * p).real
+            d = np.expm1(np.multiply.outer(shift, t)) * p + (p - h)
+            w = t * c0
+            return s, (np.exp(w - s if growth else w) * (Vu + _product(split.basis, d))).real
 
         if u is None:
-            return lambda t, u: act(t, G @ u, V @ u if relative else None, relative)
+            return lambda t, u: act(t, _product(G, u), _product(V, u) if relative else None, relative)
         # the Horner step writes p in place, so cached coordinates are copied
-        h, Vu = G @ u, V @ u if relative else None
-        return lambda t: act(t, h, Vu, relative or bool(chains))
+        h, Vu = _product(G, u), _product(V, u) if relative else None
+        lead = held(h)
+        return lambda t: act(t, h, Vu, relative or bool(chains), lead)
+
+
+def _product(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """M @ z; for a matrix z by einsum, whose columns' bits, unlike those of
+    a BLAS product, do not depend on how many columns there are, from two
+    on (einsum reduces a lone contiguous real column as a dot product)."""
+    return M @ z if z.ndim == 1 else np.einsum("ij,jn->in", M, z)
 
 
 def _squared_norm(s: float, v: np.ndarray) -> float:

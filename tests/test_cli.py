@@ -622,6 +622,28 @@ def test_closed_form_report_on_a_simple_drift_loads_no_scipy(tmp_path, command):
     assert proc.stdout == "0 []\n"
 
 
+@pytest.mark.parametrize("pair,loaded", [("heisenberg", False), ("shifted blocks", True)])
+def test_exact_sampler_loads_scipy_only_for_a_schur_split(tmp_path, pair, loaded):
+    # a fresh interpreter: the Heisenberg B and C are one block each; the
+    # shifted blocks' B has two eigenvalue clusters, split off a Schur form
+    if pair == "heisenberg":
+        cfg = HEISENBERG
+    else:
+        Z, H, E = np.zeros((3, 3)), np.array(HEISENBERG["A"]), np.array(HEISENBERG["B"])
+        cfg = {"mode": "first_order", "A": np.block([[H - 0.5 * np.eye(3), Z], [Z, H - np.eye(3)]]).tolist(),
+               "B": np.block([[E, Z], [Z, E + 0.3 * np.eye(3)]]).tolist(), "x": [0.3, -1.7, 2.2, 1.0, 0.5, -0.8]}
+    path = write_config(tmp_path, **cfg)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; from gbm_cutoff import cli; "
+        f"rc = cli.main(['verify', '--config', {path!r}, '--paths', '200', '--out', {str(tmp_path / 'report')!r}]); "
+        "print(rc, 'scipy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == f"0 {loaded}\n"
+
+
 def test_moment_equation_loads_no_scipy():
     # a fresh interpreter: exact_mean_square exponentiates with expm_stack
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -789,7 +811,7 @@ class TestOncePerReport:
     @pytest.mark.parametrize("command,pair,kernel_calls", [
         ("mean-square", "scalar", 1),
         ("verify", "scalar", 1),
-        ("verify", "heisenberg", 1),  # the exact-sampler reference reads the estimates' draw
+        ("verify", "heisenberg", 2),  # the estimates' draw, then the exact-sampler reference's
     ])
     def test_each_path_is_drawn_once_per_kernel_call(self, tmp_path, monkeypatch, command, pair, kernel_calls):
         path = write_config(tmp_path, **(HEISENBERG if pair == "heisenberg" else {}))
@@ -923,17 +945,16 @@ class TestVerify:
         ([0.25 * k for k in range(9)], 300, 1e-3),
     ])
     def test_first_order_report_is_the_two_estimates_in_sequence(self, tmp_path, capsys, grid, paths, dt):
-        # the reference runs beside the EM step loop, with the bits it has alone
+        # the reference runs after the EM estimates, with the bits it has alone
         path = write_config(tmp_path, **HEISENBERG, t_grid=grid, mc={"n_paths": paths, "dt": dt, "seed": 4})
         assert main(["verify", "--config", path, "--out", "-"]) == 0
         assert_two_estimates_in_sequence(capsys, grid, paths, dt, 4)
 
-    @pytest.mark.parametrize("grid,dt,keyings", [
-        ([0.25 * k for k in range(9)], 0.01, 1),  # the reference reads the estimates' first two normals
-        ([0.0, 0.1, 0.1], 0.1, 2),  # a one-step path holds one normal: the reference draws its own pairs
-    ])
-    def test_first_order_verify_keys_each_path_once(self, tmp_path, capsys, monkeypatch, grid, dt, keyings):
-        paths, rows, fill = 4100, [], simulate._fill  # three batches
+    @pytest.mark.parametrize("grid,dt", [([0.25 * k for k in range(9)], 0.01), ([0.0, 0.1, 0.1], 0.1)])
+    def test_first_order_verify_keys_each_path_once_per_estimate(self, tmp_path, capsys, monkeypatch, grid, dt):
+        # the estimates key each path for its increments, then the reference
+        # for its pair of normals
+        paths, rows, fill, keyings = 4100, [], simulate._fill, 2  # three batches
 
         def counted(z, seed, lo):
             rows.append(len(z))
@@ -946,16 +967,15 @@ class TestVerify:
         assert_two_estimates_in_sequence(capsys, grid, paths, dt, 8)
 
     @pytest.mark.parametrize("paths,submissions", [
-        # one batch: its draws' 2 chunks take 2 of 3 workers, then its reference task
-        (200, {3: 3, 1: 1}),
+        # one batch: its draws' 2 chunks take 2 of 3 workers
+        (200, {3: 2, 1: 0}),
         # batches of 2048, 2048 and 4 paths: 3 workers draw each of the first
-        # two batches' 16 chunks, the third's one chunk is drawn inline, and
-        # each batch submits its reference task
-        (4100, {3: 9, 1: 3}),
+        # two batches' 16 chunks, and the third's one chunk is drawn inline
+        (4100, {3: 6, 1: 0}),
     ])
-    def test_reference_is_one_task_submitted_from_the_calling_thread(self, tmp_path, capsys, monkeypatch, paths,
-                                                                     submissions):
-        # paths of 2000 steps, whose EM draws are pooled; one reference task per batch
+    def test_report_does_not_depend_on_the_worker_count(self, tmp_path, capsys, monkeypatch, paths, submissions):
+        # paths of 2000 steps, whose EM draws are pooled; the reference's
+        # 2-draw rows run on the calling thread, which alone submits tasks
         path = write_config(tmp_path, **HEISENBERG, mc={"n_paths": paths, "dt": 1e-3, "seed": 5})
         assert main(["verify", "--config", path, "--out", "-"]) == 0
         default = capsys.readouterr().out
@@ -963,31 +983,13 @@ class TestVerify:
             pool, interval = SubmissionSpy(workers), sys.getswitchinterval()
             monkeypatch.setattr(simulate, "_WORKERS", workers)
             monkeypatch.setattr(simulate, "_POOL", pool)
-            sys.setswitchinterval(1e-6)  # interleave the reference tasks with the draws often
+            sys.setswitchinterval(1e-6)  # interleave the pool's threads often
             try:
                 assert main(["verify", "--config", path, "--out", "-"]) == 0
             finally:
                 sys.setswitchinterval(interval)
                 pool.shutdown()
             assert (capsys.readouterr().out, pool.submissions) == (default, submissions[workers])
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_no_task_outlives_a_failing_report(self, tmp_path, capsys, monkeypatch, d):
-        # |X_0.5|^2 overflows in the estimates (x = 1e150, A = 400 I): at d = 2
-        # the batch's reference task was submitted, and is done or cancelled
-        # when verify returns; at d = 1 nothing is submitted, as the
-        # reference runs on the calling thread after the estimates
-        pool = SubmissionSpy(2)
-        monkeypatch.setattr(simulate, "_WORKERS", 2)
-        monkeypatch.setattr(simulate, "_POOL", pool)
-        path = write_config(tmp_path, mode="first_order", A=(400.0 * np.eye(d)).tolist(), B=np.zeros((d, d)).tolist(),
-                            x=[1e150] * d, t_grid=[0.5], mc={"n_paths": 200, "dt": 0.01, "seed": 3})
-        try:
-            assert main(["verify", "--config", path, "--out", "-"]) == 1
-            assert capsys.readouterr().err == "report_not_finite\n"
-            assert pool.submissions == d - 1 and all(task.done() for task in pool.futures)
-        finally:
-            pool.shutdown()
 
     def test_pair_too_large_for_a_batch(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_BATCH_DOUBLES", 8)  # one 3 x 3 exponent holds 9

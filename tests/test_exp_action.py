@@ -190,6 +190,32 @@ class TestPath:
         with np.errstate(all="ignore"):
             assert drift_mean_square(M, np.array([1.0, 1.0]), 800.0) == math.inf
 
+    @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
+    def test_growing_mode_that_x_misses_is_left_out(self, t):
+        # x has no coordinate on the eigenvalue 400: read off W, e^{2s} would
+        # overflow while v underflows (nan); summed relative to 400 on the
+        # Schur blocks, x - x would cancel to 0
+        diagonal = drift_mean_square(np.diag([400.0, -1.0]), np.array([0.0, 1.0]), t)
+        assert diagonal == pytest.approx(math.exp(-2.0 * t), rel=1e-15)
+        Q = np.zeros((3, 3))
+        Q[0, 0], Q[1:, 1:] = 400.0, [[-1.0, 1.0], [0.0, -1.0]]
+        chain = drift_mean_square(Q, np.array([0.0, 1.0, 1.0]), t)  # e^{-t} (1 + t, 1)
+        assert chain == pytest.approx(math.exp(-2.0 * t) * ((1.0 + t) ** 2 + 1.0), rel=1e-15)
+        # a chain's zero coordinate leaves no block out: its Horner image is t e^{-t}
+        Q[0, 0] = -0.5
+        top_zero = drift_mean_square(Q, np.array([1.0, 0.0, 1.0]), t)  # (e^{-t/2}, t e^{-t}, e^{-t})
+        assert top_zero == pytest.approx(math.exp(-t) + (t * t + 1.0) * math.exp(-2.0 * t), rel=1e-15)
+
+    @pytest.mark.parametrize("command", ["mean-square", "verify"])
+    def test_cli_leaves_out_a_growing_mode_that_x_misses(self, tmp_path, capsys, command):
+        # B = 0: the closed form (column 1 of both reports) is e^{-2t}
+        path = commutative_config(tmp_path, np.diag([400.0, -1.0]), [0.0, 1.0], t_grid=[0.0, 1.0, 2.0],
+                                  mc={"n_paths": 200, "dt": 0.01, "seed": 3})
+        assert main([command, "--config", path, "--out", "-"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        for t, row in zip([0.0, 1.0, 2.0], rows):
+            assert float(row[1]) == pytest.approx(math.exp(-2.0 * t), rel=1e-15)
+
     @pytest.mark.parametrize("command,code", [("analyze", "not_finite"), ("mixing", "not_finite"),
                                               ("profile", "not_finite"), ("mean-square", "report_not_finite")])
     def test_overflowed_drift_keeps_its_code(self, tmp_path, monkeypatch, capsys, command, code):
@@ -261,6 +287,24 @@ class TestOncePerEvaluator:
         msq = drift_evaluator(Q, x)
         for t in (0.7, 3.0, 0.7, 12.5, 3.0):
             assert msq(t) == drift_evaluator(Q, x)(t) == drift_msq_as_written(Q, x, t)
+
+    @pytest.mark.parametrize("name", [*REUSE_DRIFTS, "close-pair"])
+    def test_array_of_times_is_one_action_per_column(self, name):
+        # the exact samplers' form: one time per column of u, of either sign,
+        # in complex or (for a split with no imaginary part) real arithmetic;
+        # worst relative gap to the scalar action 2.3e-16.  The close pair's
+        # Schur blocks are summed relative to the lead
+        close_pair = ROTATION_U @ np.array([[-1.0, 10.0], [0.0, -1.0 - 1e-5]]) @ ROTATION_U.T
+        Q, x = REUSE_DRIFTS.get(name) or (close_pair, np.array([0.6, 0.8]))
+        d, spectrum = len(x), _Spectrum(Q)
+        ts = np.array([0.0, 0.3, 2.0, 7.5, 25.0, -0.4, -3.0])
+        U = np.random.default_rng(4).standard_normal((d, len(ts)))
+        for real in (False, True):
+            s, v = spectrum.exp_action(np.eye(d), real=real)(ts, U)
+            for j, t in enumerate(ts):
+                s_j, v_j = spectrum.exp_action(np.eye(d))(float(t), U[:, j])
+                X, X_j = np.exp(s[j]) * v[:, j], np.exp(s_j) * v_j
+                assert np.linalg.norm(X - X_j) <= 1e-15 * np.linalg.norm(X_j)
 
     def test_fixed_and_free_actions_agree(self):
         Q, x = REUSE_DRIFTS["schur-relative"]

@@ -71,6 +71,33 @@ def commuting_system(seed, d):
     return GBMSystem(A=U @ A @ U.T, B=U @ B @ U.T, x=rng.standard_normal(d))
 
 
+def rotated_heisenberg_system():
+    # dense B and C: the Heisenberg pair in a random orthonormal basis
+    Q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))
+    return GBMSystem(A=Q @ elementary(2, 3) @ Q.T, B=Q @ elementary(1, 2) @ Q.T, x=np.array([0.3, -1.7, 2.2]))
+
+
+def shifted_blocks_system():
+    # two Heisenberg blocks whose B differs by 0.3 I: B has two eigenvalue
+    # clusters, so its split is read off the Schur form, while C = E13 + E46
+    Z = np.zeros((3, 3))
+    A = np.block([[elementary(2, 3) - 0.5 * np.eye(3), Z], [Z, elementary(2, 3) - np.eye(3)]])
+    B = np.block([[elementary(1, 2), Z], [Z, elementary(1, 2) + 0.3 * np.eye(3)]])
+    return GBMSystem(A=A, B=B, x=np.array([0.3, -1.7, 2.2, 1.0, 0.5, -0.8]))
+
+
+# (system, scheme) pairs the exact kernel is checked on
+EXACT_SYSTEMS = ["heisenberg", "rotated heisenberg", "dense commuting", "shifted blocks", "scalar"]
+
+
+def exact_system(name):
+    if name == "scalar":
+        return scalar_system(), "exact_commutative"
+    system = {"heisenberg": heisenberg_system, "rotated heisenberg": rotated_heisenberg_system,
+              "dense commuting": lambda: commuting_system(5, 3), "shifted blocks": shifted_blocks_system}[name]
+    return system(), "exact_first_order"
+
+
 def square_norm(X):
     """|X|^2 reduced as the estimator reduces each path."""
     return float(np.einsum("ni,ni->n", X[None], X[None])[0])
@@ -190,6 +217,63 @@ class TestExactFirstOrder:
         for i in range(100):
             sample_exact_first_order(sys, 1.0, seed=65, index=i)
         assert len(reports) == 1
+
+
+def full_exponents(sys, t, z, C):
+    """tA + W_t B + (t W_t / 2 - int W) C of each path's 2 normals `z`, the
+    exponent the factored kernel takes apart (C None: commutative scheme)."""
+    w, integral = simulate._pairs(t, z)
+    M = t * sys.A[None] + w[:, None, None] * sys.B[None]
+    return M if C is None else M + (0.5 * t * w - integral)[:, None, None] * C[None]
+
+
+class TestFactoredSampler:
+    @pytest.mark.parametrize("name", EXACT_SYSTEMS)
+    def test_matches_the_pade_exponential_of_the_full_exponent(self, name):
+        # the oracle: one Pade-13 exp of the whole exponent per path.  Worst
+        # relative error over 2000 paths at t = 0.5 and 2 (SkylakeX, Haswell,
+        # Prescott OpenBLAS kernels): Heisenberg 1.4e-16, rotated Heisenberg
+        # 2.3e-15, dense commuting 1.3e-15, shifted blocks 1.1e-15, scalar 4.8e-16
+        sys, scheme = exact_system(name)
+        C = simulate._first_order_matrix(sys) if scheme == "exact_first_order" else None
+        ts, n, seed = [0.5, 2.0], 2000, 87
+        z = simulate._normals(seed, 0, n, 2)
+        for t, X in zip(ts, simulate._kernel(sys, ts, scheme, 0.0, C)(seed, 0, n)):
+            P = expm_stack(full_exponents(sys, t, z, C)) @ sys.x
+            assert np.max(np.linalg.norm(X - P, axis=1) / np.linalg.norm(P, axis=1)) <= 5e-15
+
+    def test_heisenberg_paths_are_the_nilpotent_series(self):
+        # M = tA + W B + u C is nilpotent of index 3, so e^M x = x + Mx + M^2 x / 2
+        sys, C = heisenberg_system(), elementary(1, 3)
+        for t in (0.3, 2.0):
+            z = simulate._normals(66, 0, 50, 2)
+            for i, M in enumerate(full_exponents(sys, t, z, C)):
+                series = sys.x + M @ sys.x + 0.5 * (M @ (M @ sys.x))
+                X = sample_exact_first_order(sys, t, 66, i)
+                assert np.linalg.norm(X - series) <= 1e-15 * np.linalg.norm(series)
+
+    def test_shifted_blocks_against_mpmath(self):
+        # B's two clusters take the Schur split.  Against mpmath.expm at 40
+        # digits over these paths, the Pade oracle errs up to 3.0e-16 and the
+        # factored states 4.9e-16 relative (SkylakeX, Haswell and Prescott
+        # OpenBLAS kernels): within twice the oracle's own error
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        sys = shifted_blocks_system()
+        C = simulate._first_order_matrix(sys)
+        ts, n, seed = [0.5, 2.0, 5.0], 12, 67
+        z = simulate._normals(seed, 0, n, 2)
+        worst = {"pade": 0.0, "factored": 0.0}
+        for t, X in zip(ts, simulate._kernel(sys, ts, "exact_first_order", 0.0, C)(seed, 0, n)):
+            exponents = full_exponents(sys, t, z, C)
+            for i, (M, P) in enumerate(zip(exponents, expm_stack(exponents) @ sys.x)):
+                exact = mp.expm(mp.matrix(M.tolist())) * mp.matrix(sys.x.tolist())
+                norm = mp.norm(exact)
+                for key, Y in (("pade", P), ("factored", X[i])):
+                    err = mp.norm(mp.matrix(Y.tolist()) - exact) / norm
+                    worst[key] = max(worst[key], float(err))
+        assert worst["pade"] <= 1e-15
+        assert worst["factored"] <= 2.0 * worst["pade"]
 
 
 class TestEulerMaruyama:
@@ -465,9 +549,24 @@ class TestBatchRows:
         sys = system()
         t, dt, seed, n = 0.3, 1e-2, 81, 40
         C = simulate._first_order_matrix(sys) if scheme == "exact_first_order" else None
-        X = simulate._end_states(sys, [t], scheme, dt, seed, 0, n, C)[0]
+        X = simulate._kernel(sys, [t], scheme, dt, C)(seed, 0, n)[0]
         for i in range(n):
             assert np.array_equal(X[i], single_end_state(sys, t, scheme, dt, seed, i))
+
+    @pytest.mark.parametrize("name", EXACT_SYSTEMS)
+    def test_exact_rows_do_not_depend_on_the_batch(self, name):
+        # one time per column of every product: a row's bits are those of its
+        # path alone, in any batch, and those of the single-path function
+        sys, scheme = exact_system(name)
+        C = simulate._first_order_matrix(sys) if scheme == "exact_first_order" else None
+        kernel = simulate._kernel(sys, [0.3, 1.7], scheme, 0.0, C)
+        whole = kernel(86, 0, 41)
+        for lo, hi in ((0, 1), (3, 5), (5, 12), (12, 41)):
+            for part, rows in zip(kernel(86, lo, hi), whole):
+                assert np.array_equal(part, rows[lo:hi])
+        if scheme == "exact_first_order":
+            for i in (0, 7, 40):
+                assert np.array_equal(whole[0][i], sample_exact_first_order(sys, 0.3, 86, i))
 
 
 class TestBatchMemory:
@@ -646,14 +745,11 @@ def three_workers(monkeypatch):
         pool.shutdown()
 
 
-def time_major_columns_are_fresh_generators(draw, seed, lo):
-    """Column i of a time-major draw at dt = 1 is path lo + i's generator,
-    and row i of its pairs is that column's first two draws."""
-    dW, pairs = draw
+def time_major_columns_are_fresh_generators(dW, seed, lo):
+    """Column i of a time-major draw at dt = 1 is path lo + i's generator."""
     for i, column in enumerate(dW.T):
         fresh = Generator(Philox(key=np.array([seed, lo + i], dtype=np.uint64)))
         assert np.array_equal(column, fresh.standard_normal(len(dW)))
-    assert np.array_equal(pairs, dW[:2].T)
 
 
 class TestSubstreams:
@@ -693,6 +789,24 @@ class TestSubstreams:
         one = [est.to_dict() for est in estimate_mean_squares(sys, GRID, scheme, 301, dt=5e-4, seed=91)]
         assert three == one
         assert simulate._POOL.submissions == (0 if steps == 1 else 3)  # one worker: the calling thread
+
+    def test_no_task_outlives_a_failing_estimate(self, monkeypatch, three_workers):
+        # the worker that draws the first chunk fails; the others finish
+        # their chunks before the estimate re-raises the failure
+        class Failed(Exception):
+            pass
+
+        fill = simulate._fill
+
+        def failing(z, seed, lo):
+            if lo == 0:
+                raise Failed
+            fill(z, seed, lo)
+
+        monkeypatch.setattr(simulate, "_fill", failing)
+        with pytest.raises(Failed):
+            estimate_mean_square(scalar_system(), 2.0, "euler_maruyama", 2000, dt=1e-3, seed=1)
+        assert simulate._POOL.submissions == 3 and all(task.done() for task in simulate._POOL.futures)
 
     def test_distinct_indices_distinct_draws(self):
         a, b = simulate._normals(5, 0, 2, 4)
