@@ -42,12 +42,7 @@ def effective_drift(sys: GBMSystem) -> np.ndarray:
     exp(tQ)x) come from one checked drift.  Callers test stability
     separately.
     """
-    rep = check_hypotheses(sys)
-    if not (rep.normal_B and rep.commutative):
-        raise ToolkitError(
-            "hypotheses_violated",
-            f"normal_B={rep.normal_B}, commutative={rep.commutative}",
-        )
+    check_hypotheses(sys).require("commutative")
     S = sys.B + sys.B.T
     return sys.A + 0.25 * (S @ S)
 

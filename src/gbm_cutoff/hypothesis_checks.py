@@ -10,16 +10,18 @@ normality + first-order hypothesis set infeasible.  The report states
 this tension explicitly rather than hiding it.
 
 This is the one module that tests the pair's brackets, against the one
-threshold tol (1 + |A|_F)(1 + |B|_F) of ``check_pair``; every regime gate
-(commutative drift, first-order modes, exact samplers) reads its report.
+threshold tol (1 + |A|_F)(1 + |B|_F) of ``check_pair``; its report holds
+every regime gate (``HypothesisReport.require``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .errors import ToolkitError
 from .linalg_core import DEFAULT_TOL, as_matrix, commutator, fro
 from .system import GBMSystem
 
@@ -37,8 +39,28 @@ class HypothesisReport:
     nilpotence_witness: list[float]
     hypothesis_set_infeasible: bool
     threshold: float
-    # the pair's bracket [A, B], read-only; the gates read [B, A] as 0.0 - C
+    # the pair's bracket [A, B], read-only
     C: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def bracket_BA(self) -> np.ndarray:
+        """C = [B, A] of the paper, read-only: 0.0 - [A, B] is +0.0 wherever BA - AB is."""
+        BA = 0.0 - self.C
+        BA.setflags(write=False)
+        return BA
+
+    def require(self, use: str) -> None:
+        """Refuse `use` of the pair outside its regime: a closed form with
+        ``hypotheses_violated``, an exact sampler with ``representation_invalid``."""
+        holds = {
+            "commutative": self.normal_B and self.commutative,
+            "modes": self.normal_B and (self.commutative or self.first_order),
+            "exact_commutative": _vanish(self.residuals, self.threshold, "commute_A_B"),
+            "exact_first_order": _vanish(self.residuals, self.threshold, "commute_A_C", "commute_B_C"),
+        }[use]
+        if not holds:
+            code = "representation_invalid" if use.startswith("exact_") else "hypotheses_violated"
+            raise ToolkitError(code, f"the pair is outside the regime of {use}")
 
     def to_dict(self) -> dict:
         return {
@@ -51,6 +73,11 @@ class HypothesisReport:
             "hypothesis_set_infeasible": self.hypothesis_set_infeasible,
             "threshold": float(self.threshold),
         }
+
+
+def _vanish(res: dict[str, float], thr: float, *keys: str) -> bool:
+    """Every residual of `keys` at most the threshold: the one rule of the booleans and the gates."""
+    return all(res[k] <= thr for k in keys)
 
 
 def check_pair(A, B, tol: float = DEFAULT_TOL) -> HypothesisReport:
@@ -71,13 +98,10 @@ def check_pair(A, B, tol: float = DEFAULT_TOL) -> HypothesisReport:
     }
     thr = tol * (1.0 + fro(A)) * (1.0 + fro(B))
 
-    normal_B = res["normal_B"] <= thr
-    commutative = res["commute_A_B"] <= thr and res["commute_A_Bstar"] <= thr
-    normal_C = res["normal_C"] <= thr
-    double_brackets_vanish = all(
-        res[k] <= thr
-        for k in ("commute_A_C", "commute_A_Cstar", "commute_B_C", "commute_B_Cstar")
-    )
+    normal_B = _vanish(res, thr, "normal_B")
+    commutative = _vanish(res, thr, "commute_A_B", "commute_A_Bstar")
+    normal_C = _vanish(res, thr, "normal_C")
+    double_brackets_vanish = _vanish(res, thr, "commute_A_C", "commute_A_Cstar", "commute_B_C", "commute_B_Cstar")
     # "nonzero" needs a margin in floating point
     c_nonzero = res["commute_A_B"] > NONZERO_MARGIN * thr
     cstar_nonzero = res["commute_A_Bstar"] > NONZERO_MARGIN * thr
@@ -90,7 +114,7 @@ def check_pair(A, B, tol: float = DEFAULT_TOL) -> HypothesisReport:
         witness.append(float(np.trace(P)))
     # C commuting with A (or B) forces all power traces of C to vanish, hence
     # C nilpotent; normality would then force C = 0, contradicting |C| > 0.
-    infeasible = c_nonzero and (res["commute_A_C"] <= thr or res["commute_B_C"] <= thr)
+    infeasible = c_nonzero and (_vanish(res, thr, "commute_A_C") or _vanish(res, thr, "commute_B_C"))
 
     return HypothesisReport(
         normal_B=normal_B,

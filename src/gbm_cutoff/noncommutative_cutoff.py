@@ -145,8 +145,8 @@ def _stabilizing_p(A: np.ndarray, Gamma: np.ndarray) -> tuple[float, _Spectrum]:
 
 def _brackets(sys: GBMSystem) -> tuple:
     """(C, alpha, beta, Gamma) of the pair, from Bhat = B + B* and Chat = C + C*;
-    C = [B, A] is 0.0 - [A, B] off the system's report, +0.0 where BA - AB is."""
-    C = 0.0 - sys.hypotheses.C
+    C = [B, A] is read off the system's report."""
+    C = sys.hypotheses.bracket_BA
     Bhat, Chat = sys.B + sys.B.T, C + C.T
     return C, Bhat @ Bhat / 2.0, Bhat @ Chat / 2.0, Chat @ Chat / 6.0
 
@@ -203,17 +203,13 @@ def _decompose(A, alpha, beta, Gamma, x, tol, *, C=None) -> ModeDecomposition:
 
 
 def mode_decomposition(sys: GBMSystem) -> ModeDecomposition:
-    """Full mode analysis of a coefficient pair (A, B).
-
-    After the checks of the decomposition, the pair's hypothesis report,
-    held by the system, gates the closed form: a B that is not normal, or a
-    pair neither commutative nor first order, is ``hypotheses_violated``.
-    """
+    """Full mode analysis of a coefficient pair (A, B).  After the checks of
+    the decomposition, the system's report gates the mode formula: a B that
+    is not normal, or a pair neither commutative nor first order, is
+    ``hypotheses_violated``."""
     C, alpha, beta, Gamma = _brackets(sys)
     dec = _decompose(sys.A, alpha, beta, Gamma, sys.x, sys.tol, C=C)
-    rep = check_hypotheses(sys)
-    if not (rep.normal_B and (rep.commutative or rep.first_order)):
-        raise ToolkitError("hypotheses_violated", "the closed form needs a normal B and a commutative or first-order pair")
+    check_hypotheses(sys).require("modes")
     return dec
 
 

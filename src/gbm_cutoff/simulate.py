@@ -3,17 +3,19 @@ truncated stochastic Magnus exponent, mean-square estimation, and the exact
 mean square of any pair from its linear second-moment equation.
 
 Every path draws from its own counter-based substream, keyed by
-(seed, path index), so estimates are reproducible bit for bit no matter
-how paths are batched.  Each scheme is one batch kernel over a range of
-path indices and a grid of times: a path is drawn once, at the largest t,
-and every other t reads a prefix of that draw.  The estimator streams the
-rows through a thread pool in cache-sized chunks of about 2^18 increments,
-one chunk per task, when a row holds enough draws to pay for the threads,
-and on the calling thread otherwise: each task draws, steps and
-exponentiates its rows and reduces them to |X_t|^2.  The d > 1
-Euler-Maruyama kernel steps all rows of a batch of at most 2048 paths at
-once, time-major, one product [I + dt D; B] X (D the Ito drift) and two
-in-place updates per step, and draws its rows in chunks on the pool.  No
+(seed, path index), and the batches follow from n_paths alone, so
+estimates are reproducible bit for bit.  Each scheme is one batch kernel
+over a range of path indices and a grid of times: a path is drawn once, at
+the largest t, and every other t reads a prefix of that draw.  The
+estimator streams the rows through a thread pool in cache-sized chunks of
+about 2^18 increments, one chunk per task, when a row holds enough draws
+to pay for the threads, and on the calling thread otherwise: each task
+draws, steps and exponentiates its rows and reduces them to |X_t|^2.  The
+d > 1 Euler-Maruyama kernel steps all rows of a batch of at most 2048
+paths at once on the calling thread, time-major, one BLAS product [I + dt
+D; B] X (D the Ito drift) and two in-place updates per step, and draws its
+rows in chunks on the pool; that product's bits can depend on the batch
+width from d = 16 on (README "Determinism"), every other row's cannot.  No
 pool task outlives its estimate, and the output does not depend on the CPU
 count.  The exact schemes sample e^{tA} e^{W_t B} e^{u_t C} x, with no
 exponential per path (_exact_kernel); the Magnus kernel and the moment
@@ -274,14 +276,6 @@ def sample_gaussian_pairs(t: float, seed: int, n: int) -> tuple[np.ndarray, np.n
     return _pairs(t, _normals(seed, 0, n, 2))
 
 
-def _first_order_matrix(sys: GBMSystem) -> np.ndarray:
-    """C = [B, A] = 0.0 - [A, B] off the pair's report, which checks [A, C] = [B, C] = 0."""
-    rep = check_hypotheses(sys)
-    if rep.residuals["commute_A_C"] > rep.threshold or rep.residuals["commute_B_C"] > rep.threshold:
-        raise ToolkitError("representation_invalid", "[A,C] or [B,C] does not vanish")
-    return 0.0 - rep.C
-
-
 def _ito_drift(sys: GBMSystem) -> np.ndarray:
     """A + B^2/2, the drift of the Ito form dX = (A + B^2/2) X dt + B X dW."""
     return sys.A + 0.5 * (sys.B @ sys.B)
@@ -356,17 +350,16 @@ def _euler_states(sys: GBMSystem, ks: list[int], dt: float, seed: int, lo: int, 
     return [states[k] for k in ks]
 
 
-def _exact_kernel(sys: GBMSystem, ts: list[float], C: np.ndarray | None) -> Callable:
-    """The exact kernel: X_t = e^{tA} e^{W_t B} e^{u_t C} x with u_t = t W_t -
-    int W, which is exp(tA + W_t B + (t W_t / 2 - int W) C) x as C = [B, A]
-    commutes with A and B (C None: the commutative scheme, no e^{uC}).
-    e^{tA} is one expm_stack over `ts`, and e^{WB} and e^{uC} act on every
-    path at once, one time per column, from one split of B and of C, all
-    formed here, once."""
+def _exact_kernel(sys: GBMSystem, ts: list[float], scheme: str) -> Callable:
+    """X_t = e^{tA} e^{W_t B} e^{u_t C} x with u_t = t W_t - int W, which is
+    exp(tA + W_t B + (t W_t / 2 - int W) C) x as C = [B, A] (off the pair's
+    report) commutes with A and B; exact_commutative drops e^{uC}.  e^{tA} is
+    one expm_stack over `ts`; e^{WB} and e^{uC} act on every path at once,
+    one time per column, from one split of B and of C, formed here, once."""
     x, eye = sys.x[:, None], np.eye(sys.dim)
     by_A = expm_stack(np.multiply.outer(ts, sys.A))
     by_B = _Spectrum(sys.B).exp_action(eye, real=True)
-    by_C = None if C is None else _Spectrum(C).exp_action(eye, real=True)
+    by_C = None if scheme == "exact_commutative" else _Spectrum(sys.hypotheses.bracket_BA).exp_action(eye, real=True)
 
     def acted(act: Callable, times: np.ndarray, X: np.ndarray) -> np.ndarray:
         s, v = act(times, X)
@@ -390,14 +383,13 @@ def _exact_kernel(sys: GBMSystem, ts: list[float], C: np.ndarray | None) -> Call
     return states
 
 
-def _kernel(sys: GBMSystem, ts: list[float], scheme: str, dt: float, C: np.ndarray | None = None) -> Callable:
+def _kernel(sys: GBMSystem, ts: list[float], scheme: str, dt: float) -> Callable:
     """seed, lo, hi -> X_t(x) under `scheme` for each t of `ts` (all > 0), one
     row per path lo..hi-1.  Each path is drawn once, at the largest t; every
     other t reads a prefix of that draw, so its rows are those of a draw at
-    that t.  `C` is the gated C = [B, A] of exact_first_order (from
-    _first_order_matrix), and None for every other scheme."""
+    that t.  The caller has gated the scheme (``HypothesisReport.require``)."""
     if scheme in ("exact_commutative", "exact_first_order"):
-        return _exact_kernel(sys, ts, C)
+        return _exact_kernel(sys, ts, scheme)
     ks = [_nsteps(t, dt) for t in ts]
     if scheme == "euler_maruyama":
         return lambda seed, lo, hi: _euler_states(sys, ks, dt, seed, lo, hi)
@@ -412,8 +404,8 @@ def _kernel(sys: GBMSystem, ts: list[float], scheme: str, dt: float, C: np.ndarr
 def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) -> np.ndarray:
     """X_t(x) = exp(tA + W_t B + (t W_t / 2 - int W ds) C) x with one exact
     pair, taken as e^{tA} e^{W_t B} e^{(t W_t - int W ds) C} x."""
-    C = _first_order_matrix(sys)
-    return _kernel(sys, [t], "exact_first_order", 0.0, C)(seed, index, index + 1)[0][0]
+    check_hypotheses(sys).require("exact_first_order")
+    return _kernel(sys, [t], "exact_first_order", 0.0)(seed, index, index + 1)[0][0]
 
 
 def euler_maruyama(sys: GBMSystem, t: float, dt: float, seed: int, index: int) -> np.ndarray:
@@ -457,29 +449,22 @@ class MCEstimate:
         }
 
 
-def _grid_steps(
-    sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int
-) -> tuple[list[int], np.ndarray | None]:
+def _grid_steps(sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int) -> list[int]:
     """Steps per path at each t of the grid: 0 at t = 0, 1 for an exact
-    scheme; and the gated C = [B, A] of exact_first_order, None for any
-    other scheme.  The checks run in grid order, as one estimate per t runs
-    them."""
+    scheme.  The checks run in grid order, as one estimate per t runs them;
+    an exact scheme's gate runs once, at the first t."""
     if scheme not in SCHEMES:
         raise ToolkitError("bad_scheme", f"scheme must be one of {SCHEMES}")
     if not (_is_int(n_paths) and n_paths >= 100):
         raise ToolkitError("bad_path_count", f"need an integer count of at least 100 paths, got {n_paths!r}")
-    steps, C = [], None
+    steps = []
     for t in ts:
         if t < 0:
             raise ToolkitError("bad_time", "t must be nonnegative")
         if not steps:  # the checks that do not depend on t, at the first t
             _check_key(seed)
-            if scheme == "exact_commutative":
-                rep = check_hypotheses(sys)
-                if rep.residuals["commute_A_B"] > rep.threshold:
-                    raise ToolkitError("representation_invalid", "[A,B] does not vanish")
-            if scheme == "exact_first_order":
-                C = _first_order_matrix(sys)
+            if scheme in ("exact_commutative", "exact_first_order"):
+                check_hypotheses(sys).require(scheme)
         if t == 0.0:
             steps.append(0)
             continue
@@ -488,7 +473,7 @@ def _grid_steps(
         if sys.dim**2 > _MAX_BATCH_DOUBLES:
             raise ToolkitError("too_large", f"one {sys.dim}x{sys.dim} path exceeds {_MAX_BATCH_DOUBLES} doubles per batch")
         steps.append(_nsteps(t, dt) if scheme in ("euler_maruyama", "magnus_truncated") else 1)
-    return steps, C
+    return steps
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
@@ -507,7 +492,7 @@ def _estimation(
 ) -> Callable[[], list[MCEstimate]]:
     """An estimate_mean_squares call with its grid checked, here: the
     returned call draws every path and reduces the rows to the estimates."""
-    steps, C = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
+    steps = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
 
     def run() -> list[MCEstimate]:
         drawn_ts = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
@@ -516,7 +501,7 @@ def _estimation(
             # overflow surfaces as a non-finite estimate, refused below; the
             # error state is per thread, so each pool task sets its own
             with np.errstate(all="ignore"):
-                kernel = _kernel(sys, drawn_ts, scheme, dt, C)
+                kernel = _kernel(sys, drawn_ts, scheme, dt)
 
             def rows(lo: int, hi: int) -> None:
                 with np.errstate(all="ignore"):

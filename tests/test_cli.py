@@ -821,11 +821,17 @@ class TestOncePerReport:
 
     def test_first_order_gate_runs_once_per_kernel_call(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, **HEISENBERG)
-        gates = count_calls(monkeypatch, simulate._first_order_matrix)
+        gates, require = [], hypothesis_checks.HypothesisReport.require
+
+        def counted(rep, use):
+            gates.append(use)
+            return require(rep, use)
+
+        monkeypatch.setattr(hypothesis_checks.HypothesisReport, "require", counted)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "report"), "--paths", "200"]) == 0
-        # the exact scheme's grid check, whose C every batch reads: none of
-        # verify's own, and none per batch or per t of the grid
-        assert len(gates) == 1
+        # the exact scheme's grid check: none of verify's own, and none per
+        # batch or per t of the grid
+        assert gates == ["exact_first_order"]
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_first_order_bracket_is_formed_once(self, tmp_path, monkeypatch, command):

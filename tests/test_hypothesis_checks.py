@@ -3,8 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gbm_cutoff.commutative_cutoff import effective_drift
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.hypothesis_checks import check_hypotheses, check_pair
+from gbm_cutoff.noncommutative_cutoff import mode_decomposition
+from gbm_cutoff.simulate import estimate_mean_squares, sample_exact_first_order
 from gbm_cutoff.system import GBMSystem
 
 
@@ -138,3 +141,63 @@ class TestNilpotenceDiagnostic:
         sys = GBMSystem(A=np.diag([-1.0]), B=np.diag([0.5]), x=np.array([1.0]))
         rep = check_hypotheses(sys)
         assert rep.commutative and rep.normal_B
+
+
+# One pair inside and one outside each regime gate: a diagonal commuting pair;
+# A = -I with the non-normal B = E12, which commute; the Heisenberg pair, first
+# order in [A, C] = [B, C] = 0 though B is not normal; and a symmetric B
+# against a diagonal A, neither commutative nor first order.
+GATE_PAIRS = {
+    "diagonal": (np.diag([-1.0, -2.0]), np.diag([0.5, 0.3])),
+    "non-normal-B": (-np.eye(2), elementary(1, 2, d=2)),
+    "heisenberg": HEISENBERG,
+    "neither": (np.diag([-1.0, -2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+}
+CLOSED, SAMPLER = "hypotheses_violated", "representation_invalid"
+# use -> the code each pair is refused with, in GATE_PAIRS order; None: it passes
+GATE_TABLE = {
+    "commutative": (None, CLOSED, CLOSED, CLOSED),
+    "modes": (None, CLOSED, CLOSED, CLOSED),
+    "exact_commutative": (None, None, SAMPLER, SAMPLER),
+    "exact_first_order": (None, None, None, SAMPLER),
+}
+
+
+def expected(use, pair):
+    return GATE_TABLE[use][list(GATE_PAIRS).index(pair)]
+
+
+def refusal(call):
+    """The code `call` raises, or None."""
+    try:
+        call()
+    except ToolkitError as err:
+        return err.code
+    return None
+
+
+class TestRegimeGates:
+    @pytest.mark.parametrize("use", GATE_TABLE)
+    @pytest.mark.parametrize("pair", GATE_PAIRS)
+    def test_gate_table(self, use, pair):
+        rep = check_pair(*GATE_PAIRS[pair])
+        assert refusal(lambda: rep.require(use)) == expected(use, pair)
+
+    @pytest.mark.parametrize("pair", GATE_PAIRS)
+    def test_call_sites_refuse_as_the_table(self, pair):
+        A, B = GATE_PAIRS[pair]
+        sys = GBMSystem(A=A, B=B, x=np.ones(len(A)))
+        assert refusal(lambda: effective_drift(sys)) == expected("commutative", pair)
+        if pair != "heisenberg":  # whose step III residual is refused ahead of the gate
+            assert refusal(lambda: mode_decomposition(sys)) == expected("modes", pair)
+        for scheme in ("exact_commutative", "exact_first_order"):
+            assert refusal(lambda: estimate_mean_squares(sys, [0.5], scheme, 100)) == expected(scheme, pair)
+        assert refusal(lambda: sample_exact_first_order(sys, 0.5, 0, 0)) == expected("exact_first_order", pair)
+
+    @pytest.mark.parametrize("pair", GATE_PAIRS)
+    def test_bracket_BA_is_the_paper_C_with_its_zeros(self, pair):
+        A, B = GATE_PAIRS[pair]
+        rep, BA = check_pair(A, B), B @ A - A @ B
+        assert np.array_equal(rep.bracket_BA, BA)
+        assert np.array_equal(np.signbit(rep.bracket_BA), np.signbit(BA))  # +0.0, not -C's -0.0
+        assert rep.bracket_BA is rep.bracket_BA and not rep.bracket_BA.flags.writeable
