@@ -30,6 +30,7 @@ from .hypothesis_checks import check_hypotheses
 from .linalg_core import matrix_to_rows
 from .mixing import mixing_time
 from .noncommutative_cutoff import (
+    EXAMPLE35_RANGE,
     cutoff_schedule_first_order,
     example35_check,
     mean_square_first_order,
@@ -307,6 +308,8 @@ def cmd_mixing(cfg: RunConfig) -> tuple[str, str]:
 def cmd_profile(cfg: RunConfig) -> tuple[str, str]:
     form = _closed_form(cfg, _system(cfg))
     schedules = [(eps, _decaying(form.schedule, eps)) for eps in cfg.eps_list]
+    if min(cfg.eps_list) ** 2 == 0.0:  # every row divides by eps^2
+        raise ToolkitError("bad_epsilon", "eps^2 underflows to 0")
     header = ["rho"] + [f"eps={_fmt(eps)}" for eps, _ in schedules]
     rows = []
     for rho in cfg.rho_grid:
@@ -342,7 +345,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, str]:
 
 def cmd_example35(cfg: RunConfig) -> tuple[str, str]:
     if cfg.t_grid_set:
-        ts = [t for t in cfg.t_grid if t >= 0.2]
+        lo, hi = EXAMPLE35_RANGE
+        ts = [t for t in cfg.t_grid if lo <= t <= hi]
     else:
         ts = [0.2 + 1.8 * k / 99.0 for k in range(100)]
     rows = []

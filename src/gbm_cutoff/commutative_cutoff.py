@@ -17,6 +17,7 @@ import numpy as np
 from .cubic_solver import CutoffSchedule
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
+from .linalg_core import as_time
 from .spectral_asymptotics import _read_decay, _Spectrum, _squared_norm, extract_asymptotics, is_diagonalizable
 from .system import GBMSystem
 
@@ -63,9 +64,7 @@ def _drift_msq(spectrum: _Spectrum, x) -> Callable[[float], float]:
     act = spectrum.exp_action(x[:, None], np.ones(1))
 
     def msq(t: float) -> float:
-        if not 0.0 <= t < math.inf:
-            raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
-        if t == 0:  # exp(0Q) = I, whatever the split's rounding
+        if as_time(t) == 0:  # exp(0Q) = I, whatever the split's rounding
             return float(x @ x)
         return _squared_norm(*act(t))
 
@@ -80,8 +79,7 @@ def drift_mean_square(Q: np.ndarray, x: np.ndarray, t: float) -> float:
 
 def mean_square_commutative(sys: GBMSystem, t: float) -> float:
     """E|X_t(x)|^2 = |exp(tQ)x|^2 (also the squared W2 distance to delta_0)."""
-    if not 0.0 <= t < math.inf:
-        raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
+    as_time(t)  # before the drift's hypothesis check
     return drift_mean_square(effective_drift(sys), sys.x, t)
 
 

@@ -49,6 +49,14 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
+def as_time(t) -> float:
+    """Return t if it is finite and nonnegative, else raise ``bad_time``: the
+    one rule for a time of a mean square, an estimate or a sample path."""
+    if not 0.0 <= t < math.inf:
+        raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
+    return t
+
+
 def fro(M) -> float:
     """Frobenius norm of a real matrix, as np.linalg.norm(M, "fro") computes
     it (the entries in memory order, one dot, a correctly rounded square

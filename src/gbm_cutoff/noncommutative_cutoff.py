@@ -40,6 +40,7 @@ from .hypothesis_checks import check_hypotheses
 from .linalg_core import (
     DEFAULT_TOL,
     as_matrix,
+    as_time,
     as_vector,
     commutator,
     fro,
@@ -55,6 +56,10 @@ STABILITY_MARGIN = 1e-9
 OVERLAP_TOL = 1e-12
 # Relative slack when collecting argmin/argmax tie sets in the cascade.
 TIE_TOL = 1e-9
+# The t range on which example35_check certifies the identity: below it the
+# principal Cardano branch is not certified, above it x = exp(-t^3 - t^2)
+# leaves the normal doubles (near t = 8.58) and underflows to 0 (near 8.74).
+EXAMPLE35_RANGE = (0.2, 8.5)
 
 
 @dataclass
@@ -229,14 +234,21 @@ def mean_square_first_order(dec: ModeDecomposition, t: float) -> float:
     The admissible p_Gamma cancels algebraically between exp(t Atilde) and
     the (t^3 - p t) Gamma term, so the value does not depend on it.
     """
-    if not 0.0 <= t < math.inf:
-        raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
-    if t == 0:  # X_0 = x, whatever the decomposition's rounding
+    if as_time(t) == 0:  # X_0 = x, whatever the decomposition's rounding
         return float(dec.x @ dec.x)
-    poly = t**3 - dec.p_Gamma * t
+    poly = _power(t, 3) - dec.p_Gamma * t
     a2, b2, g2 = dec.half_coeffs  # -a/2, b/2, g/2
-    weights = np.exp(a2 * t - b2 * t**2 - g2 * poly)
+    weights = np.exp(a2 * t - b2 * _power(t, 2) - g2 * poly)
     return _squared_norm(*dec.exp_action(t, weights * dec.overlaps))
+
+
+def _power(t: float, k: int) -> float:
+    """t**k for t >= 0, or inf where the float power overflows, which Python
+    raises on; every finite value keeps the bits of t**k."""
+    try:
+        return t**k
+    except OverflowError:
+        return math.inf
 
 
 class CascadeSelection(NamedTuple):
@@ -346,10 +358,13 @@ def example35_check(t: float) -> Example35Point:
     f(x) = -x (3 g^2 + 2 g) reproduces dx/dt.  The radicals are evaluated
     in complex arithmetic: below t = 1/3 the discriminant of the inverting
     cubic turns negative and the principal complex branch still tracks the
-    correct real root.
+    correct real root.  A t that is not finite and nonnegative is
+    ``bad_time``; one outside EXAMPLE35_RANGE, [0.2, 8.5], is
+    ``branch_violation``.
     """
-    if t < 0.2:
-        raise ToolkitError("branch_violation", "identity certified for t >= 0.2 only")
+    lo, hi = EXAMPLE35_RANGE
+    if not lo <= as_time(t) <= hi:
+        raise ToolkitError("branch_violation", f"identity certified for {lo} <= t <= {hi} only, got {t}")
     x = math.exp(-(t**3) - t**2)
     L = math.log(x)
     rad = complex(27.0 * L * L + 4.0 * L)

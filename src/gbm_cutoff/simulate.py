@@ -39,7 +39,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
-from .linalg_core import commutator, expm_stack
+from .linalg_core import as_time, commutator, expm_stack
 from .spectral_asymptotics import _product, _Spectrum
 from .system import GBMSystem
 
@@ -124,12 +124,16 @@ def _fill(z: np.ndarray, seed: int, lo: int) -> None:
     """Fill row i of `z` with the first draws of path lo + i.
 
     One Philox per call, re-keyed to (seed, index) with counter 0 for each
-    path: the same draws as a generator built afresh from that key.
+    path: the same draws as a generator built afresh from that key.  The
+    state's arrays become lists once, here: the setter reads Python ints out
+    of them faster than numpy scalars.
     """
     bitgen = Philox(key=np.array([seed, lo], dtype=np.uint64))
     gen = Generator(bitgen)
     state = bitgen.state
-    key = state["state"]["key"]
+    inner = state["state"]
+    key = inner["key"] = inner["key"].tolist()
+    inner["counter"], state["buffer"] = inner["counter"].tolist(), state["buffer"].tolist()
     for i in range(len(z)):
         key[1] = lo + i
         bitgen.state = state
@@ -163,7 +167,7 @@ def _normals(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
 
 
 def _nsteps(t: float, dt: float) -> int:
-    if not (dt > 0.0 and dt <= t):
+    if not (dt > 0.0 and dt <= as_time(t)):
         raise ToolkitError("bad_timestep", f"need 0 < dt <= t, got dt={dt}, t={t}")
     if t / dt == math.inf:
         raise ToolkitError("too_many_steps", f"t/dt overflows for dt={dt}, t={t}")
@@ -203,8 +207,8 @@ def _pairs(t: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The pair is bivariate normal with covariance [[t, t^2/2], [t^2/2, t^3/3]];
     sampling goes through the explicit Cholesky factor of that 2x2 matrix.
     """
-    if not t > 0:
-        raise ToolkitError("bad_time", "t must be positive")
+    if as_time(t) == 0.0:
+        raise ToolkitError("bad_time", "t must be positive for a Gaussian pair")
     w = math.sqrt(t) * z[:, 0]
     integral = 0.5 * t**1.5 * z[:, 0] + math.sqrt(t**3 / 12.0) * z[:, 1]
     return w, integral
@@ -401,19 +405,25 @@ def _kernel(sys: GBMSystem, ts: list[float], scheme: str, dt: float) -> Callable
     return magnus
 
 
+def _path(sys: GBMSystem, t: float, scheme: str, dt: float, seed: int, index: int) -> np.ndarray:
+    """X_t(x) of path `index` under `scheme`: the n = 1 view of an estimate,
+    with its grid check, then the path's key check; x at t = 0."""
+    (steps,) = _grid_steps(sys, [t], scheme, dt, seed)
+    _check_key(seed, index, index + 1)
+    if not steps:
+        return sys.x.copy()
+    return _kernel(sys, [t], scheme, dt)(seed, index, index + 1)[0][0]
+
+
 def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) -> np.ndarray:
     """X_t(x) = exp(tA + W_t B + (t W_t / 2 - int W ds) C) x with one exact
     pair, taken as e^{tA} e^{W_t B} e^{(t W_t - int W ds) C} x."""
-    check_hypotheses(sys).require("exact_first_order")
-    return _kernel(sys, [t], "exact_first_order", 0.0)(seed, index, index + 1)[0][0]
+    return _path(sys, t, "exact_first_order", 0.0, seed, index)
 
 
 def euler_maruyama(sys: GBMSystem, t: float, dt: float, seed: int, index: int) -> np.ndarray:
     """One Euler-Maruyama path of the Ito form dX = (A + B^2/2) X dt + B X dW."""
-    if t == 0.0:
-        _check_key(seed, index, index + 1)
-        return sys.x.copy()
-    return _kernel(sys, [t], "euler_maruyama", dt)(seed, index, index + 1)[0][0]
+    return _path(sys, t, "euler_maruyama", dt, seed, index)
 
 
 def magnus_exponent(sys: GBMSystem, path: BrownianPath, t: float) -> np.ndarray:
@@ -449,18 +459,15 @@ class MCEstimate:
         }
 
 
-def _grid_steps(sys: GBMSystem, ts: list[float], scheme: str, n_paths: int, dt: float, seed: int) -> list[int]:
+def _grid_steps(sys: GBMSystem, ts: list[float], scheme: str, dt: float, seed: int) -> list[int]:
     """Steps per path at each t of the grid: 0 at t = 0, 1 for an exact
     scheme.  The checks run in grid order, as one estimate per t runs them;
     an exact scheme's gate runs once, at the first t."""
     if scheme not in SCHEMES:
         raise ToolkitError("bad_scheme", f"scheme must be one of {SCHEMES}")
-    if not (_is_int(n_paths) and n_paths >= 100):
-        raise ToolkitError("bad_path_count", f"need an integer count of at least 100 paths, got {n_paths!r}")
     steps = []
     for t in ts:
-        if t < 0:
-            raise ToolkitError("bad_time", "t must be nonnegative")
+        as_time(t)
         if not steps:  # the checks that do not depend on t, at the first t
             _check_key(seed)
             if scheme in ("exact_commutative", "exact_first_order"):
@@ -492,7 +499,9 @@ def _estimation(
 ) -> Callable[[], list[MCEstimate]]:
     """An estimate_mean_squares call with its grid checked, here: the
     returned call draws every path and reduces the rows to the estimates."""
-    steps = _grid_steps(sys, ts, scheme, n_paths, dt, seed)
+    if not (_is_int(n_paths) and n_paths >= 100):
+        raise ToolkitError("bad_path_count", f"need an integer count of at least 100 paths, got {n_paths!r}")
+    steps = _grid_steps(sys, ts, scheme, dt, seed)
 
     def run() -> list[MCEstimate]:
         drawn_ts = list(dict.fromkeys(t for t, k in zip(ts, steps) if k))
@@ -586,8 +595,7 @@ def exact_mean_square(sys: GBMSystem, t: float) -> float:
     tr P(t) >= 0, so a value that is not finite comes from an overflow of
     exp(t L) (inf * 0 in its squaring gives NaN): it reads inf, silently.
     """
-    if not 0.0 <= t < math.inf:
-        raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
+    as_time(t)
     d = sys.dim
     if d**4 > _MAX_BATCH_DOUBLES:
         raise ToolkitError("too_large", f"the moment equation of a {d}x{d} pair has {d**4} > {_MAX_BATCH_DOUBLES} entries")

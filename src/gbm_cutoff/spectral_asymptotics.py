@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ToolkitError
-from .linalg_core import CLUSTER_GAP, as_matrix, as_vector, cluster_values
+from .linalg_core import CLUSTER_GAP, as_matrix, as_time, as_vector, cluster_values
 
 # A generalized-eigenspace component below this fraction of |y| counts as zero.
 COMPONENT_TOL = 1e-9
@@ -444,7 +444,7 @@ def extract_asymptotics(Q, y) -> SpectralAsymptotics:
 def normalized_state(Q, y, asym: SpectralAsymptotics, t: float) -> np.ndarray:
     """(e^(qt) / t^(ell-1)) exp(tQ) y — the quantity that converges to S(t);
     ``bad_time`` unless t is finite and positive, or 0 with ell = 1."""
-    if not 0.0 <= t < math.inf or (t == 0.0 and asym.ell > 1):
+    if as_time(t) == 0.0 and asym.ell > 1:
         raise ToolkitError("bad_time", f"no normalized state at t = {t} for ell = {asym.ell}")
     y = as_vector(y, "y")
     s, state = _Spectrum(as_matrix(Q, "Q")).exp_action(y[:, None], np.ones(1))(t)

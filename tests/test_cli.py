@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -493,6 +494,29 @@ class TestErrorsAndDeterminism:
         rc = main([command, "--config", write_config(tmp_path), "--out", "-", "--paths", "100", "--dt", dt])
         assert (rc, capsys.readouterr().err) == (1, code + "\n")
 
+    def test_profile_refuses_an_eps_whose_square_underflows(self, tmp_path, capsys):
+        # 1e-200 lies in (0, 1/e), but eps^2 is 0.0, by which every profile
+        # row divides, and by which mixing scales its thresholds
+        path = write_config(tmp_path, eps_list=[1e-200])
+        for command in ("mixing", "profile"):
+            assert main([command, "--config", path, "--out", "-"]) == 1
+            assert capsys.readouterr().err == "bad_epsilon\n"
+
+    def test_example35_clips_t_grid_to_the_certified_range(self, tmp_path, capsys):
+        # x = exp(-t^3 - t^2) underflows to 0 near t = 8.74, and t**3 raises
+        # above about 5.6e102
+        path = write_config(tmp_path, B=[[0.0]], t_grid=[0.1, 0.5, 8.5, 9.0, 1e103])
+        assert main(["example35", "--config", path, "--out", "-"]) == 0
+        assert [float(row.split(",")[0]) for row in capsys.readouterr().out.splitlines()[1:]] == [0.5, 8.5]
+
+    def test_synthetic_mean_square_past_the_cubic_power_overflow(self, tmp_path, capsys):
+        # t**3 raises above about 5.6e102; read as inf, the mode decays to 0
+        path = write_config(tmp_path, mode="synthetic", A=[[-1.0]], alpha=[[0.2]], beta=[[0.0]],
+                            Gamma=[[-1.0]], x=[1.0], t_grid=[0.5, 1e100, 1e103])
+        assert main(["mean-square", "--config", path, "--out", "-"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [(float(t), float(c)) for t, c, _, _ in rows[1:]] == [(1e100, 0.0), (1e103, 0.0)]
+
     def test_non_finite_report_rejected(self, tmp_path, capsys):
         out = tmp_path / "ms.csv"
         path = write_config(tmp_path, A=[[400.0]], B=[[0.0]], t_grid=[0.0, 1.0, 2.0])
@@ -595,6 +619,35 @@ class TestOverridesAndUsage:
             main(["--help"])
         assert exc.value.code == 0
         assert "gbm-cutoff" in capsys.readouterr().out
+
+
+# Valid configs on which a command once printed internal_error: eps^2
+# underflowing in profile, x of example35 underflowing and t**3 overflowing,
+# the first-order mean square's t**3 overflowing, and the scalar pair at a t
+# beyond every step bound
+NO_INTERNAL_ERROR_CONFIGS = {
+    "eps-underflow": {"mode": "commutative", "A": [[-1.0]], "B": [[0.5]], "x": [1.0], "eps_list": [1e-200]},
+    "example35-underflow": {"mode": "commutative", "A": [[-1.0]], "B": [[0.0]], "x": [1.0], "t_grid": [0.5, 9.0]},
+    "synthetic-huge-t": {"mode": "synthetic", "A": [[-1.0]], "alpha": [[0.2]], "beta": [[0.0]], "Gamma": [[-1.0]],
+                         "x": [1.0], "t_grid": [0.5, 1e103]},
+    "scalar-huge-t": {"mode": "commutative", "A": [[-1.0]], "B": [[0.5]], "x": [1.0], "t_grid": [0.5, 1e103]},
+}
+
+
+def documented_codes() -> set:
+    text = open(os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md"), encoding="utf-8").read()
+    return set(re.findall(r"`([a-z][a-z0-9_]*)`", text)) - {"internal_error"}
+
+
+@pytest.mark.parametrize("name", NO_INTERNAL_ERROR_CONFIGS)
+def test_no_valid_config_prints_internal_error(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(NO_INTERNAL_ERROR_CONFIGS[name]))
+    codes = documented_codes()
+    for command in cli.COMMANDS:
+        rc = main([command, "--config", str(path), "--out", "-", "--paths", "200", "--dt", "0.01"])
+        err = capsys.readouterr().err
+        assert rc == 0 or err.rstrip("\n") in codes, (command, err)
 
 
 def test_cli_import_loads_no_scipy_optimize():

@@ -245,6 +245,13 @@ class TestMeanSquareFirstOrder:
             b = mean_square_first_order(rot, t)
             assert a == pytest.approx(b, rel=1e-10)
 
+    @pytest.mark.parametrize("t", [1e100, 1e103, 1e150])
+    def test_cubic_power_that_overflows_reads_inf(self, t):
+        # Python raises on t**3 above about 5.6e102; read as inf, the decaying
+        # mode's weight is exp(-inf) = 0, as the finite t**3 at 1e100 gives
+        dec = synthetic_mode_decomposition([[0.2]], [[0.0]], [[-1.0]], [[-1.0]], [1.0])
+        assert mean_square_first_order(dec, t) == 0.0
+
 
 def commuting_pair(seed, normal):
     """A seeded commuting pair with d <= 4 and C = [B, A] = 0.  B = U T U^T in
@@ -436,4 +443,19 @@ class TestExample35:
     def test_small_t_rejected(self):
         with pytest.raises(ToolkitError) as err:
             example35_check(0.1)
+        assert err.value.code == "branch_violation"
+
+    def test_identity_holds_up_to_the_upper_end(self):
+        for t in np.linspace(2.0, 8.5, 66):
+            pt = example35_check(float(t))
+            assert abs(pt.g - t) < 1e-8
+            assert abs(pt.f - (-(3 * t**2 + 2 * t) * pt.x)) <= 1e-9 * abs(pt.f)
+
+    @pytest.mark.parametrize("t", [8.6, 9.0, 1e103])
+    def test_large_t_rejected(self, t):
+        # x = exp(-t^3 - t^2) leaves the normal doubles near t = 8.58 and
+        # underflows to 0 near 8.74, where log(x) fails; t**3 overflows above
+        # about 5.6e102
+        with pytest.raises(ToolkitError) as err:
+            example35_check(t)
         assert err.value.code == "branch_violation"

@@ -14,7 +14,7 @@ from gbm_cutoff import hypothesis_checks, simulate
 from gbm_cutoff.commutative_cutoff import drift_mean_square, mean_square_commutative
 from gbm_cutoff.errors import ToolkitError
 from gbm_cutoff.linalg_core import expm_stack
-from gbm_cutoff.noncommutative_cutoff import mean_square_first_order, mode_decomposition
+from gbm_cutoff.noncommutative_cutoff import example35_check, mean_square_first_order, mode_decomposition
 from gbm_cutoff.simulate import (
     SCHEMES,
     BrownianPath,
@@ -190,6 +190,12 @@ class TestExactFirstOrder:
         with pytest.raises(ToolkitError) as err:
             sample_exact_first_order(sys, 1.0, 0, 0)
         assert err.value.code == "representation_invalid"
+
+    def test_time_zero_gives_x(self):
+        # the n = 1 view of an estimate's t = 0 row, as euler_maruyama's
+        sys = heisenberg_system()
+        X = sample_exact_first_order(sys, 0.0, 5, 3)
+        assert np.array_equal(X, sys.x) and X is not sys.x
 
     def test_gate_runs_once_per_estimate(self, monkeypatch):
         # 20,000 paths are 3 batches; C = [B, A] is gated once, by the grid check
@@ -486,6 +492,15 @@ class TestEstimator:
         a = estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200, dt=1e-2, seed=(1 << 63) + 1)
         b = estimate_mean_square(scalar_system(), 0.5, "euler_maruyama", 200, dt=1e-2, seed=(1 << 63) + 2)
         assert a.value != b.value
+
+    def test_keys_above_2_63_draw_as_fresh_generators(self):
+        # each row is re-keyed from Python ints; the draws are those of a
+        # generator built from the uint64 key, up to the largest seed and index
+        for seed, lo in [((1 << 63) + 1, (1 << 63) - 2), ((1 << 64) - 1, (1 << 64) - 3)]:
+            z = simulate._normals(seed, lo, lo + 3, 5)
+            for i in range(3):
+                key = np.array([seed, lo + i], dtype=np.uint64)
+                assert np.array_equal(z[i], Generator(Philox(key=key)).standard_normal(5))
 
     @pytest.mark.parametrize(
         "seed,index,code",
@@ -1048,15 +1063,24 @@ class TestExactMeanSquare:
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_time_that_is_not_finite_is_refused(t):
-    # nan and inf both pass a t < 0 test
+    # nan and inf both pass a t < 0 test; every entry point that takes a t
+    # refuses them by the one rule, before any arithmetic could warn
     A, B, x = np.diag([-2.0, -3.0]), np.diag([1.0, 0.5]), np.array([1.0, 1.0])
     sys = GBMSystem(A=A, B=B, x=x)
     asym = extract_asymptotics(A, x)
+    path = BrownianPath.sample(1.0, 0.1, 7, 0)
+    estimates = [lambda scheme=scheme: estimate_mean_square(sys, t, scheme, 100, dt=0.1, seed=7) for scheme in SCHEMES]
     for evaluate in (lambda: drift_mean_square(A, x, t), lambda: mean_square_commutative(sys, t),
                      lambda: mean_square_first_order(mode_decomposition(sys), t), lambda: exact_mean_square(sys, t),
-                     lambda: normalized_state(A, x, asym, t)):
-        with pytest.raises(ToolkitError) as err:
-            evaluate()
+                     lambda: normalized_state(A, x, asym, t), *estimates,
+                     lambda: sample_gaussian_pair(t, 7, 0), lambda: sample_gaussian_pairs(t, 7, 3),
+                     lambda: sample_exact_first_order(sys, t, 7, 0), lambda: euler_maruyama(sys, t, 0.1, 7, 0),
+                     lambda: BrownianPath.sample(t, 0.1, 7, 0), lambda: path.functionals(t),
+                     lambda: example35_check(t)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ToolkitError) as err:
+                evaluate()
         assert err.value.code == "bad_time"
 
 
