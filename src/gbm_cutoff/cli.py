@@ -24,11 +24,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .commutative_cutoff import _drift_msq, cutoff_time_from_rate, effective_drift
-from .cubic_solver import CutoffSchedule
+from .cubic_solver import CutoffSchedule, _is_cutoff_eps
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
-from .linalg_core import matrix_to_rows
-from .mixing import mixing_time
+from .linalg_core import DEFAULT_TOL, _is_time, matrix_to_rows
+from .mixing import _is_delta, mixing_time
 from .noncommutative_cutoff import (
     EXAMPLE35_RANGE,
     cutoff_schedule_first_order,
@@ -37,15 +37,13 @@ from .noncommutative_cutoff import (
     mode_decomposition,
     synthetic_mode_decomposition,
 )
-from .simulate import SEED_END, _estimation, estimate_mean_squares
+from .simulate import PATH_FLOOR, SEED_END, _estimation, _is_path_count, estimate_mean_squares
 from .spectral_asymptotics import _read_decay, _Spectrum
 from .system import GBMSystem
 
 COMMANDS = ("hypotheses", "analyze", "mean-square", "mixing", "profile", "verify", "example35")
 MODES = ("commutative", "first_order", "synthetic")
 FORMATS = ("csv", "json")
-
-_EPS_MAX = math.exp(-1.0)
 
 
 def _fmt(v: float) -> str:
@@ -71,7 +69,7 @@ class RunConfig:
     n_paths: int = 100_000
     dt: float = 1e-3
     seed: int = 1
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     out_path: Optional[str] = None
 
 
@@ -112,17 +110,17 @@ def _array(raw, name: str, ndim: int, code: str) -> np.ndarray:
 # command line overrides: field -> (error code, requirement, test).  A list
 # field is a nonempty list whose every entry passes the test; an integer
 # field takes JSON integers, the others any JSON number, tested as float;
-# true and false are not numbers here.
+# true and false are not numbers here.  eps, t, delta, n_paths and seed are
+# tested by the library's own rules, under the config's codes.
 _LIST_FIELDS = ("eps_list", "rho_grid", "t_grid")
 _INT_FIELDS = ("n_paths", "seed")
 _FIELDS = {
-    "eps_list": ("config_eps_range", "a nonempty list of reals in (0, e^-1)", lambda v: 0.0 < v < _EPS_MAX),
-    "delta": ("config_delta_range", "a real in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "eps_list": ("config_eps_range", "a nonempty list of reals in (0, e^-1)", _is_cutoff_eps),
+    "delta": ("config_delta_range", "a real in (0, 1)", _is_delta),
     "rho_grid": ("config_bad_rho_grid", "a nonempty list of finite reals", math.isfinite),
     "w": ("config_w_range", "a positive finite real", lambda v: 0.0 < v < math.inf),
-    "t_grid": ("config_bad_t_grid", "a nonempty list of nonnegative finite reals",
-               lambda v: math.isfinite(v) and v >= 0.0),
-    "n_paths": ("config_mc_paths", "an integer >= 100", lambda v: v >= 100),
+    "t_grid": ("config_bad_t_grid", "a nonempty list of nonnegative finite reals", _is_time),
+    "n_paths": ("config_mc_paths", f"an integer >= {PATH_FLOOR}", _is_path_count),
     "dt": ("config_mc_dt", "a positive finite real", lambda v: 0.0 < v < math.inf),
     "seed": ("config_mc_seed", "an integer in [0, 2^64)", lambda v: 0 <= v < SEED_END),
     "tol": ("config_tol_range", "a real in (0, 1)", lambda v: 0.0 < v < 1.0),
@@ -344,11 +342,11 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, str]:
 
 
 def cmd_example35(cfg: RunConfig) -> tuple[str, str]:
+    lo, hi = EXAMPLE35_RANGE
     if cfg.t_grid_set:
-        lo, hi = EXAMPLE35_RANGE
         ts = [t for t in cfg.t_grid if lo <= t <= hi]
     else:
-        ts = [0.2 + 1.8 * k / 99.0 for k in range(100)]
+        ts = [lo + 1.8 * k / 99.0 for k in range(100)]
     rows = []
     for t in ts:
         pt = example35_check(t)

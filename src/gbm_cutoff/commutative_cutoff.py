@@ -14,24 +14,12 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .cubic_solver import CutoffSchedule
+from .cubic_solver import CutoffSchedule, _check_cutoff_eps
 from .errors import ToolkitError
 from .hypothesis_checks import check_hypotheses
 from .linalg_core import as_time
 from .spectral_asymptotics import _read_decay, _Spectrum, _squared_norm, extract_asymptotics, is_diagonalizable
 from .system import GBMSystem
-
-__all__ = [
-    "GBMSystem",
-    "effective_drift",
-    "drift_evaluator",
-    "drift_mean_square",
-    "mean_square_commutative",
-    "cutoff_time_from_rate",
-    "cutoff_time_commutative",
-    "profile_limit",
-]
-
 
 def effective_drift(sys: GBMSystem) -> np.ndarray:
     """Q = A + (B + B*)^2 / 4; ``hypotheses_violated`` unless B is normal
@@ -85,8 +73,7 @@ def mean_square_commutative(sys: GBMSystem, t: float) -> float:
 
 def cutoff_time_from_rate(q: float, ell: int, eps: float, w: float = 1.0) -> CutoffSchedule:
     """t_eps = |ln eps|/q + (ell - 1) ln|ln eps| / q with a constant window w."""
-    if not 0.0 < eps < math.exp(-1.0):
-        raise ToolkitError("bad_epsilon", "eps must lie in (0, 1/e)")
+    _check_cutoff_eps(eps)
     if not (q > 0 and ell >= 1 and w > 0):
         raise ToolkitError("bad_coefficients", "need q > 0, ell >= 1, w > 0")
     L = abs(math.log(eps))
@@ -129,4 +116,7 @@ def profile_limit(sys: GBMSystem, rho: float, w: float = 1.0) -> float:
     if np.max(np.abs(v.imag)) > 1e-9 * (1.0 + np.max(np.abs(v.real))):
         raise ToolkitError("oscillatory_limit", "limit vector is not real")
     vnorm = float(np.linalg.norm(v.real))
-    return (math.exp(-asym.q * rho * w) * vnorm) ** 2
+    try:
+        return (math.exp(-asym.q * rho * w) * vnorm) ** 2
+    except OverflowError:  # the limit passes the double range
+        return math.inf

@@ -31,6 +31,17 @@ RESIDUAL_TOL = 1e-9
 DISCRIMINANT_TOL = 1e-12
 
 
+def _is_cutoff_eps(eps) -> bool:
+    """eps lies in (0, 1/e), where a cutoff schedule's ln|ln eps| is positive."""
+    return 0.0 < eps < math.exp(-1.0)
+
+
+def _check_cutoff_eps(eps: float) -> None:
+    """``bad_epsilon`` unless eps lies in (0, 1/e): every schedule's one eps check."""
+    if not _is_cutoff_eps(eps):
+        raise ToolkitError("bad_epsilon", "eps must lie in (0, 1/e)")
+
+
 @dataclass
 class CubicCoefficients:
     """c3 t^3 + c2 t^2 + c1 t + c0."""
@@ -137,6 +148,12 @@ def _radicals(c: CubicCoefficients, k: int) -> Optional[tuple[float, ...]]:
     return out if all(map(math.isfinite, out)) else None
 
 
+def _cardano_root(shift: float, q: float, disc: float) -> float:
+    """Cardano's real root of a cubic whose `_radicals` have disc >= 0."""
+    root = math.sqrt(disc)
+    return float(np.cbrt(-q / 2.0 + root) + np.cbrt(-q / 2.0 - root) + shift)
+
+
 def cardano_unique_real(c: CubicCoefficients) -> float:
     """The unique real root of the cubic, by Cardano radicals plus polishing.
 
@@ -163,9 +180,7 @@ def cardano_unique_real(c: CubicCoefficients) -> float:
     shift, p, q, disc, disc_scale = rad
 
     if disc > DISCRIMINANT_TOL * disc_scale:
-        root = math.sqrt(disc)
-        s = np.cbrt(-q / 2.0 + root) + np.cbrt(-q / 2.0 - root)
-        u = float(s + shift)
+        u = _cardano_root(shift, q, disc)
     elif disc >= -DISCRIMINANT_TOL * disc_scale:
         if abs(p) > DISCRIMINANT_TOL * (1.0 + p**2) or abs(q) > DISCRIMINANT_TOL * (1.0 + q**2):
             # double root beside a simple one: two distinct real values
@@ -283,10 +298,7 @@ def correction_root(t_eps: float, c: CubicCoefficients, ell_star: int) -> float:
     if rad is None:
         raise ToolkitError("bad_coefficients", "cubic radicals are not finite")
     shift, _, q, disc, _ = rad
-    r = 0.0
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        r = float(np.cbrt(-q / 2.0 + root) + np.cbrt(-q / 2.0 - root) + shift)
+    r = _cardano_root(shift, q, disc) if disc >= 0.0 else 0.0
     # polishing toward a zero residual takes all of _polish's Newton steps,
     # which bring the seed to within a few ulps of the root
     r = _polish(corr, corr.derivative, r, 0.0)

@@ -49,10 +49,14 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _is_time(t) -> bool:
+    """t is finite and nonnegative: the one rule for every time the toolkit takes."""
+    return 0.0 <= t < math.inf
+
+
 def as_time(t) -> float:
-    """Return t if it is finite and nonnegative, else raise ``bad_time``: the
-    one rule for a time of a mean square, an estimate or a sample path."""
-    if not 0.0 <= t < math.inf:
+    """Return t if it is a time (``_is_time``), else raise ``bad_time``."""
+    if not _is_time(t):
         raise ToolkitError("bad_time", f"t must be finite and nonnegative, got {t}")
     return t
 

@@ -49,6 +49,11 @@ class MixingTimeResult:
         return out
 
 
+def _is_delta(delta) -> bool:
+    """delta lies in (0, 1), the range of a mixing time's level."""
+    return 0.0 < delta < 1.0
+
+
 def _first_crossing(msq: Callable[[float], float], threshold: float) -> float:
     """The crossing of threshold > 0 by msq that the module's search finds:
     0.0 if msq(0) <= threshold, else b of the final bracket, msq(a) >
@@ -82,7 +87,7 @@ def mixing_time(
     increases."""
     if not 0.0 < eps < 1.0:
         raise ToolkitError("bad_epsilon", "eps must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
+    if not _is_delta(delta):
         raise ToolkitError("bad_delta", "delta must lie in (0, 1)")
     thresholds = delta * eps**2, (1.0 - delta) * eps**2
     if not min(thresholds) > 0.0:

@@ -31,6 +31,7 @@ import numpy as np
 from .cubic_solver import (
     CubicCoefficients,
     CutoffSchedule,
+    _check_cutoff_eps,
     cardano_unique_real,
     correction_root,
     solve_log_cubic,
@@ -259,55 +260,43 @@ class CascadeSelection(NamedTuple):
     ell_star: int
 
 
-def _tie_set_min(values, idx):
-    best = min(values[j] for j in idx)
-    return [j for j in idx if values[j] <= best + TIE_TOL * (1.0 + abs(best))], best
-
-
-def _tie_set_max(values, idx):
-    best = max(values[j] for j in idx)
-    return [j for j in idx if values[j] >= best - TIE_TOL * (1.0 + abs(best))], best
-
-
 def select_dominant_mode(dec: ModeDecomposition) -> CascadeSelection:
-    """The J0 -> J4 argmin/argmax cascade picking the slowest mode's exponents."""
+    """The J0 -> J4 argmin/argmax cascade picking the slowest mode's exponents:
+    J1, J2 and J3 keep the modes of J0, J1 and J2 within TIE_TOL of the least
+    g, b and a_tilde, and J4 those of J3 within it of the largest ell."""
     xnorm = float(np.linalg.norm(dec.x))
-    J0 = [j for j in range(dec.dim) if abs(dec.overlaps[j]) > OVERLAP_TOL * xnorm]
-    if not J0:
+    J = [j for j in range(dec.dim) if abs(dec.overlaps[j]) > OVERLAP_TOL * xnorm]
+    if not J:
         raise ToolkitError("x_orthogonal", "x has no overlap with any mode")
 
-    J1, g1 = _tie_set_min(dec.g_coeffs, J0)
-    J2, b2 = _tie_set_min(dec.b_coeffs, J1)
     a_tilde = 0.5 * dec.a_coeffs + dec.lambdas - 0.5 * dec.p_Gamma * dec.g_coeffs
-    J3, a3 = _tie_set_min(a_tilde, J2)
-    J4, ell4 = _tie_set_max(dec.ells, J3)
+    bests = []
+    for values in (dec.g_coeffs, dec.b_coeffs, a_tilde, -dec.ells):  # the largest ell is the least -ell
+        best = min(values[j] for j in J)
+        J = [j for j in J if values[j] <= best + TIE_TOL * (1.0 + abs(best))]
+        bests.append(best)
+    g1, b2, a3, neg_ell4 = bests
 
     return CascadeSelection(
-        mode=min(J4),
+        mode=min(J),
         gamma=0.5 * g1,
         b=0.5 * b2,
         a=float(a3),
-        ell_star=int(ell4) - 1,
+        ell_star=-int(neg_ell4) - 1,
     )
 
 
 def cutoff_schedule_first_order(dec: ModeDecomposition, eps: float) -> CutoffSchedule:
     """Cutoff schedule from the dominant mode's cubic; ``no_decay`` when the
     cubic coefficient is not positive."""
-    if not 0.0 < eps < math.exp(-1.0):
-        raise ToolkitError("bad_epsilon", "eps must lie in (0, 1/e)")
+    _check_cutoff_eps(eps)
     sel = select_dominant_mode(dec)
-    regime = "synthetic" if dec.C is None else "first_order"
+    fields = dict(eps=eps, gamma=sel.gamma, b=sel.b, a=sel.a, ell_star=sel.ell_star, selected_mode=sel.mode)
 
     if sel.gamma <= 0.0:
         return CutoffSchedule(
             regime="no_decay",
-            eps=eps,
-            gamma=sel.gamma,
-            b=sel.b,
-            a=sel.a,
-            ell_star=sel.ell_star,
-            selected_mode=sel.mode,
+            **fields,
             note=(
                 "dominant mode's cubic coefficient is not positive; the cubic "
                 "exponent does not force decay (for a commuting pair use the "
@@ -317,30 +306,26 @@ def cutoff_schedule_first_order(dec: ModeDecomposition, eps: float) -> CutoffSch
 
     cubic = CubicCoefficients.from_cutoff(sel.gamma, sel.b, sel.a, eps)
     t_eps = cardano_unique_real(cubic)
-    T_eps = solve_log_cubic(cubic, sel.ell_star)
     r_eps = tau_eps = None
     note = ""
-    if sel.ell_star == 0:
-        r_eps, tau_eps = 0.0, t_eps
-    elif t_eps > 1.0:
-        r_eps = correction_root(t_eps, cubic, sel.ell_star)
-        tau_eps = t_eps + r_eps
+    if sel.ell_star == 0:  # the log-cubic is the cubic: T_eps = t_eps
+        T_eps, r_eps, tau_eps = t_eps, 0.0, t_eps
     else:
-        note = "correction root needs t_eps > 1; only T_eps reported"
+        T_eps = solve_log_cubic(cubic, sel.ell_star)
+        if t_eps > 1.0:
+            r_eps = correction_root(t_eps, cubic, sel.ell_star)
+            tau_eps = t_eps + r_eps
+        else:
+            note = "correction root needs t_eps > 1; only T_eps reported"
 
     return CutoffSchedule(
-        regime=regime,
-        eps=eps,
-        gamma=sel.gamma,
-        b=sel.b,
-        a=sel.a,
-        ell_star=sel.ell_star,
+        regime="synthetic" if dec.C is None else "first_order",
+        **fields,
         t_eps=t_eps,
         w_eps=t_eps**-2,
         r_eps=r_eps,
         T_eps=T_eps,
         tau_eps=tau_eps,
-        selected_mode=sel.mode,
         note=note,
     )
 

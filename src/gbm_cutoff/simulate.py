@@ -47,6 +47,7 @@ SCHEMES = ("exact_commutative", "exact_first_order", "euler_maruyama", "magnus_t
 
 # A seed keys Philox substreams as one 64-bit word: valid seeds are [0, SEED_END).
 SEED_END = 1 << 64
+PATH_FLOOR = 100  # an estimate draws at least this many paths
 # Rows per batch of the d > 1 Euler-Maruyama step loop, and per chunk at
 # most.  Past about 2048 columns the loop gains little: stepping the 3-D
 # Heisenberg pair (increments drawn beforehand, min of 5, 2 cores) cost 13.4,
@@ -145,6 +146,11 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_path_count(n) -> bool:
+    """n is an integer count of at least PATH_FLOOR paths."""
+    return _is_int(n) and n >= PATH_FLOOR
+
+
 def _check_key(seed: int, lo: int = 0, hi: int = 0) -> None:
     """A substream key is two 64-bit words, (seed, path index): ``bad_seed``
     for a seed that is not an integer in [0, 2^64), ``bad_path_index`` for
@@ -209,9 +215,11 @@ def _pairs(t: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if as_time(t) == 0.0:
         raise ToolkitError("bad_time", "t must be positive for a Gaussian pair")
-    w = math.sqrt(t) * z[:, 0]
-    integral = 0.5 * t**1.5 * z[:, 0] + math.sqrt(t**3 / 12.0) * z[:, 1]
-    return w, integral
+    try:
+        half, spread = 0.5 * t**1.5, math.sqrt(t**3 / 12.0)
+    except OverflowError:  # a power past the double range, which Python raises on
+        half, spread = 0.5 * t * math.sqrt(t), t * math.sqrt(t / 12.0)
+    return math.sqrt(t) * z[:, 0], half * z[:, 0] + spread * z[:, 1]
 
 
 class PathFunctionals(NamedTuple):
@@ -407,12 +415,18 @@ def _kernel(sys: GBMSystem, ts: list[float], scheme: str, dt: float) -> Callable
 
 def _path(sys: GBMSystem, t: float, scheme: str, dt: float, seed: int, index: int) -> np.ndarray:
     """X_t(x) of path `index` under `scheme`: the n = 1 view of an estimate,
-    with its grid check, then the path's key check; x at t = 0."""
+    with its grid check, then the path's key check; x at t = 0.  As in an
+    estimate, overflow warns nothing and a state that is not finite is
+    ``report_not_finite``."""
     (steps,) = _grid_steps(sys, [t], scheme, dt, seed)
     _check_key(seed, index, index + 1)
     if not steps:
         return sys.x.copy()
-    return _kernel(sys, [t], scheme, dt)(seed, index, index + 1)[0][0]
+    with np.errstate(all="ignore"):
+        X = _kernel(sys, [t], scheme, dt)(seed, index, index + 1)[0][0]
+    if not np.all(np.isfinite(X)):
+        raise ToolkitError("report_not_finite", f"state at t={t} is {X}")
+    return X
 
 
 def sample_exact_first_order(sys: GBMSystem, t: float, seed: int, index: int) -> np.ndarray:
@@ -499,8 +513,8 @@ def _estimation(
 ) -> Callable[[], list[MCEstimate]]:
     """An estimate_mean_squares call with its grid checked, here: the
     returned call draws every path and reduces the rows to the estimates."""
-    if not (_is_int(n_paths) and n_paths >= 100):
-        raise ToolkitError("bad_path_count", f"need an integer count of at least 100 paths, got {n_paths!r}")
+    if not _is_path_count(n_paths):
+        raise ToolkitError("bad_path_count", f"need an integer count of at least {PATH_FLOOR} paths, got {n_paths!r}")
     steps = _grid_steps(sys, ts, scheme, dt, seed)
 
     def run() -> list[MCEstimate]:

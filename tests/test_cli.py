@@ -121,6 +121,13 @@ class TestConfigValidation:
             ({"x": None}, "config_entries_not_finite"),
             ({"A": [[None]]}, "config_entries_not_finite"),
             ({"x": [None]}, "config_entries_not_finite"),
+            # the bounds of the library's own rules, which the config reads
+            ({"t_grid": [float("nan")]}, "config_bad_t_grid"),
+            ({"t_grid": [0.5, float("inf")]}, "config_bad_t_grid"),
+            ({"eps_list": [math.exp(-1.0)]}, "config_eps_range"),
+            ({"mc": {"n_paths": 99}}, "config_mc_paths"),
+            ({"delta": 0.0}, "config_delta_range"),
+            ({"delta": 1.0}, "config_delta_range"),
         ],
     )
     def test_each_violation_has_distinct_code(self, tmp_path, overrides, code):
@@ -128,6 +135,10 @@ class TestConfigValidation:
         with pytest.raises(ToolkitError) as err:
             load_config(path)
         assert err.value.code == code
+
+    def test_negative_zero_is_a_time(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, t_grid=[-0.0]))
+        assert cfg.t_grid == [0.0] and cfg.t_grid_set
 
     def test_rows_mixing_ints_and_floats_load_entry_by_entry(self, tmp_path):
         # a row of floats reads as itself, any other row entry by entry

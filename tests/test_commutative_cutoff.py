@@ -176,6 +176,14 @@ class TestProfileLimit:
             assert gaps[2] <= gaps[1] <= gaps[0] + 1e-12
             assert gaps[2] < 1e-2 * max(lim, 1.0)
 
+    @pytest.mark.parametrize("rho", [-1000.0, -600.0])
+    def test_limit_past_the_double_range_reads_inf(self, rho):
+        # e^{-0.75 rho} overflows at rho = -1000, its square at rho = -600
+        assert profile_limit(scalar_system(), rho) == math.inf
+
+    def test_limit_near_the_double_range_keeps_its_bits(self):
+        assert profile_limit(scalar_system(), -470.0) == math.exp(-0.75 * -470.0) ** 2
+
     def test_jordan_a_rejected(self):
         A = np.array([[-1.0, 1.0], [0.0, -1.0]])
         sys = GBMSystem(A=A, B=np.zeros((2, 2)), x=np.array([0.0, 1.0]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gbm_cutoff import cubic_solver, noncommutative_cutoff
 from gbm_cutoff.commutative_cutoff import mean_square_commutative
 from gbm_cutoff.cubic_solver import CubicCoefficients
 from gbm_cutoff.errors import ToolkitError
@@ -370,6 +371,21 @@ class TestCutoffScheduleFirstOrder:
         assert sched.w_eps == pytest.approx(sched.t_eps**-2, rel=1e-14)
         assert sched.r_eps == 0.0 and sched.tau_eps == sched.t_eps
         assert sched.T_eps == pytest.approx(sched.t_eps, abs=1e-9)  # ell_star = 0
+
+    def test_ell_star_zero_solves_its_cubic_once(self, monkeypatch):
+        # with ell_star = 0 the log-cubic is the cubic, so T_eps = t_eps
+        calls = []
+        solve = cubic_solver.cardano_unique_real
+
+        def counted(c):
+            calls.append(c)
+            return solve(c)
+
+        for module in (cubic_solver, noncommutative_cutoff):
+            monkeypatch.setattr(module, "cardano_unique_real", counted)
+        sched = cutoff_schedule_first_order(synthetic_example(), math.exp(-10.0))
+        assert sched.ell_star == 0 and len(calls) == 1
+        assert sched.T_eps == sched.t_eps
 
     def test_commuting_pair_is_no_decay(self):
         sys = GBMSystem(A=np.diag([-2.0, -3.0]), B=np.diag([1.0, 0.5]), x=np.ones(2))

@@ -136,6 +136,19 @@ class TestGaussianPair:
             sample_gaussian_pair(0.0, 1, 0)
         assert err.value.code == "bad_time"
 
+    def test_pair_past_the_cube_overflow_is_finite(self):
+        # t^3 passes the double range above about 5.65e102; the spread
+        # sqrt(t^3 / 12) of the integral does not
+        t, z = 1e103, simulate._normals(1, 0, 1, 2)[0]
+        w, integral = sample_gaussian_pair(t, 1, 0)
+        assert w == math.sqrt(t) * z[0]
+        assert integral == 0.5 * t * math.sqrt(t) * z[0] + t * math.sqrt(t / 12.0) * z[1]
+        assert math.isfinite(integral)
+
+    def test_pair_below_the_cube_overflow_keeps_its_bits(self):
+        t, z = 5e102, simulate._normals(1, 0, 1, 2)[0]
+        assert sample_gaussian_pair(t, 1, 0)[1] == 0.5 * t**1.5 * z[0] + math.sqrt(t**3 / 12.0) * z[1]
+
 
 class TestBrownianPath:
     def test_functionals_reproducible(self):
@@ -965,6 +978,30 @@ class TestNonFiniteEstimates:
                 estimate_mean_square(sys, t, "euler_maruyama", 100, dt=dt)
         assert err.value.code == "report_not_finite"
 
+
+    @pytest.mark.parametrize("scheme", ["exact_commutative", "exact_first_order"])
+    def test_exact_estimate_past_the_cube_overflow_refused_with_a_code(self, scheme):
+        # the pair at t = 1e103 is finite; e^{tA} is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToolkitError) as err:
+                estimate_mean_square(scalar_system(), 1e103, scheme, 100)
+        assert err.value.code == "report_not_finite"
+
+    @pytest.mark.parametrize("sample", ["euler_maruyama", "sample_exact_first_order", "estimate"])
+    def test_single_path_refused_with_a_code_and_no_warning(self, sample):
+        # e^{800} x_1 overflows; a single path is refused as the estimate is
+        sys = GBMSystem(A=np.diag([400.0, 1.0]), B=np.zeros((2, 2)), x=np.array([1e300, 1.0]))
+        run = {
+            "euler_maruyama": lambda: euler_maruyama(sys, 2.0, 1e-3, 1, 0),
+            "sample_exact_first_order": lambda: sample_exact_first_order(sys, 2.0, 1, 0),
+            "estimate": lambda: estimate_mean_square(sys, 2.0, "euler_maruyama", 100),
+        }[sample]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToolkitError) as err:
+                run()
+        assert err.value.code == "report_not_finite"
 
     @pytest.mark.parametrize("scheme", ["exact_first_order", "magnus_truncated"])
     def test_overflowing_exponentials_refused_with_a_code(self, scheme):
